@@ -78,6 +78,15 @@ from .spectral import (
     spectrum_audit,
     symmetric_eigs,
 )
-from .verify import LogDet, eigen_residual, ihara_bass_check, ihara_bass_check_hyper, ihara_bass_report, logdet
+from .verify import (
+    IharaBassSystem,
+    LogDet,
+    eigen_residual,
+    ihara_bass_check,
+    ihara_bass_check_hyper,
+    ihara_bass_report,
+    ihara_bass_system,
+    logdet,
+)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .measures import HyperAlpha, HyperFixed, KestenMcKay, Semicircle, ks_distan
 from .rsbm import deterministic_sigma_eigenpair, insider_gap_report, recover_communities, rsbm_mu2
 from .seeds import Seed
 from .spectral import full_lifted_spectrum, spectrum_audit
-from .verify import ihara_bass_check, ihara_bass_report
+from .verify import ihara_bass_check, ihara_bass_report, ihara_bass_system
 
 _USAGE_ERRORS = (
     ParityError,
@@ -53,6 +53,11 @@ def parse_complex(text: str) -> complex:
         return complex(text.replace(" ", "").replace("i", "j"))
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}") from e
+
+
+def _format_z(z: complex) -> str:
+    """z in the a+bi form that --z accepts, at full precision."""
+    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
 
 
 def _emit(doc: dict, out_path) -> None:
@@ -170,7 +175,8 @@ def cmd_deloc(args) -> int:
 def cmd_verify(args) -> int:
     g = nbio.read_graph(args.infile)
     if args.z:
-        records = [ihara_bass_check(g, z) for z in args.z]
+        system = ihara_bass_system(g)
+        records = [ihara_bass_check(system, z) for z in args.z]
         ok = all(r.ok for r in records)
     else:
         records, ok = ihara_bass_report(g, trials=args.trials, seed=args.seed)
@@ -193,7 +199,15 @@ def cmd_verify(args) -> int:
         ],
     }
     _emit(doc, args.out)
-    _say(f"determinant identity: {sum(r.ok for r in records)}/{len(records)} z-points pass")
+    summary = f"determinant identity: {sum(r.ok for r in records)}/{len(records)} z-points pass"
+    if records:
+        mag = max(records, key=lambda r: r.mag_over_tol)
+        phase = max(records, key=lambda r: r.phase_over_tol)
+        summary += (
+            f"; worst log|det| error {mag.mag_over_tol:.2e} of tolerance at z={_format_z(mag.z)}"
+            f"; worst phase error {phase.phase_over_tol:.2e} of tolerance at z={_format_z(phase.z)}"
+        )
+    _say(summary)
     return 0 if ok else 1
 
 

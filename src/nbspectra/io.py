@@ -165,12 +165,22 @@ def write_spectrum(spec: LiftedSpectrum, path) -> None:
 
 def read_spectrum(path) -> LiftedSpectrum:
     """Load a spectrum file; pairs carry values and diagnostics but no
-    eigenvectors (u/w lifts need the original graph)."""
+    eigenvectors (u/w lifts need the original graph).
+
+    InvariantError unless the model is known, k is given exactly for
+    hypergraphs, there are n pairs, every value is finite and lambda is
+    descending.
+    """
     obj = _load_json(path)
     params = _require(obj, "params", path)
     kind = _require(obj, "model", path)
+    if kind not in ("regular", "hypergraph", "rsbm"):
+        raise InvariantError(f"{path}: unknown spectrum model {kind!r}")
     d = int(_require(params, "d", path))
     k = params.get("k")
+    k_ok = (isinstance(k, int) and k >= 2) if kind == "hypergraph" else k is None
+    if not k_ok:
+        raise InvariantError(f"{path}: k = {k!r} is inconsistent with model {kind!r}")
     pairs = []
     for rec in _require(obj, "pairs", path):
         try:
@@ -181,7 +191,7 @@ def read_spectrum(path) -> LiftedSpectrum:
                     mu_prime=complex(rec["mu_prime_re"], rec["mu_prime_im"]),
                     degenerate=bool(rec["degenerate"]),
                     d=d,
-                    k=None if k is None else int(k),
+                    k=k,
                     residual_u=rec.get("residual_u"),
                     residual_u_prime=rec.get("residual_u_prime"),
                     ratio_v=rec.get("ratio_v"),
@@ -191,15 +201,35 @@ def read_spectrum(path) -> LiftedSpectrum:
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: malformed pair record ({e})") from e
-    return LiftedSpectrum(
+    spec = LiftedSpectrum(
         kind=kind,
         n=int(_require(params, "n", path)),
         d=d,
-        k=None if k is None else int(k),
+        k=k,
         pairs=tuple(pairs),
         d1=params.get("d1"),
         d2=params.get("d2"),
     )
+    _check_spectrum(spec, path)
+    return spec
+
+
+def _check_spectrum(spec: LiftedSpectrum, path) -> None:
+    if len(spec.pairs) != spec.n:
+        raise InvariantError(f"{path}: {len(spec.pairs)} pairs for n = {spec.n}")
+    values = [
+        x
+        for p in spec.pairs
+        for x in (
+            p.lam, p.mu.real, p.mu.imag, p.mu_prime.real, p.mu_prime.imag,
+            p.residual_u, p.residual_u_prime, p.ratio_v, p.ratio_u, p.ratio_u_prime,
+        )
+        if x is not None
+    ]
+    if not np.all(np.isfinite(np.asarray(values, dtype=np.float64))):
+        raise InvariantError(f"{path}: non-finite value in a pair record")
+    if np.any(np.diff(spec.lams()) > 0):
+        raise InvariantError(f"{path}: lambda is not in descending order")
 
 
 def write_histogram(m: EmpiricalMeasure, path, bins=None) -> None:

@@ -1,9 +1,11 @@
 """Adjacency matrix, oriented-edge index, non-backtracking operator B, and
 the reduced 2n x 2n form.
 
-A and the reduced matrix are dense (desk scale); B is sparse CSR since it is
-only applied to vectors or densified at tiny sizes. Index ordering of
-oriented edges is lexicographic so serialized operators are reproducible.
+A is dense (desk scale, for the symmetric eigensolve); B and the reduced
+matrix are sparse CSR, as they are only applied to vectors or factored by
+sparse LU (`reduced_nb_matrix` is a dense copy for small-size oracles).
+Index ordering of oriented edges is lexicographic so serialized operators
+are reproducible.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ class OrientedEdgeIndex:
 def underlying_graph(g):
     """The plain graph/hypergraph under any sampled object."""
     return g.graph if isinstance(g, RsbmGraph) else g
+
+
+def edge_size(g) -> int:
+    """Hyperedge size k; a graph is the k = 2 case."""
+    g = underlying_graph(g)
+    return g.k if isinstance(g, RegularHypergraph) else 2
 
 
 def adjacency_matrix(g) -> np.ndarray:
@@ -116,22 +124,22 @@ def nonbacktracking_matrix(g, index: OrientedEdgeIndex | None = None) -> sp.csr_
     return B
 
 
-def reduced_nb_matrix(g) -> np.ndarray:
-    """Reduced non-backtracking matrix: 2n x 2n, four n x n blocks.
+def reduced_nb_operator(g) -> sp.csr_matrix:
+    """Reduced non-backtracking matrix as sparse CSR: 2n x 2n, four n x n blocks.
 
     Graph: [[0, (d-1)I], [-I, A]].
     Hypergraph: [[0, (d-1)I], [-(k-1)I, A-(k-2)I]].
     """
     h = underlying_graph(g)
-    A = adjacency_matrix(h).astype(np.float64)
-    n = h.n
-    eye = np.eye(n)
-    top = np.hstack([np.zeros((n, n)), (h.d - 1) * eye])
-    if isinstance(h, RegularHypergraph):
-        bottom = np.hstack([-(h.k - 1) * eye, A - (h.k - 2) * eye])
-    else:
-        bottom = np.hstack([-eye, A])
-    return np.vstack([top, bottom])
+    A = sp.csr_matrix(adjacency_matrix(h), dtype=np.float64)
+    k = edge_size(h)
+    eye = sp.identity(h.n, format="csr")
+    return sp.bmat([[None, (h.d - 1) * eye], [-(k - 1) * eye, A - (k - 2) * eye]], format="csr")
+
+
+def reduced_nb_matrix(g) -> np.ndarray:
+    """Dense copy of `reduced_nb_operator`."""
+    return reduced_nb_operator(g).toarray()
 
 
 def sparse_triplets(M: sp.spmatrix) -> list:

@@ -321,23 +321,27 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     vnorms = np.linalg.norm(V, axis=0)
     vinfs = np.max(np.abs(V), axis=0)
 
-    def u_residuals(muvec: np.ndarray) -> np.ndarray:
+    def u_residuals(muvec: np.ndarray, cols=slice(None)) -> np.ndarray:
         c = muvec / (d - 1)
         s = np.sqrt(1.0 + np.abs(c) ** 2)
-        top = np.abs((d - 1) * c - muvec) * vnorms
+        Vc, vn = V[:, cols], vnorms[cols]
+        top = np.abs((d - 1) * c - muvec) * vn
         if k is None:
-            R = AV * c[None, :] - V - V * (muvec * c)[None, :]
+            R = AV[:, cols] * c[None, :] - Vc - Vc * (muvec * c)[None, :]
         else:
-            R = AV * c[None, :] - (k - 2) * V * c[None, :] - (k - 1) * V - V * (muvec * c)[None, :]
+            R = AV[:, cols] * c[None, :] - (k - 2) * Vc * c[None, :] - (k - 1) * Vc - Vc * (muvec * c)[None, :]
         bottom = np.linalg.norm(R, axis=0)
-        return np.sqrt(top**2 + bottom**2) / (s * vnorms)
+        return np.sqrt(top**2 + bottom**2) / (s * vn)
 
     def u_ratios(muvec: np.ndarray) -> np.ndarray:
         c = np.abs(muvec) / (d - 1)
         return np.maximum(1.0, c) * vinfs / (np.sqrt(1.0 + c**2) * vnorms)
 
     res_u = u_residuals(mus)
-    res_up = u_residuals(mups)
+    # V and AV are real: where mu' = conj(mu) the residual is the conjugate one, same norm
+    res_up = res_u.copy()
+    own = np.flatnonzero(mups != np.conj(mus))
+    res_up[own] = u_residuals(mups[own], own)
     ratio_u = u_ratios(mus)
     ratio_up = u_ratios(mups)
 
@@ -406,17 +410,28 @@ class SpectrumAudit:
     records: tuple
 
 
-def _w_factors(h, V: np.ndarray, index: OrientedEdgeIndex):
-    """Real matrices (G1, G2) with w-lift columns W = mu*G1[:, i] - G2[:, i]."""
-    a, b = index.tails_heads()
-    if isinstance(h, RegularHypergraph):
-        ES = _hyperedge_sums(h, V)
-        G1 = ES[b, :] - V[a, :]
-        G2 = (h.k - 1) * V[a, :]
-    else:
-        G1 = V[b, :]
-        G2 = V[a, :]
-    return G1, G2
+#: eigenvectors per block of the w-lift statistics; keeps each (rows x nd) temporary in cache
+W_BLOCK = 32
+
+
+def _w_row_stats(muvec: np.ndarray, G1: np.ndarray, G2: np.ndarray, P: np.ndarray, BG2: np.ndarray):
+    """Norm and max modulus of each row W = mu*G1 - G2, and the norm of B W - mu W.
+
+    B W - mu W = mu*P - mu^2*G1 - BG2 with P = B G1 + G2 and BG2 = B G2 (rows
+    hold B applied to the real factors). Real arithmetic on the real factors:
+    Re W = a*G1 - G2, Im W = b*G1 for mu = a + ib.
+    """
+    a, b = muvec.real[:, None], muvec.imag[:, None]
+    m2 = (muvec**2)[:, None]
+    re = G1 * a - G2
+    im = G1 * b
+    sq = re * re + im * im
+    wnorm = np.sqrt(sq.sum(axis=1))
+    winf = np.sqrt(sq.max(axis=1))
+    re = P * a - G1 * m2.real - BG2
+    im = P * b - G1 * m2.imag
+    resid = np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
+    return wnorm, winf, resid
 
 
 def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool = True) -> SpectrumAudit:
@@ -435,7 +450,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     lams = spec.lams()
     mus = np.asarray([p.mu for p in spec.pairs], dtype=np.complex128)
     mups = np.asarray([p.mu_prime for p in spec.pairs], dtype=np.complex128)
-    V = np.column_stack([p.v for p in spec.pairs])
+    VT = np.vstack([p.v for p in spec.pairs])  # one eigenvector per row
     shift, prod = _lift_quadratic_params(d, k)
     q = prod
 
@@ -463,37 +478,37 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
 
     index = oriented_index(h)
     B = nonbacktracking_matrix(h, index)
-    G1, G2 = _w_factors(h, V, index)
-    # W = mu*G1 - G2 columnwise, so B W - mu W = mu*(B G1 + G2) - mu^2 G1 - B G2:
-    # the operator is applied once to the real factors, scalars enter after.
-    BG2 = B @ G2
-    P = B @ G1 + G2
+    tails, heads = index.tails_heads()
+    # hypergraph rows of W need each eigenvector's per-hyperedge sums
+    EST = None if k is None else np.ascontiguousarray(_hyperedge_sums(h, VT.T).T)
     vinfs = np.asarray([p.ratio_v for p in spec.pairs])  # v is unit: ratio_v == ||v||_inf
 
-    trivial_vals = (1.0, -1.0) if k is None else (1.0, -(k - 1.0))
+    # w-lift statistics (wnorm, winf, resid) of every pair, for mu and for mu'.
+    # The factors G1, G2 (W = mu*G1 - G2) are real, so B is applied once per
+    # block to them and the scalars enter after; and where mu' = conj(mu) the
+    # W and residual of mu' are conjugates of those of mu, whose norms and
+    # maxima are the same bits, so they are not computed again.
+    m = len(spec.pairs)
+    wstats = np.empty((2, 3, m))
+    own = np.flatnonzero(mups != np.conj(mus))
+    for r0 in range(0, m, W_BLOCK):
+        rows = slice(r0, min(r0 + W_BLOCK, m))
+        vt = VT[rows]
+        if EST is None:
+            G1, G2 = vt[:, heads], vt[:, tails]
+        else:
+            G1 = EST[rows][:, heads] - vt[:, tails]
+            G2 = (k - 1) * vt[:, tails]
+        BG2 = (B @ G2.T).T
+        P = (B @ G1.T).T + G2
+        wstats[0, :, rows] = _w_row_stats(mus[rows], G1, G2, P, BG2)
+        wstats[1, :, rows] = wstats[0, :, rows]
+        mine = own[(own >= r0) & (own < rows.stop)]
+        if len(mine):
+            j = mine - r0
+            wstats[1][:, mine] = _w_row_stats(mups[mine], G1[j], G2[j], P[j], BG2[j])
 
-    def w_stats(muvec: np.ndarray):
-        m = len(muvec)
-        wnorm = np.empty(m)
-        winf = np.empty(m)
-        resid = np.empty(m)
-        # column chunks keep the complex temporaries small
-        for c0 in range(0, m, 256):
-            sl = slice(c0, min(c0 + 256, m))
-            mc = muvec[sl][None, :]
-            Wc = G1[:, sl] * mc - G2[:, sl]
-            wnorm[sl] = np.linalg.norm(Wc, axis=0)
-            winf[sl] = np.max(np.abs(Wc), axis=0)
-            Rc = P[:, sl] * mc - G1[:, sl] * (mc * mc) - BG2[:, sl]
-            resid[sl] = np.linalg.norm(Rc, axis=0)
-        trivial = np.zeros(m, dtype=bool)
-        for t in trivial_vals:
-            trivial |= np.abs(muvec - t) < TRIVIAL_TOL
-        zero = (~trivial) & (wnorm < ZERO_W_TOL)
-        ok = ~(trivial | zero)
-        rel_resid = np.zeros(m)
-        rel_resid[ok] = resid[ok] / wnorm[ok]
-        return wnorm, rel_resid, winf, trivial, zero, ok
+    trivial_vals = (1.0, -1.0) if k is None else (1.0, -(k - 1.0))
 
     resid_w_max = 0.0
     norm_paper_err = 0.0
@@ -503,11 +518,17 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     skipped_zero = 0
     records: list = []
 
-    for muvec, ratios_u in (
-        (mus, [p.ratio_u for p in spec.pairs]),
-        (mups, [p.ratio_u_prime for p in spec.pairs]),
+    for muvec, ratios_u, (wnorm, winf, resid) in (
+        (mus, [p.ratio_u for p in spec.pairs], wstats[0]),
+        (mups, [p.ratio_u_prime for p in spec.pairs], wstats[1]),
     ):
-        wnorm, rel_resid, winf, trivial, zero, ok = w_stats(muvec)
+        trivial = np.zeros(m, dtype=bool)
+        for t in trivial_vals:
+            trivial |= np.abs(muvec - t) < TRIVIAL_TOL
+        zero = (~trivial) & (wnorm < ZERO_W_TOL)
+        ok = ~(trivial | zero)
+        rel_resid = np.zeros(m)
+        rel_resid[ok] = resid[ok] / wnorm[ok]
         skipped_trivial += int(np.sum(trivial))
         skipped_zero += int(np.sum(zero))
         if np.any(ok):

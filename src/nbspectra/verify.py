@@ -4,28 +4,32 @@ the reduced operator, and A, via complex log-determinants.
 Comparisons live in log space because the scalar factor (z^2-1)^{|E|-n}
 overflows double precision once |E|-n is a few hundred; log magnitude and
 phase mod 2*pi carry the same information and stay bounded.
+
+Every determinant is a sparse LU factorization: B is nd x nd with about
+d(k-1) nonzeros per row, and a dense copy would cost 16 (nd)^2 bytes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import NearSingularError, SingularError, ZeroVectorError
-from .graphs import RegularHypergraph
+from .graphs import RegularGraph, RegularHypergraph
 from .operators import (
     adjacency_matrix,
+    edge_size,
     nonbacktracking_matrix,
-    reduced_nb_matrix,
+    reduced_nb_operator,
     underlying_graph,
 )
 from .seeds import Seed, as_seed
-from .spectral import full_lifted_spectrum
+from .spectral import LiftedSpectrum, full_lifted_spectrum
 
 GUARD_RADIUS = 1e-6
 MAG_TOL = 1e-8
@@ -51,23 +55,45 @@ class LogDet:
         return LogDet(self.log_abs + other.log_abs, _wrap_phase(self.phase + other.phase))
 
 
-def logdet(M: np.ndarray) -> LogDet:
-    """Log-determinant via pivoted LU; SingularError on pivot underflow."""
-    M = np.asarray(M, dtype=np.complex128)
+def _parity(perm: np.ndarray) -> int:
+    """0 for an even permutation, 1 for an odd one: (length - cycle count) mod 2."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    cycles = 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2
+
+
+def logdet(M) -> LogDet:
+    """Log-determinant of a dense or sparse square matrix via sparse LU.
+
+    SuperLU factors Pr M Pc = L U (COLAMD column order, partial pivoting).
+    L has a unit diagonal, so det M = sign(Pr) sign(Pc) prod U_ii. An exactly
+    zero pivot or a pivot underflow raises SingularError.
+    """
+    if not sp.issparse(M):
+        M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
-    with warnings.catch_warnings():
-        # the pivot-underflow check below is our singularity gate
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(M, check_finite=False)
-    diag = np.diagonal(lu)
+    try:
+        lu = spla.splu(sp.csc_matrix(M, dtype=np.complex128))
+    except RuntimeError as e:
+        if "singular" not in str(e):
+            raise
+        raise SingularError(f"sparse LU: {e}") from e
+    diag = lu.U.diagonal()
     mags = np.abs(diag)
     if np.min(mags) < 1e-300:
         raise SingularError("pivot magnitude underflow; matrix is singular")
     log_abs = float(np.sum(np.log(mags)))
     phase = float(np.sum(np.angle(diag)))
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    if swaps % 2:
+    if _parity(lu.perm_r) != _parity(lu.perm_c):
         phase += math.pi
     return LogDet(log_abs=log_abs, phase=_wrap_phase(phase))
 
@@ -93,6 +119,16 @@ class IharaBassRecord:
     mag_err: float
     phase_err: float
     ok: bool
+
+    @property
+    def mag_over_tol(self) -> float:
+        """mag_err as a share of its tolerance MAG_TOL (1 + |log|det(B - zI)||)."""
+        return self.mag_err / (MAG_TOL * (1.0 + abs(self.lhs.log_abs)))
+
+    @property
+    def phase_over_tol(self) -> float:
+        """phase_err as a share of its tolerance PHASE_TOL."""
+        return self.phase_err / PHASE_TOL
 
 
 def _guard(z: complex, mus: np.ndarray, poles) -> None:
@@ -123,45 +159,89 @@ def _compare(z, lhs: LogDet, rhs_reduced: LogDet, rhs_adjacency: LogDet) -> Ihar
     )
 
 
+def _poles(k: int) -> tuple:
+    """Zeros of the scalar factor (z-1)^a (z+k-1)^b."""
+    return (1.0, -(k - 1.0))
+
+
+@dataclass(frozen=True)
+class IharaBassSystem:
+    """Sparse operators and guard spectrum of one graph or hypergraph, built
+    once and shared by every z point checked against it.
+
+    With k = 2 for graphs, the identities read
+        det(B - zI) = (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI),
+        det(reduced - zI) = det((z^2 + (k-2)z + (k-1)(d-1)) I - zA).
+    """
+
+    graph: "RegularGraph | RegularHypergraph"
+    spectrum: LiftedSpectrum
+    B: sp.csr_matrix
+    reduced: sp.csr_matrix
+    A: sp.csr_matrix
+    k: int
+
+    def shifted(self, z: complex) -> tuple:
+        """The three sparse matrices whose determinants the identity compares:
+        B - zI, reduced - zI and the quadratic polynomial in A."""
+        n, d, k = self.graph.n, self.graph.d, self.k
+        poly = (z * z + (k - 2) * z + (k - 1) * (d - 1)) * sp.identity(n) - z * self.A
+        return (
+            self.B - z * sp.identity(self.B.shape[0]),
+            self.reduced - z * sp.identity(2 * n),
+            poly,
+        )
+
+    def scalar(self, z: complex) -> LogDet:
+        """log of (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n}."""
+        n, k = self.graph.n, self.k
+        m = self.B.shape[0] // k  # B is indexed by the k|E| (vertex, edge) incidences
+        return _scaled_log(z - 1.0, (k - 1) * m - n) + _scaled_log(z + (k - 1.0), m - n)
+
+
+def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassSystem:
+    """Build B, the reduced matrix and A (all sparse) and, unless given, the spectrum."""
+    h = underlying_graph(g)
+    return IharaBassSystem(
+        graph=h,
+        spectrum=full_lifted_spectrum(h) if spectrum is None else spectrum,
+        B=nonbacktracking_matrix(h),
+        reduced=reduced_nb_operator(h),
+        A=sp.csr_matrix(adjacency_matrix(h), dtype=np.float64),
+        k=edge_size(h),
+    )
+
+
+def _check(system: IharaBassSystem, z: complex) -> IharaBassRecord:
+    z = complex(z)
+    _guard(z, system.spectrum.mus(), _poles(system.k))
+    B_z, reduced_z, poly = system.shifted(z)
+    scalar = system.scalar(z)
+    return _compare(z, logdet(B_z), scalar + logdet(reduced_z), scalar + logdet(poly))
+
+
 def ihara_bass_check(g, z: complex, spectrum=None) -> IharaBassRecord:
     """Compare det(B - zI) against (z^2-1)^{|E|-n} det(reduced - zI) and the
-    equivalent quadratic form in A, all in log space."""
-    h = underlying_graph(g)
-    if isinstance(h, RegularHypergraph):
-        return ihara_bass_check_hyper(h, z, spectrum=spectrum)
-    z = complex(z)
-    spec = spectrum if spectrum is not None else full_lifted_spectrum(h)
-    _guard(z, spec.mus(), (1.0, -1.0))
-    n, d = h.n, h.d
-    n_edges = len(h.edges)
-    B = nonbacktracking_matrix(h).toarray().astype(np.complex128)
-    lhs = logdet(B - z * np.eye(len(B)))
-    Bt = reduced_nb_matrix(h).astype(np.complex128)
-    scalar = _scaled_log(z * z - 1.0, n_edges - n)
-    rhs_reduced = scalar + logdet(Bt - z * np.eye(2 * n))
-    A = adjacency_matrix(h).astype(np.complex128)
-    poly = (z * z + (d - 1)) * np.eye(n) - z * A
-    rhs_adjacency = scalar + logdet(poly)
-    return _compare(z, lhs, rhs_reduced, rhs_adjacency)
+    equivalent quadratic form in A, all in log space.
+
+    ``g`` is a graph, hypergraph or RSBM, or an `IharaBassSystem` that
+    carries its operators and spectrum across many z points (``spectrum``
+    is then unused). Hypergraphs go to `ihara_bass_check_hyper`.
+    """
+    system = g if isinstance(g, IharaBassSystem) else ihara_bass_system(g, spectrum)
+    if isinstance(system.graph, RegularHypergraph):
+        return ihara_bass_check_hyper(system, z)
+    return _check(system, z)
 
 
-def ihara_bass_check_hyper(H: RegularHypergraph, z: complex, spectrum=None) -> IharaBassRecord:
+def ihara_bass_check_hyper(H, z: complex, spectrum=None) -> IharaBassRecord:
     """Hypergraph identity: det(B - zI) =
-    (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI)."""
-    z = complex(z)
-    k, n, d = H.k, H.n, H.d
-    spec = spectrum if spectrum is not None else full_lifted_spectrum(H)
-    _guard(z, spec.mus(), (1.0, -(k - 1.0)))
-    n_edges = len(H.hyperedges)
-    B = nonbacktracking_matrix(H).toarray().astype(np.complex128)
-    lhs = logdet(B - z * np.eye(len(B)))
-    scalar = _scaled_log(z - 1.0, (k - 1) * n_edges - n) + _scaled_log(z + (k - 1.0), n_edges - n)
-    Bt = reduced_nb_matrix(H).astype(np.complex128)
-    rhs_reduced = scalar + logdet(Bt - z * np.eye(2 * n))
-    A = adjacency_matrix(H).astype(np.complex128)
-    poly = (z * z + (k - 2) * z + (k - 1) * (d - 1)) * np.eye(n) - z * A
-    rhs_adjacency = scalar + logdet(poly)
-    return _compare(z, lhs, rhs_reduced, rhs_adjacency)
+    (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI).
+
+    ``H`` is a hypergraph or its `IharaBassSystem`, as in `ihara_bass_check`.
+    """
+    system = H if isinstance(H, IharaBassSystem) else ihara_bass_system(H, spectrum)
+    return _check(system, z)
 
 
 def eigen_residual(M, mu: complex, w: np.ndarray) -> float:
@@ -173,19 +253,16 @@ def eigen_residual(M, mu: complex, w: np.ndarray) -> float:
     return float(np.linalg.norm(M @ w - complex(mu) * w) / nw)
 
 
-def sample_z_points(g, count: int, seed: "int | Seed") -> list:
+def sample_z_points(g, count: int, seed: "int | Seed", spectrum: "LiftedSpectrum | None" = None) -> list:
     """Pseudo-random z in the annulus 0.1 <= |z| <= 2*sqrt(q) that avoid the
-    near-singular guard (q = (d-1)(k-1) for hypergraphs, d-1 for graphs)."""
+    near-singular guard (q = (d-1)(k-1), with k = 2 for graphs). The guard
+    uses ``spectrum`` when given, else computes it."""
     h = underlying_graph(g)
-    if isinstance(h, RegularHypergraph):
-        q = (h.d - 1) * (h.k - 1)
-        poles = (1.0, -(h.k - 1.0))
-    else:
-        q = h.d - 1
-        poles = (1.0, -1.0)
+    k = edge_size(h)
+    poles = _poles(k)
     rng = as_seed(seed).generator()
-    mus = full_lifted_spectrum(h).mus()
-    rmax = 2.0 * math.sqrt(q)
+    mus = (full_lifted_spectrum(h) if spectrum is None else spectrum).mus()
+    rmax = 2.0 * math.sqrt((h.d - 1) * (k - 1))
     out: list = []
     attempts = 0
     while len(out) < count:
@@ -206,11 +283,10 @@ def sample_z_points(g, count: int, seed: "int | Seed") -> list:
 def ihara_bass_report(g, trials: int = 8, seed: "int | Seed" = 0) -> "tuple[list, bool]":
     """Run the identity check at ``trials`` sampled z points.
 
-    Returns (records, all_ok). One spectrum is computed up front and shared
-    across the guard checks.
+    Returns (records, all_ok). The operators and the spectrum are built once
+    and shared by the z sampler and every check.
     """
-    h = underlying_graph(g)
-    spec = full_lifted_spectrum(h)
-    zs = sample_z_points(h, trials, seed)
-    records = [ihara_bass_check(h, z, spectrum=spec) for z in zs]
+    system = ihara_bass_system(g)
+    zs = sample_z_points(system.graph, trials, seed, spectrum=system.spectrum)
+    records = [ihara_bass_check(system, z) for z in zs]
     return records, all(r.ok for r in records)

@@ -1,5 +1,8 @@
 """Independent brute-force oracles used only by tests.
 
+`dense_logdet` is the dense LU log-determinant that the sparse `logdet`
+under test replaced.
+
 The characteristic polynomial is computed by the Faddeev-LeVerrier trace
 recursion in exact integer arithmetic, split into exact squarefree factors
 (repeated roots would otherwise cost ~eps^(1/multiplicity) accuracy), and
@@ -7,9 +10,25 @@ each simple factor is rooted with a companion-matrix solver. This shares no
 code with the quadratic-lift path under test.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg as sla
 import sympy
 from scipy.optimize import linear_sum_assignment
+
+
+def dense_logdet(M) -> "tuple[float, float]":
+    """(log|det M|, arg det M) by dense pivoted LU; M dense or sparse.
+
+    The phase is not reduced mod 2*pi. Every row swap of the pivot vector
+    flips the sign.
+    """
+    M = M.toarray() if hasattr(M, "toarray") else np.asarray(M)
+    lu, piv = sla.lu_factor(M.astype(np.complex128), check_finite=False)
+    diag = np.diagonal(lu)
+    swaps = int(np.sum(piv != np.arange(len(piv))))
+    return float(np.sum(np.log(np.abs(diag)))), float(np.sum(np.angle(diag))) + math.pi * (swaps % 2)
 
 
 def _eye_obj(n: int) -> np.ndarray:

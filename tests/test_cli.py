@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+import nbspectra.verify
 from nbspectra.cli import main, parse_complex
 
 
@@ -101,6 +103,52 @@ def test_verify_explicit_z(tmp_path, capsys):
     assert doc["trials"] == 1 and doc["all_ok"]
 
 
+def test_verify_computes_spectrum_once(tmp_path, monkeypatch):
+    g = tmp_path / "g.json"
+    run(["gen", "--model", "regular", "--n", "12", "--d", "3", "--seed", "4", "--out", str(g)])
+    calls = []
+    original = nbspectra.verify.full_lifted_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nbspectra.verify, "full_lifted_spectrum", counted)
+    assert run(["verify", "--in", str(g), "--trials", "4", "--seed", "1"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(["verify", "--in", str(g), "--z", "0.3+0.4i", "--z=-1.1+0.2i"]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_stderr_headroom(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    v = tmp_path / "v.json"
+    run(["gen", "--model", "regular", "--n", "12", "--d", "3", "--seed", "4", "--out", str(g)])
+    capsys.readouterr()
+    assert run(["verify", "--in", str(g), "--trials", "4", "--seed", "1", "--out", str(v)]) == 0
+    err = capsys.readouterr().err
+    m = re.search(
+        r"4/4 z-points pass; worst log\|det\| error (\S+) of tolerance at z=(\S+); "
+        r"worst phase error (\S+) of tolerance at z=(\S+)\n",
+        err,
+    )
+    assert m, err
+    records = json.loads(v.read_text())["records"]
+    worst_mag = max(records, key=lambda r: r["mag_err"] / (1.0 + abs(r["lhs_logabs"])))
+    worst_phase = max(records, key=lambda r: r["phase_err"])
+    mag_ratio = worst_mag["mag_err"] / (1e-8 * (1.0 + abs(worst_mag["lhs_logabs"])))
+    assert float(m[1]) == pytest.approx(mag_ratio, rel=1e-2, abs=1e-12)
+    assert parse_complex(m[2]) == complex(worst_mag["z_re"], worst_mag["z_im"])
+    assert float(m[3]) == pytest.approx(worst_phase["phase_err"] / 1e-8, rel=1e-2, abs=1e-12)
+    assert parse_complex(m[4]) == complex(worst_phase["z_re"], worst_phase["z_im"])
+    assert max(float(m[1]), float(m[3])) <= 1.0
+    # the --out document keeps its fields
+    assert set(records[0]) == {
+        "z_re", "z_im", "lhs_logabs", "rhs_logabs", "lhs_phase", "rhs_phase", "mag_err", "phase_err", "pass"
+    }
+
+
 def test_verify_hypergraph(tmp_path):
     g = tmp_path / "h.json"
     run(["gen", "--model", "hypergraph", "--n", "9", "--d", "2", "--k", "3", "--seed", "1", "--out", str(g)])
@@ -119,6 +167,20 @@ def test_rsbm_recover_command(tmp_path, capsys):
 
 def test_rsbm_recover_non_detectable_exits_2():
     assert run(["rsbm-recover", "--n", "40", "--d1", "4", "--d2", "2", "--trials", "1"]) == 2
+
+
+def test_ks_corrupt_spectrum_exits_2(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    run(["gen", "--model", "regular", "--n", "200", "--d", "3", "--seed", "1", "--out", str(g)])
+    run(["spectrum", "--in", str(g), "--out", str(s)])
+    doc = json.loads(s.read_text())
+    doc["pairs"] = doc["pairs"][:50]
+    doc["pairs"][7]["mu_re"] = float("nan")
+    s.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["ks", "--in", str(s), "--law", "km"]) == 2
+    assert "InvariantError" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_2(tmp_path):

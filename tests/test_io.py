@@ -102,6 +102,50 @@ def test_spectrum_round_trip(tmp_path):
     assert len(m) == 30
 
 
+def _drop_pairs(doc):
+    doc["pairs"] = doc["pairs"][:-1]
+
+
+def _nan_value(doc):
+    doc["pairs"][3]["ratio_u"] = float("nan")
+
+
+def _swap_lambdas(doc):
+    doc["pairs"][0], doc["pairs"][-1] = doc["pairs"][-1], doc["pairs"][0]
+
+
+def _unknown_model(doc):
+    doc["model"] = "weighted"
+
+
+def _k_on_regular(doc):
+    doc["params"]["k"] = 3
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_pairs, _nan_value, _swap_lambdas, _unknown_model, _k_on_regular]
+)
+def test_spectrum_invariants_enforced(tmp_path, corrupt):
+    p = tmp_path / "s.json"
+    write_spectrum(full_lifted_spectrum(sample_regular_graph(16, 3, 2)), p)
+    doc = json.loads(p.read_text())
+    corrupt(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InvariantError):
+        read_spectrum(p)
+
+
+def test_hypergraph_spectrum_requires_k(tmp_path):
+    p = tmp_path / "s.json"
+    write_spectrum(full_lifted_spectrum(sample_regular_hypergraph(9, 2, 3, 1)), p)
+    assert read_spectrum(p).k == 3
+    doc = json.loads(p.read_text())
+    doc["params"]["k"] = None
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InvariantError):
+        read_spectrum(p)
+
+
 def test_spectrum_loaded_pairs_have_no_vectors(tmp_path):
     g = sample_regular_graph(8, 3, 5)
     p = tmp_path / "s.json"

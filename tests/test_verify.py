@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbspectra.errors import NearSingularError, SingularError, ZeroVectorError
 from nbspectra.graphs import RegularGraph, sample_regular_hypergraph
@@ -13,12 +14,14 @@ from nbspectra.verify import (
     ihara_bass_check,
     ihara_bass_check_hyper,
     ihara_bass_report,
+    ihara_bass_system,
     logdet,
     phase_distance,
     sample_z_points,
 )
 
 from conftest import IHARA_CORPUS, named_graph
+from oracles import dense_logdet
 
 
 # ------------------------------------------------------------------- logdet
@@ -73,6 +76,45 @@ def test_logdet_singular():
         logdet(np.zeros((3, 3)))
 
 
+def test_logdet_sparse_odd_permutation():
+    # det of a permutation matrix is its sign; partial pivoting must undo the
+    # permutation through perm_r, so a dropped row parity shows here
+    perm = np.random.default_rng(7).permutation(40)
+    if np.linalg.det(np.eye(40)[perm]) > 0:
+        perm[[0, 1]] = perm[[1, 0]]
+    P = sp.csc_matrix((np.ones(40), (np.arange(40), perm)), shape=(40, 40))
+    ld = logdet(P)
+    assert ld.log_abs == pytest.approx(0.0, abs=1e-14)
+    assert phase_distance(ld.phase, math.pi) <= 1e-12
+
+
+def test_logdet_sparse_zero_column():
+    rows = [0, 1, 2, 3, 0, 2]
+    cols = [0, 1, 3, 4, 1, 4]  # column 2 holds no entry
+    M = sp.csc_matrix((np.ones(6), (rows, cols)), shape=(5, 5))
+    with pytest.raises(SingularError):
+        logdet(M)
+
+
+#: z points off every spectrum of the oracle corpus
+ORACLE_Z = (0.3 + 0.4j, -1.2 + 0.7j, 1.7 - 0.6j)
+
+
+@pytest.mark.parametrize("name", IHARA_CORPUS + ["hyper923"])
+def test_logdet_matches_dense_oracle(name, hyper923):
+    # B - zI, reduced - zI and the A-polynomial; across these cases SuperLU's
+    # row and column permutations are each odd in some and even in others.
+    # hyper923 has |E| - n < 0.
+    g = hyper923 if name == "hyper923" else named_graph(name)
+    system = ihara_bass_system(g)
+    for z in ORACLE_Z:
+        for M in system.shifted(z):
+            ld = logdet(M)
+            log_abs, phase = dense_logdet(M)
+            assert abs(ld.log_abs - log_abs) <= 1e-12 * max(1.0, abs(log_abs))
+            assert phase_distance(ld.phase, phase) <= 1e-10
+
+
 def test_logdet_matches_slogdet():
     rng = np.random.default_rng(5)
     M = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
@@ -93,8 +135,7 @@ def test_ihara_bass_corpus_8_points(name):
     assert ok, [(r.z, r.mag_err, r.phase_err) for r in records if not r.ok]
 
 
-@pytest.mark.nightly
-def test_ihara_bass_n200_nightly():
+def test_ihara_bass_n200():
     from nbspectra.graphs import sample_regular_graph
 
     g = sample_regular_graph(200, 3, 17)
