@@ -4,6 +4,12 @@ The community vector sigma is an exact integer eigenvector of A with
 eigenvalue d1-d2; its lift puts two real eigenvalues inside the bulk circle
 of radius sqrt(d1+d2-1) whenever (d1-d2)^2 > 4(d1+d2-1), and the sign
 pattern of the corresponding eigenvector recovers the communities.
+
+In exactly that regime d1-d2 is an outlier of A, beyond the bulk edge
+2 sqrt(d1+d2-1), so recovery solves only for the few extreme eigenpairs on
+its side (`extreme_eigs`: Lanczos, certified by residuals, orthonormality
+and a Sylvester-inertia count that proves no eigenvalue was missed), not
+for the whole spectrum.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
 )
 from .graphs import RsbmGraph
 from .operators import adjacency_matrix
-from .spectral import LiftedSpectrum, _quad_roots, full_lifted_spectrum, symmetric_eigs
+from .spectral import LiftedSpectrum, _quad_roots, extreme_eigs, full_lifted_spectrum
 
 #: tolerance for matching the four deterministic eigenvalues in a lifted spectrum
 MATCH_TOL = 1e-8
@@ -77,6 +83,14 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
     """Estimate sigma from the sign pattern of the eigenvector of A whose
     eigenvalue is nearest d1-d2 (the Perron eigenvalue d1+d2 excluded).
 
+    The eigenpairs come from `extreme_eigs(A, d1-d2)`: the extreme ones on
+    the side of d1-d2 (the largest when d1 >= d2, else the smallest), each
+    certified to the residual and orthonormality tolerances of
+    `symmetric_eigs`, with an inertia count proving that every eigenvalue
+    not returned is farther from d1-d2 than the two nearest candidates. So
+    the choice and the ambiguity test below are those over the whole
+    spectrum.
+
     Raises AmbiguityError when the two nearest candidate eigenvalues are
     within 1e-6 of each other, and DetectabilityError below the threshold.
     """
@@ -85,11 +99,14 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
         raise DetectabilityError(
             f"(d1-d2)^2 = {(g.d1 - g.d2) ** 2} <= 4(d1+d2-1) = {4 * (g.d1 + g.d2 - 1)}"
         )
-    eigs = symmetric_eigs(adjacency_matrix(g))
-    lams = np.asarray([p.lam for p in eigs])
-    perron = int(np.argmin(np.abs(lams - (g.d1 + g.d2))))
     target = float(g.d1 - g.d2)
-    cand = [i for i in range(len(eigs)) if i != perron]
+    eigs = extreme_eigs(adjacency_matrix(g), target)
+    lams = np.asarray([p.lam for p in eigs])
+    cand = list(range(len(eigs)))
+    # the Perron eigenvalue d1+d2 is the largest: returned on the d1 >= d2 side,
+    # or when the solve covered the whole spectrum
+    if target >= 0 or len(eigs) == g.n:
+        cand.remove(int(np.argmin(np.abs(lams - (g.d1 + g.d2)))))
     cand.sort(key=lambda i: abs(lams[i] - target))
     best = cand[0]
     if len(cand) > 1 and abs(lams[cand[1]] - lams[best]) < 1e-6:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
+from scipy.sparse.linalg import eigsh
 
 from .errors import (
     ConvergenceError,
@@ -39,8 +41,10 @@ from .operators import (
 TRIVIAL_TOL = 1e-9
 #: a lifted w below this norm counts as the zero vector
 ZERO_W_TOL = 1e-12
-#: |discriminant| below this flags a (possibly defective) double root
-DEGENERATE_DISC_TOL = 1e-10
+#: the inertia shift sits this far (relative to ||A||) past the innermost Ritz
+#: value: 100 residual tolerances, so the eigenvalue that value certifies lies
+#: beyond it, and far above the backward error of the LDL^T factorization
+INERTIA_GAP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,29 @@ class SpectralPair:
     residual: float
 
 
+def _symmetric_float(A) -> np.ndarray:
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("A must be square")
+    Af = A.astype(np.float64, copy=False)
+    if not np.array_equal(Af, Af.T):
+        raise ValueError("A must be symmetric")
+    return Af
+
+
+def _certified_pairs(As, vals: np.ndarray, vecs: np.ndarray, scale: float, resid_tol: float, ortho_tol: float):
+    """SpectralPairs of (vals, vecs) once ||A v_i - lambda_i v_i|| <= resid_tol * scale
+    for every i and the v_i are orthonormal to ortho_tol, else ConvergenceError."""
+    # "not max <= tol" also rejects a NaN
+    residuals = np.linalg.norm(As @ vecs - vecs * vals[None, :], axis=0)
+    if not np.max(residuals) <= resid_tol * scale:
+        raise ConvergenceError(f"eigen-residual {np.max(residuals):.3e} exceeds certificate")
+    defect = np.max(np.abs(vecs.T @ vecs - np.eye(len(vals))))
+    if not defect <= ortho_tol:
+        raise ConvergenceError(f"orthonormality defect {defect:.3e}")
+    return [SpectralPair(float(vals[i]), vecs[:, i], float(residuals[i])) for i in range(len(vals))]
+
+
 def symmetric_eigs(A: np.ndarray, resid_tol: float = 1e-9, ortho_tol: float = 1e-9):
     """Full eigendecomposition of a symmetric matrix, certified a posteriori.
 
@@ -59,26 +86,74 @@ def symmetric_eigs(A: np.ndarray, resid_tol: float = 1e-9, ortho_tol: float = 1e
     certificate requires ||A v_i - lambda_i v_i|| <= resid_tol * ||A|| for
     every i and pairwise orthonormality to ortho_tol, else ConvergenceError.
     """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    Af = A.astype(np.float64, copy=False)
-    if not np.array_equal(Af, Af.T):
-        raise ValueError("A must be symmetric")
+    Af = _symmetric_float(A)
     vals, vecs = np.linalg.eigh(Af)
     # contiguous copies: negative-stride views force matmul off the BLAS path
     vals = np.ascontiguousarray(vals[::-1])
     vecs = np.ascontiguousarray(vecs[:, ::-1])
     scale = max(float(np.max(np.abs(vals))), 1.0)
+    return _certified_pairs(sp.csr_matrix(Af), vals, vecs, scale, resid_tol, ortho_tol)
+
+
+def _count_beyond(A: np.ndarray, s: float, side: float) -> int:
+    """Number of eigenvalues of symmetric A above s (side = 1) or below s (side = -1).
+
+    Sylvester's law of inertia: they are the positive eigenvalues of
+    side*(A - sI) = L D L^T, hence of Bunch-Kaufman's block-diagonal D. Each
+    2x2 block of D has a negative determinant (the pivoting rule ensures it),
+    so it holds one eigenvalue of each sign.
+    """
+    M = np.array(A, dtype=np.float64, order="F")
+    M.flat[:: M.shape[0] + 1] -= s
+    M *= side
+    ldu, ipiv, _ = lapack.dsytrf(M, overwrite_a=True)
+    one = ipiv > 0
+    return int(np.count_nonzero(np.diagonal(ldu)[one] > 0)) + int(np.count_nonzero(~one)) // 2
+
+
+def extreme_eigs(A: np.ndarray, target: float):
+    """The extreme eigenpairs of symmetric A on the side of `target`, certified.
+
+    Returns SpectralPairs sorted by eigenvalue descending: the k largest
+    eigenpairs when target >= 0, else the k smallest, for the least k >= 3
+    whose innermost eigenvalue lies past target and no nearer it than the
+    one before. So the two eigenvalues nearest target, the extreme one not
+    counted, are among those returned, and every eigenvalue not returned is
+    farther from target than they are.
+
+    Lanczos (ARPACK `eigsh` on sparse A, from a fixed start vector, so runs
+    are reproducible) gives k Ritz pairs. Their residuals must be <= 1e-9 *
+    ||A|| and the vectors orthonormal to 1e-9, as in `symmetric_eigs` (||A||
+    is taken as the largest absolute row sum: equal for a regular graph, an
+    upper bound otherwise). Then a Sylvester-inertia count of A - sI, with s
+    just past the innermost Ritz value, must be k: that proves no eigenvalue
+    beyond s was missed. A larger count, or an innermost value short of
+    target or nearer it than the one before, raises k to the count plus one
+    and solves again; a smaller count raises ConvergenceError. Where k would reach n-1, where ARPACK cannot run,
+    this is `symmetric_eigs(A)`.
+    """
+    Af = _symmetric_float(A)
+    n = Af.shape[0]
     As = sp.csr_matrix(Af)
-    R = As @ vecs - vecs * vals[None, :]
-    residuals = np.linalg.norm(R, axis=0)
-    if np.max(residuals) > resid_tol * scale:
-        raise ConvergenceError(f"eigen-residual {np.max(residuals):.3e} exceeds certificate")
-    G = vecs.T @ vecs - np.eye(A.shape[0])
-    if np.max(np.abs(G)) > ortho_tol:
-        raise ConvergenceError(f"orthonormality defect {np.max(np.abs(G)):.3e}")
-    return [SpectralPair(float(vals[i]), vecs[:, i], float(residuals[i])) for i in range(len(vals))]
+    scale = max(float(abs(As).sum(axis=1).max()), 1.0)
+    side = 1.0 if target >= 0 else -1.0
+    # not the all-ones vector: that is the Perron vector of a regular graph,
+    # orthogonal to every other eigenvector
+    v0 = np.random.default_rng(0).standard_normal(n)
+    k = 3
+    while k < n - 1:
+        vals, vecs = eigsh(As, k=k, which="LA" if side > 0 else "SA", v0=v0)
+        order = np.argsort(-vals, kind="stable")
+        vals, vecs = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
+        pairs = _certified_pairs(As, vals, vecs, scale, 1e-9, 1e-9)
+        inner, before = (vals[-1], vals[-2]) if side > 0 else (vals[0], vals[1])
+        count = _count_beyond(Af, inner - side * INERTIA_GAP * scale, side)
+        if count < k:
+            raise ConvergenceError(f"inertia count {count} below the {k} Ritz values it must certify")
+        if count == k and side * (inner + before) <= 2.0 * side * target:
+            return pairs
+        k = count + 1
+    return symmetric_eigs(A)
 
 
 def _quad_roots(t: float, p: float) -> "tuple[complex, complex]":
@@ -314,7 +389,6 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     roots = [_quad_roots(lam - shift, prod) for lam in lams]
     mus = np.asarray([r[0] for r in roots], dtype=np.complex128)
     mups = np.asarray([r[1] for r in roots], dtype=np.complex128)
-    disc = (lams - shift) ** 2 - 4.0 * prod
 
     As = sp.csr_matrix(A.astype(np.float64))
     AV = As @ V
@@ -350,7 +424,7 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
             lam=float(lams[i]),
             mu=complex(mus[i]),
             mu_prime=complex(mups[i]),
-            degenerate=bool(abs(disc[i]) < DEGENERATE_DISC_TOL),
+            degenerate=bool(mus[i] == mups[i]),
             d=d,
             k=k,
             residual_u=float(res_u[i]),

@@ -1,5 +1,6 @@
 import pytest
 
+import nbspectra.spectral
 from nbspectra.graphs import (
     RegularGraph,
     sample_regular_graph,
@@ -73,3 +74,17 @@ def sampled_graphs():
         (20, 4): sample_regular_graph(20, 4, 11),
         (30, 3): sample_regular_graph(30, 3, 2),
     }
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The k of every `eigsh` call the partial eigensolver makes."""
+    calls = []
+    eigsh = nbspectra.spectral.eigsh
+
+    def spy(A, k, **kw):
+        calls.append(k)
+        return eigsh(A, k=k, **kw)
+
+    monkeypatch.setattr(nbspectra.spectral, "eigsh", spy)
+    return calls

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by tests.
 
 `dense_logdet` is the dense LU log-determinant that the sparse `logdet`
-under test replaced.
+under test replaced, and `full_recovery` the community recovery from the
+full certified spectrum that the partial solve under test replaced.
 
 The characteristic polynomial is computed by the Faddeev-LeVerrier trace
 recursion in exact integer arithmetic, split into exact squarefree factors
@@ -17,6 +18,11 @@ import scipy.linalg as sla
 import sympy
 from scipy.optimize import linear_sum_assignment
 
+from nbspectra.errors import AmbiguityError
+from nbspectra.operators import adjacency_matrix
+from nbspectra.rsbm import RecoveryResult
+from nbspectra.spectral import symmetric_eigs
+
 
 def dense_logdet(M) -> "tuple[float, float]":
     """(log|det M|, arg det M) by dense pivoted LU; M dense or sparse.
@@ -29,6 +35,30 @@ def dense_logdet(M) -> "tuple[float, float]":
     diag = np.diagonal(lu)
     swaps = int(np.sum(piv != np.arange(len(piv))))
     return float(np.sum(np.log(np.abs(diag)))), float(np.sum(np.angle(diag))) + math.pi * (swaps % 2)
+
+
+def full_recovery(g) -> RecoveryResult:
+    """`recover_communities` over the whole spectrum from `symmetric_eigs`
+    (detectability is not checked)."""
+    eigs = symmetric_eigs(adjacency_matrix(g))
+    lams = np.asarray([p.lam for p in eigs])
+    perron = int(np.argmin(np.abs(lams - (g.d1 + g.d2))))
+    target = float(g.d1 - g.d2)
+    cand = sorted((i for i in range(len(eigs)) if i != perron), key=lambda i: abs(lams[i] - target))
+    best = cand[0]
+    if abs(lams[cand[1]] - lams[best]) < 1e-6:
+        raise AmbiguityError(f"eigenvalues {lams[best]} and {lams[cand[1]]} both lie near {target}")
+    v = eigs[best].v
+    sigma_hat = np.where(v >= 0.0, 1, -1)
+    agree = float(np.mean(sigma_hat == np.asarray(g.sigma)))
+    agreement = max(agree, 1.0 - agree)
+    return RecoveryResult(
+        sigma_hat=tuple(int(s) for s in sigma_hat),
+        agreement=agreement,
+        exact=agreement == 1.0,
+        zero_entries=int(np.sum(v == 0.0)),
+        lam_selected=float(lams[best]),
+    )
 
 
 def _eye_obj(n: int) -> np.ndarray:

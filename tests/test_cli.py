@@ -1,8 +1,13 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
+import nbspectra.graphs
+import nbspectra.measures
+import nbspectra.rsbm
+import nbspectra.spectral
 import nbspectra.verify
 from nbspectra.cli import main, parse_complex
 
@@ -167,6 +172,54 @@ def test_rsbm_recover_command(tmp_path, capsys):
 
 def test_rsbm_recover_non_detectable_exits_2():
     assert run(["rsbm-recover", "--n", "40", "--d1", "4", "--d2", "2", "--trials", "1"]) == 2
+
+
+# Declared internal errors, injected, each exit 3. eigsh returns the k = 3
+# Ritz values ascending: about 5, then 7 and the Perron 9 for (d1, d2) = (8, 1).
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda vals, vecs: (vals + 1e-6, vecs), "eigen-residual"),
+        (lambda vals, vecs: (vals[[1, 1, 2]], vecs[:, [1, 1, 2]]), "orthonormality defect"),
+        (lambda vals, vecs: (vals[1:], vecs[:, 1:]), "inertia count 2 below the 3"),
+    ],
+    ids=["residual", "orthonormality", "inertia"],
+)
+def test_rsbm_recover_convergence_error_exits_3(tmp_path, capsys, monkeypatch, corrupt, message):
+    eigsh = nbspectra.spectral.eigsh
+    monkeypatch.setattr(nbspectra.spectral, "eigsh", lambda A, **kw: corrupt(*eigsh(A, **kw)))
+    assert run(["rsbm-recover", "--n", "100", "--d1", "8", "--d2", "1", "--trials", "2", "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "ConvergenceError" in err and message in err
+
+
+def test_rsbm_recover_ambiguity_error_exits_3(tmp_path, capsys, monkeypatch):
+    extreme_eigs = nbspectra.rsbm.extreme_eigs
+
+    def near_tie(A, target):
+        pairs = extreme_eigs(A, target)  # [Perron, target, next]
+        return pairs[:2] + [dataclasses.replace(pairs[2], lam=pairs[1].lam - 1e-7)]
+
+    monkeypatch.setattr(nbspectra.rsbm, "extreme_eigs", near_tie)
+    assert run(["rsbm-recover", "--n", "100", "--d1", "8", "--d2", "1", "--trials", "2", "--out", str(tmp_path / "r.json")]) == 3
+    assert "AmbiguityError" in capsys.readouterr().err
+
+
+def test_gen_retry_exhausted_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(nbspectra.graphs, "MAX_RESTARTS", 0)
+    assert run(["gen", "--model", "regular", "--n", "10", "--d", "3"]) == 3
+    assert "RetryExhausted" in capsys.readouterr().err
+
+
+def test_ks_integration_error_exits_3(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    run(["gen", "--model", "regular", "--n", "30", "--d", "3", "--seed", "1", "--out", str(g)])
+    run(["spectrum", "--in", str(g), "--out", str(s)])
+    # quad's error estimate just above the gate
+    monkeypatch.setattr(nbspectra.measures.integrate, "quad", lambda *a, **kw: (0.0, 2 * nbspectra.measures.CDF_ABS_TOL))
+    assert run(["ks", "--in", str(s), "--law", "km"]) == 3
+    assert "IntegrationError" in capsys.readouterr().err
 
 
 def test_ks_corrupt_spectrum_exits_2(tmp_path, capsys):

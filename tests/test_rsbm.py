@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,13 @@ from nbspectra.rsbm import (
 )
 from nbspectra.spectral import full_lifted_spectrum
 
+from oracles import full_recovery
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: (n, d1, d2) with n <= 100, both sides of the partial solve: "LA" (d1 > d2)
+#: and "SA" (d1 < d2), and (40, 6, 1), (40, 1, 6) just above the threshold
+RECOVERY_CORPUS = [(40, 8, 1), (100, 8, 1), (100, 12, 4), (40, 6, 1), (40, 1, 8), (60, 2, 9), (40, 1, 6)]
 def test_mu2_figure_parameters():
     pair = rsbm_mu2(12, 4)
     assert pair.mu2 == pytest.approx(5.0)
@@ -147,3 +157,33 @@ def test_insider_gap_multiplicity_guard():
     )
     with pytest.raises(MultiplicityError):
         insider_gap_report(g, spectrum=doctored)
+
+
+def assert_matches_full_recovery(g):
+    part, full = recover_communities(g), full_recovery(g)
+    assert part.lam_selected == pytest.approx(full.lam_selected, abs=1e-9)
+    assert (part.agreement, part.exact, part.zero_entries) == (full.agreement, full.exact, full.zero_entries)
+    assert abs(np.dot(part.sigma_hat, full.sigma_hat)) == g.n  # equal up to a global sign
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, d1, d2", RECOVERY_CORPUS)
+def test_recovery_matches_full_spectrum(n, d1, d2, seed):
+    assert_matches_full_recovery(sample_rsbm(n, d1, d2, seed))
+
+
+def test_recovery_raises_k_from_inertia_count(eigsh_calls):
+    # eigenvalue -2 is double next to the target -5; the k = 3 Krylov space
+    # holds one copy, the inertia count finds both, and k is raised to 4 + 1
+    assert_matches_full_recovery(sample_rsbm(16, 1, 6, 1))
+    assert eigsh_calls == [3, 5]
+
+
+def test_rsbm_recovery_demo_runs():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "rsbm_recovery.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exact recovery: 10/10" in proc.stdout

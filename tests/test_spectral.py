@@ -15,6 +15,7 @@ from nbspectra.operators import (
 )
 from nbspectra.spectral import (
     deterministic_deloc_bound,
+    extreme_eigs,
     full_lifted_spectrum,
     lift_eigenvalue,
     lift_eigenvalue_hyper,
@@ -56,6 +57,20 @@ def test_eigs_sorted_descending(sampled_graphs):
     pairs = symmetric_eigs(adjacency_matrix(sampled_graphs[(30, 3)]))
     lams = [p.lam for p in pairs]
     assert lams == sorted(lams, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "name, target, ks",
+    [
+        ("K4", 1.0, []),  # n = 4: k = 3 is already n - 1
+        ("cube", 0.0, [3, 5]),  # 1 and -1 are triple: the counts raise k to 5, then 8 = n
+    ],
+)
+def test_extreme_eigs_falls_back_to_full_solve(eigsh_calls, name, target, ks):
+    A = adjacency_matrix(named_graph(name))
+    part = extreme_eigs(A, target)
+    assert eigsh_calls == ks
+    assert np.array_equal([p.lam for p in part], [p.lam for p in symmetric_eigs(A)])
 
 
 # ------------------------------------------------------------ eigenvalue lift
@@ -363,6 +378,16 @@ def test_degenerate_flag_set_on_exact_double_root():
     flags = {round(p.lam, 9): p.degenerate for p in spec.pairs}
     assert flags[2.0] and flags[-2.0]
     assert not flags[0.0]
+
+
+def test_degenerate_flag_means_snapped_roots():
+    # lambda = -2.999999999999142 sits 8.6e-13 inside the edge -d: its roots
+    # mu = -2 +- 1.31e-6 i are not snapped, so the pair is not degenerate
+    spec = full_lifted_spectrum(sample_regular_hypergraph(900, 3, 3, 1732846562))
+    assert all(p.degenerate == (p.mu == p.mu_prime) for p in spec.pairs)
+    edge = min(spec.pairs, key=lambda p: p.lam)
+    assert edge.lam == pytest.approx(-3.0, abs=1e-11)
+    assert edge.mu != edge.mu_prime and not edge.degenerate
 
 
 def test_vieta_holds_for_all_pairs(sampled_graphs):
