@@ -42,7 +42,7 @@ class NearSingularError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive quadrature could not reach the requested absolute error."""
+    """Closed-form CDF failed its certificate."""
 
 
 class DomainError(ValueError):

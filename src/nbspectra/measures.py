@@ -1,5 +1,5 @@
 """Projection of lifted eigenvalues to the real line, closed-form limit
-densities, and goodness-of-fit statistics.
+densities and CDFs, and goodness-of-fit statistics.
 
 Density variants:
 
@@ -7,6 +7,18 @@ Density variants:
 * ``Semicircle()``     -- sqrt(4-x^2) / (2 pi) on [-2, 2]
 * ``HyperFixed(d, k)`` -- fixed-(d,k) hypergraph law on [-2, 2]
 * ``HyperAlpha(a)``    -- alpha / ((1+alpha+sqrt(alpha) x) pi) * sqrt(1-x^2/4) on [-2, 2]
+
+Every CDF is elementary. With H(c, r, x) the integral of
+sqrt(r^2-t^2) / (c-t) over [-r, x] for |c| >= r (`_pole_integral`):
+
+* ``KestenMcKay(d)``   -- (H(d/2, r, x) - H(-d/2, r, x)) / (2 pi), r = sqrt(d-1)
+* ``Semicircle()``     -- 1/2 + x sqrt(4-x^2) / (4 pi) + arcsin(x/2) / pi
+* ``HyperFixed(d, k)`` -- d (H(c1, 2, x) - H(c2, 2, x)) / (2 pi (c1-c2)),
+  c1 = sqrt(q) + 1/sqrt(q), c2 = -(sqrt(p) + 1/sqrt(p)), q = (d-1)(k-1), p = (d-1)/(k-1)
+* ``HyperAlpha(a)``    -- -sqrt(a) H(c, 2, x) / (2 pi), c = -(sqrt(a) + 1/sqrt(a))
+
+A pole on the support edge (HyperFixed(d, d), HyperAlpha(1)) makes the
+density 1/sqrt-singular there; the closed forms need no special case.
 """
 
 from __future__ import annotations
@@ -16,11 +28,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import DomainError, IntegrationError, InvariantError
-
-CDF_ABS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,15 +100,76 @@ def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = 
     return EmpiricalMeasure(samples=x, excluded_trivial=excluded)
 
 
-def _eval_pdf(x, fn):
+def _elementwise(x, fn):
     """Evaluate fn on at-least-1d input; scalars in, floats out."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = fn(arr)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
+def _pole_integral(c: float, r: float, x):
+    """H(c, r, x) = integral of sqrt(r^2 - t^2) / (c - t) over [-r, x], |c| >= r.
+
+    Vectorized in x (in [-r, r]). With t = r sin(theta) and
+    r^2 - t^2 = (c - t)(c + t) - (c^2 - r^2), for c >= r:
+    H = c (phi + pi/2) - r cos(phi) - w^2 * int dtheta / (c - r sin(theta)),
+    phi = arcsin(x / r), w = sqrt(c^2 - r^2); the last integral is
+    (2/w) arctan(rho tan(psi)) with psi = (phi + pi/2) / 2 and
+    rho = w / (c + r). It is evaluated as
+    H = 2 psi (c - w) + 2 w arctan((1 - rho) tan(psi) / (1 + rho tan^2(psi))) - r cos(phi),
+    with c - w = r^2 / (c + w), so nothing cancels but the last two terms
+    (a loss of about c / r in relative accuracy) and a pole on the support
+    edge (w = 0) needs no special case. For c <= -r, reflect t -> -t:
+    H(c, r, x) = H(|c|, r, -x) - H(|c|, r, r).
+    """
+    if c < 0:
+        return _pole_integral(-c, r, -x) - _pole_integral(-c, r, r)
+    w = math.sqrt((c - r) * (c + r))
+    rho = w / (c + r)
+    one_minus_rho = r * (c + w + r) / ((c + w) * (c + r))
+    s = np.sqrt((r - x) * (r + x))  # r cos(phi)
+    psi = np.arctan2(np.sqrt(r + x), np.sqrt(r - x))
+    # tan(psi)-free form of the arctan term, finite at both support ends
+    return 2.0 * psi * r * r / (c + w) + 2.0 * w * np.arctan2(one_minus_rho * s, (r - x) + rho * (r + x)) - s
+
+
+class _PoleLaw:
+    """A law with density sqrt(r^2 - x^2) * sum_j w_j / (c_j - x) on [-r, r].
+
+    Subclasses give `radius` r and `poles`, the (w_j, c_j) of the partial
+    fractions, every |c_j| >= r; the pdf and CDF both follow from them.
+    `mass` is the density's total mass.
+    """
+
+    mass = 1.0
+
+    @property
+    def support(self) -> "tuple[float, float]":
+        return (-self.radius, self.radius)
+
+    def pdf(self, x):
+        def f(arr):
+            r = self.radius
+            rad = (r - arr) * (r + arr)
+            inside = rad > 0
+            xi = arr[inside]
+            out = np.zeros_like(arr)
+            out[inside] = np.sqrt(rad[inside]) * sum(w / (c - xi) for w, c in self.poles)
+            return out
+
+        return _elementwise(x, f)
+
+    def cdf(self, x):
+        def f(arr):
+            r = self.radius
+            xi = np.clip(arr, -r, r)
+            return sum(w * _pole_integral(c, r, xi) for w, c in self.poles)
+
+        return _elementwise(x, f)
+
+
 @dataclass(frozen=True)
-class KestenMcKay:
+class KestenMcKay(_PoleLaw):
     d: int
 
     def __post_init__(self) -> None:
@@ -106,24 +177,20 @@ class KestenMcKay:
             raise DomainError("Kesten-McKay projection law requires d >= 3")
 
     @property
-    def support(self) -> "tuple[float, float]":
-        r = math.sqrt(self.d - 1)
-        return (-r, r)
+    def radius(self) -> float:
+        return math.sqrt(self.d - 1)
 
-    def pdf(self, x):
-        def f(arr):
-            d = self.d
-            rad = (d - 1) - arr * arr
-            inside = rad > 0
-            out = np.zeros_like(arr)
-            out[inside] = 2.0 * d * np.sqrt(rad[inside]) / (np.pi * (d * d - 4.0 * arr[inside] ** 2))
-            return out
-
-        return _eval_pdf(x, f)
+    @property
+    def poles(self):
+        # 2d / (pi (d^2 - 4x^2)) = (1/(2 pi)) (1/(d/2 - x) + 1/(d/2 + x))
+        c = self.d / 2.0
+        return ((1.0 / (2.0 * math.pi), c), (-1.0 / (2.0 * math.pi), -c))
 
 
 @dataclass(frozen=True)
 class Semicircle:
+    mass = 1.0
+
     @property
     def support(self) -> "tuple[float, float]":
         return (-2.0, 2.0)
@@ -136,41 +203,50 @@ class Semicircle:
             out[inside] = np.sqrt(rad[inside]) / (2.0 * np.pi)
             return out
 
-        return _eval_pdf(x, f)
+        return _elementwise(x, f)
+
+    def cdf(self, x):
+        def f(arr):
+            xi = np.clip(arr, -2.0, 2.0)
+            return 0.5 + xi * np.sqrt((2.0 - xi) * (2.0 + xi)) / (4.0 * np.pi) + np.arcsin(xi / 2.0) / np.pi
+
+        return _elementwise(x, f)
 
 
 @dataclass(frozen=True)
-class HyperFixed:
+class HyperFixed(_PoleLaw):
     d: int
     k: int
+
+    radius = 2.0
 
     def __post_init__(self) -> None:
         if self.d < 2 or self.k < 2:
             raise DomainError("hypergraph law requires d >= 2 and k >= 2")
 
     @property
-    def support(self) -> "tuple[float, float]":
-        return (-2.0, 2.0)
+    def mass(self) -> float:
+        # for d < k, A = H H^T - d I has at least n - nd/k eigenvalues -d, outside the density
+        return min(1.0, self.d / self.k)
 
-    def pdf(self, x):
-        def f(arr):
-            q = (self.k - 1) * (self.d - 1)
-            sq = math.sqrt(q)
-            rad = 1.0 - arr * arr / 4.0
-            inside = rad > 0
-            out = np.zeros_like(arr)
-            xi = arr[inside]
-            f1 = 1.0 + 1.0 / q - xi / sq
-            f2 = 1.0 + (self.k - 1) ** 2 / q + (self.k - 1) * xi / sq
-            out[inside] = (1.0 + (self.k - 1) / q) * np.sqrt(rad[inside]) / (f1 * f2 * np.pi)
-            return out
-
-        return _eval_pdf(x, f)
+    @property
+    def poles(self):
+        # (1 + (k-1)/q) sqrt(1 - x^2/4) / (pi f1 f2), q = (d-1)(k-1),
+        # f1 = 1 + 1/q - x/sqrt(q), f2 = 1 + (k-1)^2/q + (k-1) x/sqrt(q),
+        # is d/(2 pi) sqrt(4 - x^2) / ((c1 - x)(x - c2)) with
+        # c1 = sqrt(q) + 1/sqrt(q), c2 = -(sqrt(p) + 1/sqrt(p)), p = (d-1)/(k-1)
+        sq = math.sqrt((self.d - 1) * (self.k - 1))
+        sp = math.sqrt((self.d - 1) / (self.k - 1))
+        c1, c2 = sq + 1.0 / sq, -(sp + 1.0 / sp)
+        w = self.d / (2.0 * math.pi * (c1 - c2))
+        return ((w, c1), (-w, c2))
 
 
 @dataclass(frozen=True)
-class HyperAlpha:
+class HyperAlpha(_PoleLaw):
     alpha: float
+
+    radius = 2.0
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
@@ -182,23 +258,16 @@ class HyperAlpha:
             )
 
     @property
-    def support(self) -> "tuple[float, float]":
-        return (-2.0, 2.0)
+    def mass(self) -> float:
+        # below the stated regime, like HyperFixed with d/k = alpha < 1
+        return min(1.0, self.alpha)
 
-    def pdf(self, x):
-        def f(arr):
-            a = self.alpha
-            rad = 1.0 - arr * arr / 4.0
-            inside = rad > 0
-            out = np.zeros_like(arr)
-            out[inside] = a * np.sqrt(rad[inside]) / ((1.0 + a + math.sqrt(a) * arr[inside]) * np.pi)
-            return out
-
-        return _eval_pdf(x, f)
-
-
-#: any of the four closed-form limit laws
-DensityModel = "KestenMcKay | Semicircle | HyperFixed | HyperAlpha"
+    @property
+    def poles(self):
+        # alpha sqrt(1 - x^2/4) / ((1 + alpha + sqrt(alpha) x) pi)
+        # = -(sqrt(alpha)/(2 pi)) sqrt(4 - x^2) / (c - x), c = -(sqrt(alpha) + 1/sqrt(alpha))
+        sa = math.sqrt(self.alpha)
+        return ((-sa / (2.0 * math.pi), -(sa + 1.0 / sa)),)
 
 
 def density_pdf(model, x):
@@ -206,45 +275,47 @@ def density_pdf(model, x):
     return model.pdf(x)
 
 
-def _segment_integral(model, lo: float, hi: float) -> float:
-    # roundoff warnings near sqrt-singular endpoints are expected; the
-    # returned error estimate is what we actually gate on
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(model.pdf, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
-    if err > CDF_ABS_TOL:
-        raise IntegrationError(f"quadrature error {err:.2e} on [{lo}, {hi}]")
-    return val
+#: tolerance of the CDF certificate: monotonicity and total mass
+CDF_CERT_TOL = 1e-12
+
+
+def _segment_integral(model, lo: float, hi):
+    """Closed-form mass of [lo, hi] under model, vectorized over ascending hi.
+
+    Certified: the CDF values are finite, the mass is non-decreasing along
+    hi and the whole support has the model's mass (1 in the stated regimes),
+    each to CDF_CERT_TOL; otherwise IntegrationError.
+    """
+    a, b = model.support
+    F = model.cdf(np.concatenate(([a, lo], np.atleast_1d(hi), [b])))
+    mass = F[2:-1] - F[1]
+    total = F[-1] - F[0]
+    drop = float(-np.min(np.diff(mass), initial=0.0))
+    if not (np.all(np.isfinite(F)) and abs(total - model.mass) <= CDF_CERT_TOL and drop <= CDF_CERT_TOL):
+        raise IntegrationError(
+            f"closed-form CDF of {model} failed its certificate: total mass {float(total)!r}, largest decrease {drop!r}"
+        )
+    return mass if np.ndim(hi) else float(mass[0])
 
 
 def density_cdf(model, x: float) -> float:
-    """CDF by adaptive quadrature from the left support endpoint."""
-    a, b = model.support
+    """Closed-form CDF, certified (see `_segment_integral`)."""
+    a = model.support[0]
     if x <= a:
         return 0.0
-    return _segment_integral(model, a, min(float(x), b))
+    return _segment_integral(model, a, float(x))
 
 
 def ks_distance(m: EmpiricalMeasure, model) -> float:
     """One-sample Kolmogorov-Smirnov distance sup |F_emp - F_model|.
 
-    The model CDF is accumulated by segment quadrature between consecutive
-    sample points, so each sample costs one smooth-interval integral.
+    The model CDF is evaluated in closed form at all samples at once.
     """
     xs = m.samples
     if len(xs) == 0:
         raise ValueError("empty empirical measure")
-    a, b = model.support
     n = len(xs)
-    cuts = np.clip(xs, a, b)
-    F = np.empty(n)
-    acc = 0.0
-    prev = a
-    for i, x in enumerate(cuts):
-        if x > prev:
-            acc += _segment_integral(model, prev, x)
-            prev = x
-        F[i] = min(acc, 1.0)
+    F = np.minimum(_segment_integral(model, model.support[0], xs), 1.0)
     hi = np.abs(np.arange(1, n + 1) / n - F)
     lo = np.abs(np.arange(0, n) / n - F)
     return float(max(np.max(hi), np.max(lo)))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 import nbspectra.graphs
@@ -216,10 +217,22 @@ def test_ks_integration_error_exits_3(tmp_path, capsys, monkeypatch):
     s = tmp_path / "s.json"
     run(["gen", "--model", "regular", "--n", "30", "--d", "3", "--seed", "1", "--out", str(g)])
     run(["spectrum", "--in", str(g), "--out", str(s)])
-    # quad's error estimate just above the gate
-    monkeypatch.setattr(nbspectra.measures.integrate, "quad", lambda *a, **kw: (0.0, 2 * nbspectra.measures.CDF_ABS_TOL))
+    # a closed-form primitive gone non-finite fails the CDF certificate
+    monkeypatch.setattr(nbspectra.measures, "_pole_integral", lambda c, r, x: np.full(np.shape(x), np.nan))
     assert run(["ks", "--in", str(s), "--law", "km"]) == 3
     assert "IntegrationError" in capsys.readouterr().err
+
+
+def test_ks_sample_next_to_support_edge(tmp_path):
+    # an adjacency eigenvalue 8.6e-13 above -d puts a sample next to the
+    # edge where the fixed-(3,3) density has its 1/sqrt(x+2) singularity
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    r = tmp_path / "ks.json"
+    assert run(["gen", "--model", "hypergraph", "--n", "900", "--d", "3", "--k", "3", "--seed", "1732846562", "--out", str(g)]) == 0
+    assert run(["spectrum", "--in", str(g), "--out", str(s)]) == 0
+    assert run(["ks", "--in", str(s), "--law", "hyperfixed", "--out", str(r)]) == 0
+    assert json.loads(r.read_text())["ks"] <= 0.08
 
 
 def test_ks_corrupt_spectrum_exits_2(tmp_path, capsys):

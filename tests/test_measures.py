@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from nbspectra.errors import DomainError, InvariantError
+from nbspectra.errors import DomainError, IntegrationError, InvariantError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph
 from nbspectra.measures import (
     EmpiricalMeasure,
@@ -20,7 +25,12 @@ from nbspectra.measures import (
     model_quantile,
     project_real_parts,
 )
+from nbspectra.seeds import Seed
 from nbspectra.spectral import full_lifted_spectrum
+
+from oracles import quad_cdf
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ALL_MODELS = [KestenMcKay(3), KestenMcKay(5), Semicircle(), HyperFixed(3, 3), HyperAlpha(1.0), HyperAlpha(2.5)]
 
@@ -62,6 +72,99 @@ def test_cdf_endpoints(model):
     assert density_cdf(model, a) == 0.0
     assert density_cdf(model, b) == pytest.approx(1.0, abs=1e-6)
     assert density_cdf(model, b + 3.0) == pytest.approx(1.0, abs=1e-6)
+
+
+# HyperFixed(3, 3), HyperAlpha(1) and HyperFixed(2, 2) have a pole on a support edge (a 1/sqrt
+# singularity there), KestenMcKay(3) one 0.09 outside it
+@pytest.mark.parametrize("model", ALL_MODELS + [HyperFixed(2, 2)], ids=repr)
+def test_cdf_matches_quadrature_oracle(model):
+    a, b = model.support
+    xs = np.linspace(a, b, 201)
+    assert np.max(np.abs(model.cdf(xs) - quad_cdf(model, xs))) <= 1e-10
+
+
+def test_pdf_matches_product_forms():
+    # the densities as products, as the paper states them
+    xs = np.linspace(-2.0, 2.0, 401)[1:-1]
+    root = np.sqrt(1.0 - xs * xs / 4.0)
+    for d, k in ((3, 3), (2, 2), (5, 3), (3, 5), (8, 8)):
+        q = (d - 1) * (k - 1)
+        f1 = 1.0 + 1.0 / q - xs / math.sqrt(q)
+        f2 = 1.0 + (k - 1) ** 2 / q + (k - 1) * xs / math.sqrt(q)
+        expected = (1.0 + (k - 1) / q) * root / (f1 * f2 * math.pi)
+        assert np.allclose(HyperFixed(d, k).pdf(xs), expected, rtol=1e-13, atol=0)
+    for a in (1.0, 2.5, 1e4):
+        expected = a * root / ((1.0 + a + math.sqrt(a) * xs) * math.pi)
+        assert np.allclose(HyperAlpha(a).pdf(xs), expected, rtol=1e-13, atol=0)
+    for d in (3, 5, 40):
+        ys = xs * math.sqrt(d - 1) / 2.0
+        expected = 2 * d * np.sqrt((d - 1) - ys * ys) / (math.pi * (d * d - 4.0 * ys * ys))
+        assert np.allclose(KestenMcKay(d).pdf(ys), expected, rtol=1e-13, atol=0)
+
+
+def test_ks_matches_quadrature_oracle():
+    # the acceptance suite's master seed: a criterion-3 and a criterion-5 instance. Criterion 5's
+    # first instance is not used: its smallest sample lies 3.4e-11 above the edge pole, where the
+    # oracle is off by 4.8e-9 (see test_cdf_next_to_edge_pole_matches_high_precision)
+    master = Seed(20260809)
+    g = sample_regular_graph(2000, 5, master.trial(31000))
+    h = sample_regular_hypergraph(900, 3, 3, master.trial(51001))
+    for m, model in (
+        (project_real_parts(full_lifted_spectrum(g), "none", True), KestenMcKay(5)),
+        (project_real_parts(full_lifted_spectrum(h), "hypergraph", True), HyperFixed(3, 3)),
+    ):
+        F = np.minimum(quad_cdf(model, m.samples), 1.0)
+        n = len(F)
+        oracle = max(np.max(np.abs(np.arange(1, n + 1) / n - F)), np.max(np.abs(np.arange(0, n) / n - F)))
+        assert abs(ks_distance(m, model) - oracle) <= 1e-9
+
+
+def test_cdf_next_to_edge_pole_matches_high_precision():
+    # the smallest samples of three (900,3,3) instances: the edge reproducer (seed 1732846562) and
+    # criterion 5's first and fifth. Reference: the product-form density at 40 digits with
+    # x = -2 + s^2, where f2 = 2 + x = s^2 cancels the 1/sqrt(x+2) singularity
+    def integrand(s):
+        x = -2 + s * s
+        f1 = 1 + mpmath.mpf(1) / 4 - x / 2
+        return 2 * s * (1 + mpmath.mpf(2) / 4) * mpmath.sqrt(1 - x * x / 4) / (f1 * (2 + x) * mpmath.pi)
+
+    with mpmath.workdps(40):
+        for x in (-1.999999999999571, -1.9999999999660412, -1.9999958380873069):
+            exact = mpmath.quad(integrand, [0, mpmath.sqrt(mpmath.mpf(x) + 2)], method="gauss-legendre")
+            assert abs(density_cdf(HyperFixed(3, 3), x) - float(exact)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda F, x: F + np.nan, "total mass nan"),
+        (lambda F, x: 0.5 * F, "total mass 0.5"),
+        (lambda F, x: F + 0.1 * np.sin(np.pi * x / 2), "largest decrease"),
+    ],
+    ids=["non-finite", "mass", "decreasing"],
+)
+def test_cdf_certificate_failures(monkeypatch, fault, message):
+    cdf = Semicircle.cdf
+    monkeypatch.setattr(Semicircle, "cdf", lambda self, x: fault(cdf(self, x), np.asarray(x)))
+    with pytest.raises(IntegrationError, match=message):
+        ks_distance(EmpiricalMeasure(np.linspace(-2.0, 2.0, 41)), Semicircle())
+
+
+def test_cdf_mass_below_stated_regime():
+    # for d < k the fixed-(d,k) density carries d/k of the mass, the alpha-law alpha
+    assert density_cdf(HyperFixed(2, 3), 2.0) == pytest.approx(2 / 3, abs=1e-12)
+    with pytest.warns(UserWarning):
+        assert density_cdf(HyperAlpha(0.5), 2.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_hypergraph_demo_runs():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "hypergraph_spectra.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "KS to the fixed-(d,k) law" in proc.stdout and "alpha = 1 law" in proc.stdout
 
 
 def test_km_requires_d3():
