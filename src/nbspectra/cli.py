@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from .measures import HyperAlpha, HyperFixed, KestenMcKay, Semicircle, ks_distance, project_real_parts
-from .rsbm import deterministic_sigma_eigenpair, insider_gap_report, recover_communities, rsbm_mu2
+from .rsbm import deterministic_sigma_eigenpair, recover_communities, rsbm_mu2
 from .seeds import Seed
 from .spectral import full_lifted_spectrum, spectrum_audit
 from .verify import ihara_bass_check, ihara_bass_report, ihara_bass_system
@@ -44,7 +44,6 @@ _USAGE_ERRORS = (
 
 KS_DEFAULT_THRESHOLDS = {"km": 0.06, "sc": 0.06, "hyperfixed": 0.08, "hyperalpha": 0.10}
 KS_RESCALE = {"km": "none", "sc": "graph", "hyperfixed": "hypergraph", "hyperalpha": "hypergraph"}
-INSIDER_DEVIATION_DEFAULT = 0.15
 
 
 def parse_complex(text: str) -> complex:

@@ -6,10 +6,10 @@ of radius sqrt(d1+d2-1) whenever (d1-d2)^2 > 4(d1+d2-1), and the sign
 pattern of the corresponding eigenvector recovers the communities.
 
 In exactly that regime d1-d2 is an outlier of A, beyond the bulk edge
-2 sqrt(d1+d2-1), so recovery solves only for the few extreme eigenpairs on
-its side (`extreme_eigs`: Lanczos, certified by residuals, orthonormality
-and a Sylvester-inertia count that proves no eigenvalue was missed), not
-for the whole spectrum.
+2 sqrt(d1+d2-1). Recovery solves only for the extreme eigenpairs on its side
+(`extreme_eigs`), the insider report only for the outliers beyond +-2
+sqrt(d1+d2-1) (`outlier_eigs`): both are Lanczos solves certified by
+residuals, orthonormality and Sylvester-inertia counts.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .graphs import RsbmGraph
 from .operators import adjacency_matrix
-from .spectral import LiftedSpectrum, _quad_roots, extreme_eigs, full_lifted_spectrum
+from .spectral import INERTIA_GAP, LiftedSpectrum, _quad_roots, extreme_eigs, outlier_eigs
 
 #: tolerance for matching the four deterministic eigenvalues in a lifted spectrum
 MATCH_TOL = 1e-8
@@ -128,13 +128,6 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
     )
 
 
-def sigma_reduced_eigenvector(g: RsbmGraph, mu: complex) -> np.ndarray:
-    """Unit reduced-operator eigenvector [sigma; (mu/(d1+d2-1)) sigma]."""
-    sigma = np.asarray(g.sigma, dtype=np.float64)
-    u = np.concatenate([sigma.astype(np.complex128), (complex(mu) / (g.d1 + g.d2 - 1)) * sigma])
-    return u / np.linalg.norm(u)
-
-
 @dataclass(frozen=True)
 class InsiderGapReport:
     n: int
@@ -149,34 +142,39 @@ class InsiderGapReport:
 
 def insider_gap_report(g: RsbmGraph, spectrum: LiftedSpectrum | None = None) -> InsiderGapReport:
     """Locate {d1+d2-1, 1, mu2, mu2'} in the lifted spectrum (each simple)
-    and report how far the remaining eigenvalues sit from the bulk circle."""
+    and report how far the remaining eigenvalues sit from the bulk circle.
+
+    A bulk eigenvalue of A, in [-2 sqrt(q), 2 sqrt(q)] with q = d1+d2-1, lifts
+    onto the circle |mu| = sqrt(q), so only the outliers enter: certified by
+    `outlier_eigs`, or from `spectrum` beyond the same edges. Each special must
+    match one lifted outlier within MATCH_TOL, ISOLATION_TOL clear of the
+    others and of the circle; the deviation is over the other lifted outliers
+    (0.0 if none). n=2000, (12,4): 0.7 s, 1.9 s with `eigh` (2-core Xeon VM).
+    """
     pair = rsbm_mu2(g.d1, g.d2)
     if not pair.detectable:
         raise DetectabilityError("insider gap requires detectable parameters")
     if g.d1 % 2:
         raise DomainError("insider gap report requires even d1")
-    spec = spectrum if spectrum is not None else full_lifted_spectrum(g)
-    mus = spec.mus()
-    specials = (
-        float(g.d1 + g.d2 - 1),
-        1.0,
-        float(pair.mu2.real),
-        float(pair.mu2_prime.real),
-    )
+    q = g.d1 + g.d2 - 1
+    radius = math.sqrt(q)
+    if spectrum is None:
+        lams = [p.lam for p in outlier_eigs(adjacency_matrix(g), 2.0 * radius)]
+    else:
+        lams = spectrum.lams()
+        lams = lams[np.abs(lams) > 2.0 * radius - INERTIA_GAP * (g.d1 + g.d2)]
+    mus = np.asarray([mu for lam in lams for mu in _quad_roots(float(lam), float(q))], dtype=np.complex128)
+    specials = (float(q), 1.0, float(pair.mu2.real), float(pair.mu2_prime.real))
     taken = np.zeros(len(mus), dtype=bool)
     for s in specials:
         dist = np.abs(mus - s)
         hits = np.flatnonzero((dist <= MATCH_TOL) & ~taken)
         if len(hits) != 1:
             raise MultiplicityError(f"expected exactly one eigenvalue at {s}, found {len(hits)}")
-        idx = hits[0]
-        others = np.delete(dist, idx)
-        if np.min(others) < ISOLATION_TOL:
+        if min(np.min(np.delete(dist, hits[0])), abs(abs(s) - radius)) < ISOLATION_TOL:
             raise MultiplicityError(f"eigenvalue at {s} is not isolated at radius {ISOLATION_TOL}")
-        taken[idx] = True
-    rest = mus[~taken]
-    radius = math.sqrt(g.d1 + g.d2 - 1)
-    dev = float(np.max(np.abs(np.abs(rest) - radius)))
+        taken[hits] = True
+    dev = float(np.max(np.abs(np.abs(mus[~taken]) - radius), initial=0.0))
     return InsiderGapReport(
         n=g.n,
         d1=g.d1,

@@ -111,6 +111,17 @@ def _count_beyond(A: np.ndarray, s: float, side: float) -> int:
     return int(np.count_nonzero(np.diagonal(ldu)[one] > 0)) + int(np.count_nonzero(~one)) // 2
 
 
+def _lanczos_pairs(As, k: int, side: float, scale: float):
+    """The k extreme eigenpairs of sparse As on one side, descending, certified."""
+    # not the all-ones vector: that is the Perron vector of a regular graph,
+    # orthogonal to every other eigenvector
+    v0 = np.random.default_rng(0).standard_normal(As.shape[0])
+    vals, vecs = eigsh(As, k=k, which="LA" if side > 0 else "SA", v0=v0)
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
+    return vals, _certified_pairs(As, vals, vecs, scale, 1e-9, 1e-9)
+
+
 def extreme_eigs(A: np.ndarray, target: float):
     """The extreme eigenpairs of symmetric A on the side of `target`, certified.
 
@@ -137,15 +148,9 @@ def extreme_eigs(A: np.ndarray, target: float):
     As = sp.csr_matrix(Af)
     scale = max(float(abs(As).sum(axis=1).max()), 1.0)
     side = 1.0 if target >= 0 else -1.0
-    # not the all-ones vector: that is the Perron vector of a regular graph,
-    # orthogonal to every other eigenvector
-    v0 = np.random.default_rng(0).standard_normal(n)
     k = 3
     while k < n - 1:
-        vals, vecs = eigsh(As, k=k, which="LA" if side > 0 else "SA", v0=v0)
-        order = np.argsort(-vals, kind="stable")
-        vals, vecs = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
-        pairs = _certified_pairs(As, vals, vecs, scale, 1e-9, 1e-9)
+        vals, pairs = _lanczos_pairs(As, k, side, scale)
         inner, before = (vals[-1], vals[-2]) if side > 0 else (vals[0], vals[1])
         count = _count_beyond(Af, inner - side * INERTIA_GAP * scale, side)
         if count < k:
@@ -154,6 +159,29 @@ def extreme_eigs(A: np.ndarray, target: float):
             return pairs
         k = count + 1
     return symmetric_eigs(A)
+
+
+def outlier_eigs(A: np.ndarray, edge: float):
+    """The eigenpairs of symmetric A above s and below -s, s = edge - INERTIA_GAP *
+    ||A||, largest first on each side. An inertia count fixes how many lie on
+    each side, Lanczos solves for exactly that many, certified as in
+    `extreme_eigs`, and each Ritz value must lie beyond its shift, else
+    ConvergenceError. Where a count would reach n-1, `symmetric_eigs` solves."""
+    Af = _symmetric_float(A)
+    As = sp.csr_matrix(Af)
+    scale = max(float(abs(As).sum(axis=1).max()), 1.0)
+    s = edge - INERTIA_GAP * scale
+    counts = [(side, _count_beyond(Af, side * s, side)) for side in (1.0, -1.0)]
+    if max(count for _, count in counts) >= len(Af) - 1:
+        return [p for p in symmetric_eigs(A) if abs(p.lam) > s]
+    pairs = []
+    for side, count in counts:
+        if count:
+            vals, found = _lanczos_pairs(As, count, side, scale)
+            if not np.min(side * vals) > s:
+                raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
+            pairs += found
+    return pairs
 
 
 def _quad_roots(t: float, p: float) -> "tuple[complex, complex]":

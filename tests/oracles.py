@@ -1,10 +1,12 @@
 """Independent brute-force oracles used only by tests.
 
 `dense_logdet` is the dense LU log-determinant that the sparse `logdet`
-under test replaced, `full_recovery` the community recovery from the
-full certified spectrum that the partial solve under test replaced, and
-`quad_cdf` the per-segment adaptive quadrature that the closed-form CDFs
-under test replaced.
+under test replaced, `full_recovery` and `full_insider_report` the
+community recovery and the insider report from the full certified
+spectrum that the partial solves under test replaced, `quad_cdf` the
+per-segment adaptive quadrature that the closed-form CDFs under test
+replaced, and `sigma_reduced_eigenvector` the reduced-operator lift of
+the community vector.
 
 The characteristic polynomial is computed by the Faddeev-LeVerrier trace
 recursion in exact integer arithmetic, split into exact squarefree factors
@@ -22,10 +24,10 @@ import sympy
 from scipy import integrate
 from scipy.optimize import linear_sum_assignment
 
-from nbspectra.errors import AmbiguityError
+from nbspectra.errors import AmbiguityError, MultiplicityError
 from nbspectra.operators import adjacency_matrix
-from nbspectra.rsbm import RecoveryResult
-from nbspectra.spectral import symmetric_eigs
+from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
+from nbspectra.spectral import full_lifted_spectrum, symmetric_eigs
 
 
 def dense_logdet(M) -> "tuple[float, float]":
@@ -85,6 +87,41 @@ def full_recovery(g) -> RecoveryResult:
         zero_entries=int(np.sum(v == 0.0)),
         lam_selected=float(lams[best]),
     )
+
+
+def full_insider_report(g) -> InsiderGapReport:
+    """`insider_gap_report` over all 2n lifted eigenvalues of the full
+    certified spectrum (detectability and even d1 are not checked)."""
+    pair = rsbm_mu2(g.d1, g.d2)
+    mus = full_lifted_spectrum(g).mus()
+    specials = (float(g.d1 + g.d2 - 1), 1.0, float(pair.mu2.real), float(pair.mu2_prime.real))
+    taken = np.zeros(len(mus), dtype=bool)
+    for s in specials:
+        dist = np.abs(mus - s)
+        hits = np.flatnonzero((dist <= MATCH_TOL) & ~taken)
+        if len(hits) != 1:
+            raise MultiplicityError(f"expected exactly one eigenvalue at {s}, found {len(hits)}")
+        if np.min(np.delete(dist, hits[0])) < ISOLATION_TOL:
+            raise MultiplicityError(f"eigenvalue at {s} is not isolated at radius {ISOLATION_TOL}")
+        taken[hits] = True
+    radius = math.sqrt(g.d1 + g.d2 - 1)
+    return InsiderGapReport(
+        n=g.n,
+        d1=g.d1,
+        d2=g.d2,
+        mu2=float(pair.mu2.real),
+        mu2_prime=float(pair.mu2_prime.real),
+        specials=specials,
+        max_circle_deviation=float(np.max(np.abs(np.abs(mus[~taken]) - radius))),
+        radius=radius,
+    )
+
+
+def sigma_reduced_eigenvector(g, mu: complex) -> np.ndarray:
+    """Unit reduced-operator eigenvector [sigma; (mu/(d1+d2-1)) sigma]."""
+    sigma = np.asarray(g.sigma, dtype=np.float64)
+    u = np.concatenate([sigma.astype(np.complex128), (complex(mu) / (g.d1 + g.d2 - 1)) * sigma])
+    return u / np.linalg.norm(u)
 
 
 def _eye_obj(n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbspectra.spectral
 from nbspectra.errors import (
+    ConvergenceError,
     DetectabilityError,
     DomainError,
     MultiplicityError,
@@ -20,11 +23,11 @@ from nbspectra.rsbm import (
     insider_gap_report,
     recover_communities,
     rsbm_mu2,
-    sigma_reduced_eigenvector,
 )
+from nbspectra.seeds import Seed
 from nbspectra.spectral import full_lifted_spectrum
 
-from oracles import full_recovery
+from oracles import full_insider_report, full_recovery, sigma_reduced_eigenvector
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -157,6 +160,77 @@ def test_insider_gap_multiplicity_guard():
     )
     with pytest.raises(MultiplicityError):
         insider_gap_report(g, spectrum=doctored)
+
+
+def test_insider_gap_isolation_guard():
+    # an extra eigenvalue 1e-7 from d1-d2 lifts about 1.3e-7 from mu2: past
+    # MATCH_TOL, so mu2 is matched once, but within ISOLATION_TOL of it
+    g = sample_rsbm(40, 8, 1, 7)
+    spec = full_lifted_spectrum(g)
+    insider = min(spec.pairs, key=lambda p: abs(p.lam - 7))
+    near = dataclasses.replace(insider, lam=insider.lam + 1e-7)
+    with pytest.raises(MultiplicityError, match="not isolated"):
+        insider_gap_report(g, spectrum=dataclasses.replace(spec, pairs=spec.pairs + (near,)))
+
+
+# (n, d1, d2, seed, only the specials lie outside the bulk): the first four
+# have 3+0, 2+1, 2+1 and 2+1 eigenvalues above+below the bulk, one more than
+# Perron and d1-d2, and that extra outlier sets the circle deviation
+INSIDER_CORPUS = [
+    (400, 6, 1, 8, False),
+    (400, 8, 1, 12, False),
+    (400, 2, 9, 9, False),
+    (400, 12, 4, 28, False),
+    (120, 12, 4, 5, True),
+]
+
+
+@pytest.mark.parametrize("n, d1, d2, seed, only_specials", INSIDER_CORPUS)
+def test_insider_report_matches_full_spectrum(n, d1, d2, seed, only_specials):
+    g = sample_rsbm(n, d1, d2, seed)
+    rep, full = insider_gap_report(g), full_insider_report(g)
+    assert rep.specials == full.specials
+    assert rep.max_circle_deviation == pytest.approx(full.max_circle_deviation, abs=1e-9)
+    if only_specials:
+        assert rep.max_circle_deviation == 0.0  # the bulk lifts onto the circle exactly
+    else:
+        assert rep.max_circle_deviation > 0.05
+
+
+def test_insider_report_solves_only_outliers(eigsh_calls, monkeypatch):
+    # criterion 7's first instance: 2 eigenvalues above the bulk (Perron and
+    # d1-d2), none below; no full eigendecomposition
+    eighs, eigh = [], np.linalg.eigh
+
+    def spy(*args, **kw):
+        eighs.append(args[0].shape)
+        return eigh(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rep = insider_gap_report(sample_rsbm(2000, 12, 4, Seed(7).trial(0)))
+    assert eigsh_calls == [2] and eighs == []
+    assert rep.specials == (15.0, 1.0, 5.0, 3.0) and rep.max_circle_deviation == 0.0
+
+
+def test_insider_report_corrupted_residual_raises(monkeypatch):
+    eigsh = nbspectra.spectral.eigsh
+
+    def shifted(A, **kw):
+        vals, vecs = eigsh(A, **kw)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(nbspectra.spectral, "eigsh", shifted)
+    with pytest.raises(ConvergenceError, match="eigen-residual"):
+        insider_gap_report(sample_rsbm(120, 12, 4, 5))
+
+
+def test_insider_report_ritz_value_short_of_shift_raises(monkeypatch):
+    # one eigenvalue too many counted above the bulk: Lanczos returns a
+    # certified third pair, which lies inside the bulk
+    count = nbspectra.spectral._count_beyond
+    monkeypatch.setattr(nbspectra.spectral, "_count_beyond", lambda A, s, side: count(A, s, side) + (side > 0))
+    with pytest.raises(ConvergenceError, match="short of the inertia shift"):
+        insider_gap_report(sample_rsbm(120, 12, 4, 5))
 
 
 def assert_matches_full_recovery(g):

@@ -24,6 +24,7 @@ from nbspectra.spectral import (
     lift_eigenvector_reduced,
     nb_norm_sq_graph,
     nb_norm_sq_hyper,
+    outlier_eigs,
     spectrum_audit,
     symmetric_eigs,
 )
@@ -71,6 +72,23 @@ def test_extreme_eigs_falls_back_to_full_solve(eigsh_calls, name, target, ks):
     part = extreme_eigs(A, target)
     assert eigsh_calls == ks
     assert np.array_equal([p.lam for p in part], [p.lam for p in symmetric_eigs(A)])
+
+
+def test_outlier_eigs_falls_back_to_full_solve(eigsh_calls, k4):
+    # K4 has eigenvalues 3, -1, -1, -1: three below -0.5 is n - 1
+    A = adjacency_matrix(k4)
+    part = outlier_eigs(A, 0.5)
+    assert eigsh_calls == []
+    assert np.array_equal([p.lam for p in part], [p.lam for p in symmetric_eigs(A)])
+
+
+def test_outlier_eigs_both_sides_match_full_solve(eigsh_calls):
+    # (60, 2, 9): Perron 11 above the bulk edge 2 sqrt(10), d1-d2 = -7 below
+    A = adjacency_matrix(sample_rsbm(60, 2, 9, 0))
+    part = outlier_eigs(A, 2.0 * math.sqrt(10))
+    full = [p.lam for p in symmetric_eigs(A) if abs(p.lam) > 2.0 * math.sqrt(10)]
+    assert len(eigsh_calls) == 2 and sum(eigsh_calls) == len(part)
+    assert np.allclose([p.lam for p in part], full, rtol=0, atol=1e-9)
 
 
 # ------------------------------------------------------------ eigenvalue lift
