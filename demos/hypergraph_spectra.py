@@ -27,9 +27,8 @@ h = sample_regular_hypergraph(n, d, k, 11)
 spec = full_lifted_spectrum(h)
 
 q = (d - 1) * (k - 1)
-perron = spec.pairs[0]
-print(f"Perron pair: lambda_1 = {perron.lam:.6f} = d(k-1), lifts to "
-      f"({perron.mu.real:.6f}, {perron.mu_prime.real:.6f}) = ((d-1)(k-1), 1)")
+print(f"Perron pair: lambda_1 = {spec.lams[0]:.6f} = d(k-1), lifts to "
+      f"({spec.mus[0].real:.6f}, {spec.mus_prime[0].real:.6f}) = ((d-1)(k-1), 1)")
 
 m = project_real_parts(spec, rescale="hypergraph", exclude_trivial=True)
 print(f"KS to the fixed-(d,k) law: {ks_distance(m, HyperFixed(d, k)):.4f}")

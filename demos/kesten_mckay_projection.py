@@ -28,7 +28,7 @@ g = sample_regular_graph(n, d, seed)
 
 print("computing the full lifted spectrum (2n eigenvalues of the reduced operator)...")
 spec = full_lifted_spectrum(g)
-on_circle = sum(1 for p in spec.pairs if abs(abs(p.mu) - np.sqrt(d - 1)) < 1e-9)
+on_circle = int(np.sum(np.abs(np.abs(spec.mus) - np.sqrt(d - 1)) < 1e-9))
 print(f"  {on_circle} of {n} lifted pairs sit exactly on the circle of radius sqrt({d - 1})")
 
 m = project_real_parts(spec, rescale="none", exclude_trivial=True)

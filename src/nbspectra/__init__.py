@@ -65,16 +65,12 @@ from .rsbm import (
 )
 from .seeds import Seed, stable_hash
 from .spectral import (
-    LiftedPair,
     LiftedSpectrum,
-    SpectralPair,
+    LiftModel,
     deterministic_deloc_bound,
     full_lifted_spectrum,
-    lift_eigenvalue,
-    lift_eigenvalue_hyper,
     lift_eigenvector_nb,
     lift_eigenvector_nb_hyper,
-    lift_eigenvector_reduced,
     spectrum_audit,
     symmetric_eigs,
 )

@@ -17,7 +17,7 @@ from .errors import InvariantError, ParseError
 from .graphs import RegularGraph, RegularHypergraph, RsbmGraph
 from .measures import EmpiricalMeasure, histogram
 from .operators import sparse_triplets
-from .spectral import LiftedPair, LiftedSpectrum
+from .spectral import LiftedSpectrum
 
 FORMAT_VERSION = 1
 
@@ -132,7 +132,24 @@ def read_graph(path):
     return g
 
 
+#: per-pair record fields of a spectrum file, in LiftedSpectrum terms
+_PAIR_FIELDS = {
+    "lambda": lambda s: s.lams,
+    "mu_re": lambda s: s.mus.real,
+    "mu_im": lambda s: s.mus.imag,
+    "mu_prime_re": lambda s: s.mus_prime.real,
+    "mu_prime_im": lambda s: s.mus_prime.imag,
+    "residual_u": lambda s: s.residual_u,
+    "residual_u_prime": lambda s: s.residual_u_prime,
+    "ratio_v": lambda s: s.ratio_v,
+    "ratio_u": lambda s: s.ratio_u,
+    "ratio_u_prime": lambda s: s.ratio_u_prime,
+    "degenerate": lambda s: s.degenerate,
+}
+
+
 def write_spectrum(spec: LiftedSpectrum, path) -> None:
+    columns = [get(spec).tolist() for get in _PAIR_FIELDS.values()]
     doc = {
         "format": FORMAT_VERSION,
         "model": spec.kind,
@@ -143,33 +160,18 @@ def write_spectrum(spec: LiftedSpectrum, path) -> None:
             "d1": spec.d1,
             "d2": spec.d2,
         },
-        "pairs": [
-            {
-                "lambda": p.lam,
-                "mu_re": p.mu.real,
-                "mu_im": p.mu.imag,
-                "mu_prime_re": p.mu_prime.real,
-                "mu_prime_im": p.mu_prime.imag,
-                "residual_u": p.residual_u,
-                "residual_u_prime": p.residual_u_prime,
-                "ratio_v": p.ratio_v,
-                "ratio_u": p.ratio_u,
-                "ratio_u_prime": p.ratio_u_prime,
-                "degenerate": p.degenerate,
-            }
-            for p in spec.pairs
-        ],
+        "pairs": [dict(zip(_PAIR_FIELDS, rec)) for rec in zip(*columns)],
     }
     _write_text(path, _dumps(doc))
 
 
 def read_spectrum(path) -> LiftedSpectrum:
-    """Load a spectrum file; pairs carry values and diagnostics but no
+    """Load a spectrum file; it carries values and diagnostics but no
     eigenvectors (u/w lifts need the original graph).
 
-    InvariantError unless the model is known, k is given exactly for
-    hypergraphs, there are n pairs, every value is finite and lambda is
-    descending.
+    ParseError unless every pair record has every field; InvariantError
+    unless the model is known, k is given exactly for hypergraphs, there are
+    n pairs, every value is finite and lambda is descending.
     """
     obj = _load_json(path)
     params = _require(obj, "params", path)
@@ -181,55 +183,41 @@ def read_spectrum(path) -> LiftedSpectrum:
     k_ok = (isinstance(k, int) and k >= 2) if kind == "hypergraph" else k is None
     if not k_ok:
         raise InvariantError(f"{path}: k = {k!r} is inconsistent with model {kind!r}")
-    pairs = []
-    for rec in _require(obj, "pairs", path):
-        try:
-            pairs.append(
-                LiftedPair(
-                    lam=float(rec["lambda"]),
-                    mu=complex(rec["mu_re"], rec["mu_im"]),
-                    mu_prime=complex(rec["mu_prime_re"], rec["mu_prime_im"]),
-                    degenerate=bool(rec["degenerate"]),
-                    d=d,
-                    k=k,
-                    residual_u=rec.get("residual_u"),
-                    residual_u_prime=rec.get("residual_u_prime"),
-                    ratio_v=rec.get("ratio_v"),
-                    ratio_u=rec.get("ratio_u"),
-                    ratio_u_prime=rec.get("ratio_u_prime"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{path}: malformed pair record ({e})") from e
+    records = _require(obj, "pairs", path)
+    try:
+        col = {
+            key: np.asarray([(bool if key == "degenerate" else float)(rec[key]) for rec in records])
+            for key in _PAIR_FIELDS
+        }
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: malformed pair record ({e})") from e
+    mus, mus_prime = (col[f"{name}_re"].astype(np.complex128) for name in ("mu", "mu_prime"))
+    mus.imag, mus_prime.imag = col["mu_im"], col["mu_prime_im"]
     spec = LiftedSpectrum(
         kind=kind,
         n=int(_require(params, "n", path)),
         d=d,
         k=k,
-        pairs=tuple(pairs),
+        lams=col["lambda"],
+        mus=mus,
+        mus_prime=mus_prime,
+        degenerate=col["degenerate"],
+        residual_u=col["residual_u"],
+        residual_u_prime=col["residual_u_prime"],
+        ratio_v=col["ratio_v"],
+        ratio_u=col["ratio_u"],
+        ratio_u_prime=col["ratio_u_prime"],
         d1=params.get("d1"),
         d2=params.get("d2"),
     )
-    _check_spectrum(spec, path)
-    return spec
-
-
-def _check_spectrum(spec: LiftedSpectrum, path) -> None:
-    if len(spec.pairs) != spec.n:
-        raise InvariantError(f"{path}: {len(spec.pairs)} pairs for n = {spec.n}")
-    values = [
-        x
-        for p in spec.pairs
-        for x in (
-            p.lam, p.mu.real, p.mu.imag, p.mu_prime.real, p.mu_prime.imag,
-            p.residual_u, p.residual_u_prime, p.ratio_v, p.ratio_u, p.ratio_u_prime,
-        )
-        if x is not None
-    ]
-    if not np.all(np.isfinite(np.asarray(values, dtype=np.float64))):
+    if len(spec.lams) != spec.n:
+        raise InvariantError(f"{path}: {len(spec.lams)} pairs for n = {spec.n}")
+    values = np.concatenate([col[key] for key in _PAIR_FIELDS if key != "degenerate"])
+    if not np.all(np.isfinite(values)):
         raise InvariantError(f"{path}: non-finite value in a pair record")
-    if np.any(np.diff(spec.lams()) > 0):
+    if np.any(np.diff(spec.lams) > 0):
         raise InvariantError(f"{path}: lambda is not in descending order")
+    return spec
 
 
 def write_histogram(m: EmpiricalMeasure, path, bins=None) -> None:

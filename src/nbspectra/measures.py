@@ -31,6 +31,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, IntegrationError, InvariantError
+from .spectral import LiftModel
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,6 @@ class EmpiricalMeasure:
         return len(self.samples)
 
 
-def trivial_projection_values(d: int, k: "int | None") -> "tuple[float, float]":
-    """The deterministic lifted pair from lambda_1: (d-1, 1) or ((d-1)(k-1), 1)."""
-    if k is None:
-        return float(d - 1), 1.0
-    return float((d - 1) * (k - 1)), 1.0
-
-
 def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = False) -> EmpiricalMeasure:
     """Empirical measure of the real parts of the 2n lifted eigenvalues.
 
@@ -64,40 +58,33 @@ def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = 
     removed (exactly two samples); only that pair is ever matched, bulk
     eigenvalues that happen to be real are kept.
     """
-    pairs = list(spectrum.pairs)
-    if not pairs:
+    if len(spectrum.lams) == 0:
         raise ValueError("empty spectrum")
-    d, k = spectrum.d, spectrum.k
-    xs = []
-    excluded = 0
+    keep = np.ones(len(spectrum.lams), dtype=bool)
     if exclude_trivial:
-        t_mu, t_mup = trivial_projection_values(d, k)
-        top = max(range(len(pairs)), key=lambda i: pairs[i].lam)
-        p1 = pairs[top]
-        if abs(p1.mu - t_mu) > 1e-9 or abs(p1.mu_prime - t_mup) > 1e-9:
+        t_mu, t_mup = spectrum.model.perron
+        top = int(np.argmax(spectrum.lams))
+        mu, mup = complex(spectrum.mus[top]), complex(spectrum.mus_prime[top])
+        if abs(mu - t_mu) > 1e-9 or abs(mup - t_mup) > 1e-9:
             raise InvariantError(
-                f"top pair ({p1.mu}, {p1.mu_prime}) does not match the deterministic pair "
+                f"top pair ({mu}, {mup}) does not match the deterministic pair "
                 f"({t_mu}, {t_mup}); is the graph connected?"
             )
-        pairs = pairs[:top] + pairs[top + 1 :]
-        excluded = 2
-    for p in pairs:
-        xs.append(p.mu.real)
-        xs.append(p.mu_prime.real)
-    x = np.asarray(xs, dtype=np.float64)
+        keep[top] = False
+    x = np.concatenate([spectrum.mus.real[keep], spectrum.mus_prime.real[keep]])
     if rescale == "none":
         pass
     elif rescale == "graph":
-        x = 2.0 * x / math.sqrt(d - 1)
+        x = 2.0 * x / LiftModel(spectrum.d).radius
     elif rescale == "hypergraph":
-        if k is None:
+        if spectrum.k is None:
             raise DomainError("hypergraph rescale needs a hypergraph spectrum")
         # 2x/sqrt(q) recovers the normalized adjacency value: for a conjugate
         # pair, 2*Re(mu) = lambda - (k-2) already carries the shift
-        x = 2.0 * x / math.sqrt((d - 1) * (k - 1))
+        x = 2.0 * x / spectrum.model.radius
     else:
         raise DomainError(f"unknown rescale mode {rescale!r}")
-    return EmpiricalMeasure(samples=x, excluded_trivial=excluded)
+    return EmpiricalMeasure(samples=x, excluded_trivial=2 if exclude_trivial else 0)
 
 
 def _elementwise(x, fn):

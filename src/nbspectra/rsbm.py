@@ -14,7 +14,6 @@ residuals, orthonormality and Sylvester-inertia counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .graphs import RsbmGraph
 from .operators import adjacency_matrix
-from .spectral import INERTIA_GAP, LiftedSpectrum, _quad_roots, extreme_eigs, outlier_eigs
+from .spectral import INERTIA_GAP, LiftedSpectrum, LiftModel, extreme_eigs, outlier_eigs
 
 #: tolerance for matching the four deterministic eigenvalues in a lifted spectrum
 MATCH_TOL = 1e-8
@@ -59,7 +58,7 @@ def rsbm_mu2(d1: int, d2: int) -> InsiderPair:
     real and distinct, i.e. (d1-d2)^2 > 4(d1+d2-1) strictly."""
     if d1 < 1 or d2 < 1:
         raise DomainError("degrees must be positive")
-    mu, mup = _quad_roots(float(d1 - d2), float(d1 + d2 - 1))
+    mu, mup = (complex(r[0]) for r in LiftModel(d1 + d2).roots([d1 - d2]))
     detectable = (d1 - d2) ** 2 > 4 * (d1 + d2 - 1)
     return InsiderPair(mu2=mu, mu2_prime=mup, detectable=detectable)
 
@@ -100,12 +99,11 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
             f"(d1-d2)^2 = {(g.d1 - g.d2) ** 2} <= 4(d1+d2-1) = {4 * (g.d1 + g.d2 - 1)}"
         )
     target = float(g.d1 - g.d2)
-    eigs = extreme_eigs(adjacency_matrix(g), target)
-    lams = np.asarray([p.lam for p in eigs])
-    cand = list(range(len(eigs)))
+    lams, V, _ = extreme_eigs(adjacency_matrix(g), target)
+    cand = list(range(len(lams)))
     # the Perron eigenvalue d1+d2 is the largest: returned on the d1 >= d2 side,
     # or when the solve covered the whole spectrum
-    if target >= 0 or len(eigs) == g.n:
+    if target >= 0 or len(lams) == g.n:
         cand.remove(int(np.argmin(np.abs(lams - (g.d1 + g.d2)))))
     cand.sort(key=lambda i: abs(lams[i] - target))
     best = cand[0]
@@ -113,7 +111,7 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
         raise AmbiguityError(
             f"eigenvalues {lams[best]} and {lams[cand[1]]} both lie near {target}"
         )
-    v = eigs[best].v
+    v = V[:, best]
     zero_entries = int(np.sum(v == 0.0))
     sigma_hat = np.where(v >= 0.0, 1, -1)
     sigma = np.asarray(g.sigma)
@@ -156,15 +154,14 @@ def insider_gap_report(g: RsbmGraph, spectrum: LiftedSpectrum | None = None) -> 
         raise DetectabilityError("insider gap requires detectable parameters")
     if g.d1 % 2:
         raise DomainError("insider gap report requires even d1")
-    q = g.d1 + g.d2 - 1
-    radius = math.sqrt(q)
+    model = LiftModel(g.d1 + g.d2)
+    radius = model.radius
     if spectrum is None:
-        lams = [p.lam for p in outlier_eigs(adjacency_matrix(g), 2.0 * radius)]
+        lams = outlier_eigs(adjacency_matrix(g), 2.0 * radius)[0]
     else:
-        lams = spectrum.lams()
-        lams = lams[np.abs(lams) > 2.0 * radius - INERTIA_GAP * (g.d1 + g.d2)]
-    mus = np.asarray([mu for lam in lams for mu in _quad_roots(float(lam), float(q))], dtype=np.complex128)
-    specials = (float(q), 1.0, float(pair.mu2.real), float(pair.mu2_prime.real))
+        lams = spectrum.lams[np.abs(spectrum.lams) > 2.0 * radius - INERTIA_GAP * (g.d1 + g.d2)]
+    mus = np.concatenate(model.roots(lams))
+    specials = (*model.perron, float(pair.mu2.real), float(pair.mu2_prime.real))
     taken = np.zeros(len(mus), dtype=bool)
     for s in specials:
         dist = np.abs(mus - s)

@@ -10,6 +10,10 @@ operator through a quadratic:
 with eigenvectors [v; (mu/(d-1)) v] for the reduced operator and the
 edge-indexed lifts for B itself. The "+" branch is fixed as the root with
 larger real part (ties: nonnegative imaginary part) so runs are comparable.
+
+A spectrum is arrays, one entry per adjacency eigenpair, lambda descending:
+the lift is a few vectorized maps over the eigenvalues and the eigenvector
+matrix V, and `LiftModel` holds the (d, k) constants every map uses.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     TrivialEigenvalueError,
     ZeroVectorError,
 )
-from .graphs import RegularGraph, RegularHypergraph, RsbmGraph
+from .graphs import RegularHypergraph, RsbmGraph
 from .operators import (
     OrientedEdgeIndex,
     adjacency_matrix,
@@ -45,54 +49,61 @@ ZERO_W_TOL = 1e-12
 #: value: 100 residual tolerances, so the eigenvalue that value certifies lies
 #: beyond it, and far above the backward error of the LDL^T factorization
 INERTIA_GAP = 1e-7
+#: eigen-certificate: residuals <= CERT_TOL * ||A||, orthonormality to CERT_TOL
+CERT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralPair:
-    """Real eigenpair of A with its certified residual ||Av - lambda v||."""
-
-    lam: float
-    v: np.ndarray
-    residual: float
-
-
-def _symmetric_float(A) -> np.ndarray:
+def _symmetric_csr(A) -> "tuple[np.ndarray, sp.csr_matrix]":
+    """A as an array and its float64 CSR copy, once A is square and symmetric."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    Af = A.astype(np.float64, copy=False)
-    if not np.array_equal(Af, Af.T):
+    As = sp.csr_matrix(A, dtype=np.float64)
+    if (As != As.T).nnz:
         raise ValueError("A must be symmetric")
-    return Af
+    return A, As
 
 
-def _certified_pairs(As, vals: np.ndarray, vecs: np.ndarray, scale: float, resid_tol: float, ortho_tol: float):
-    """SpectralPairs of (vals, vecs) once ||A v_i - lambda_i v_i|| <= resid_tol * scale
-    for every i and the v_i are orthonormal to ortho_tol, else ConvergenceError."""
+def _certify(AV: np.ndarray, vals: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
+    """The residuals ||A v_i - lambda_i v_i|| (AV = A V), once every one is
+    <= CERT_TOL * scale and the v_i are orthonormal to CERT_TOL, else
+    ConvergenceError."""
+    R = V * vals
+    np.subtract(AV, R, out=R)
+    residuals = np.sqrt(np.einsum("ij,ij->j", R, R))
     # "not max <= tol" also rejects a NaN
-    residuals = np.linalg.norm(As @ vecs - vecs * vals[None, :], axis=0)
-    if not np.max(residuals) <= resid_tol * scale:
+    if not np.max(residuals) <= CERT_TOL * scale:
         raise ConvergenceError(f"eigen-residual {np.max(residuals):.3e} exceeds certificate")
-    defect = np.max(np.abs(vecs.T @ vecs - np.eye(len(vals))))
-    if not defect <= ortho_tol:
+    G = np.dot(V.T, V)  # np.dot spots the transposed pair and calls syrk
+    G.flat[:: len(vals) + 1] -= 1.0
+    defect = max(np.max(G), -np.min(G))
+    if not defect <= CERT_TOL:
         raise ConvergenceError(f"orthonormality defect {defect:.3e}")
-    return [SpectralPair(float(vals[i]), vecs[:, i], float(residuals[i])) for i in range(len(vals))]
+    return residuals
 
 
-def symmetric_eigs(A: np.ndarray, resid_tol: float = 1e-9, ortho_tol: float = 1e-9):
+def _eigh(A: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Eigenvalues of symmetric A descending, and the C-ordered eigenvector matrix."""
+    vals, vecs = np.linalg.eigh(A)
+    # contiguous copies: negative-stride views force matmul off the BLAS path
+    return np.ascontiguousarray(vals[::-1]), np.ascontiguousarray(vecs[:, ::-1])
+
+
+def _scale(vals: np.ndarray) -> float:
+    return max(float(np.max(np.abs(vals))), 1.0)
+
+
+def symmetric_eigs(A: np.ndarray):
     """Full eigendecomposition of a symmetric matrix, certified a posteriori.
 
-    Returns SpectralPairs sorted by eigenvalue descending. The residual
-    certificate requires ||A v_i - lambda_i v_i|| <= resid_tol * ||A|| for
-    every i and pairwise orthonormality to ortho_tol, else ConvergenceError.
+    Returns (vals, V, residuals): the eigenvalues descending, the unit
+    eigenvectors as the columns of V, and ||A v_i - lambda_i v_i||. The
+    certificate requires every residual <= CERT_TOL * ||A|| and the columns
+    orthonormal to CERT_TOL, else ConvergenceError.
     """
-    Af = _symmetric_float(A)
-    vals, vecs = np.linalg.eigh(Af)
-    # contiguous copies: negative-stride views force matmul off the BLAS path
-    vals = np.ascontiguousarray(vals[::-1])
-    vecs = np.ascontiguousarray(vecs[:, ::-1])
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    return _certified_pairs(sp.csr_matrix(Af), vals, vecs, scale, resid_tol, ortho_tol)
+    A, As = _symmetric_csr(A)
+    vals, V = _eigh(A)
+    return vals, V, _certify(As @ V, vals, V, _scale(vals))
 
 
 def _count_beyond(A: np.ndarray, s: float, side: float) -> int:
@@ -112,124 +123,154 @@ def _count_beyond(A: np.ndarray, s: float, side: float) -> int:
 
 
 def _lanczos_pairs(As, k: int, side: float, scale: float):
-    """The k extreme eigenpairs of sparse As on one side, descending, certified."""
+    """The k extreme eigenpairs of sparse As on one side, descending, certified:
+    (vals, V, residuals)."""
     # not the all-ones vector: that is the Perron vector of a regular graph,
     # orthogonal to every other eigenvector
     v0 = np.random.default_rng(0).standard_normal(As.shape[0])
     vals, vecs = eigsh(As, k=k, which="LA" if side > 0 else "SA", v0=v0)
     order = np.argsort(-vals, kind="stable")
-    vals, vecs = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
-    return vals, _certified_pairs(As, vals, vecs, scale, 1e-9, 1e-9)
+    vals, V = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
+    return vals, V, _certify(As @ V, vals, V, scale)
+
+
+def _row_sum_norm(As) -> float:
+    """||A|| taken as the largest absolute row sum: equal for a regular graph,
+    an upper bound otherwise."""
+    return max(float(abs(As).sum(axis=1).max()), 1.0)
 
 
 def extreme_eigs(A: np.ndarray, target: float):
     """The extreme eigenpairs of symmetric A on the side of `target`, certified.
 
-    Returns SpectralPairs sorted by eigenvalue descending: the k largest
-    eigenpairs when target >= 0, else the k smallest, for the least k >= 3
-    whose innermost eigenvalue lies past target and no nearer it than the
-    one before. So the two eigenvalues nearest target, the extreme one not
-    counted, are among those returned, and every eigenvalue not returned is
-    farther from target than they are.
+    Returns (vals, V, residuals) as `symmetric_eigs`, eigenvalues descending:
+    the k largest eigenpairs when target >= 0, else the k smallest, for the
+    least k >= 3 whose innermost eigenvalue lies past target and no nearer it
+    than the one before. So the two eigenvalues nearest target, the extreme
+    one not counted, are among those returned, and every eigenvalue not
+    returned is farther from target than they are.
 
     Lanczos (ARPACK `eigsh` on sparse A, from a fixed start vector, so runs
-    are reproducible) gives k Ritz pairs. Their residuals must be <= 1e-9 *
-    ||A|| and the vectors orthonormal to 1e-9, as in `symmetric_eigs` (||A||
-    is taken as the largest absolute row sum: equal for a regular graph, an
-    upper bound otherwise). Then a Sylvester-inertia count of A - sI, with s
-    just past the innermost Ritz value, must be k: that proves no eigenvalue
-    beyond s was missed. A larger count, or an innermost value short of
-    target or nearer it than the one before, raises k to the count plus one
-    and solves again; a smaller count raises ConvergenceError. Where k would reach n-1, where ARPACK cannot run,
-    this is `symmetric_eigs(A)`.
+    are reproducible) gives k Ritz pairs, certified as in `symmetric_eigs`
+    with ||A|| the largest absolute row sum. Then a Sylvester-inertia count
+    of A - sI, with s just past the innermost Ritz value, must be k: that
+    proves no eigenvalue beyond s was missed. A larger count, or an innermost
+    value short of target or nearer it than the one before, raises k to the
+    count plus one and solves again; a smaller count raises ConvergenceError.
+    Where k would reach n-1, where ARPACK cannot run, this is
+    `symmetric_eigs(A)`.
     """
-    Af = _symmetric_float(A)
-    n = Af.shape[0]
-    As = sp.csr_matrix(Af)
-    scale = max(float(abs(As).sum(axis=1).max()), 1.0)
+    A, As = _symmetric_csr(A)
+    n = A.shape[0]
+    scale = _row_sum_norm(As)
     side = 1.0 if target >= 0 else -1.0
     k = 3
     while k < n - 1:
-        vals, pairs = _lanczos_pairs(As, k, side, scale)
+        found = _lanczos_pairs(As, k, side, scale)
+        vals = found[0]
         inner, before = (vals[-1], vals[-2]) if side > 0 else (vals[0], vals[1])
-        count = _count_beyond(Af, inner - side * INERTIA_GAP * scale, side)
+        count = _count_beyond(A, inner - side * INERTIA_GAP * scale, side)
         if count < k:
             raise ConvergenceError(f"inertia count {count} below the {k} Ritz values it must certify")
         if count == k and side * (inner + before) <= 2.0 * side * target:
-            return pairs
+            return found
         k = count + 1
     return symmetric_eigs(A)
 
 
 def outlier_eigs(A: np.ndarray, edge: float):
     """The eigenpairs of symmetric A above s and below -s, s = edge - INERTIA_GAP *
-    ||A||, largest first on each side. An inertia count fixes how many lie on
-    each side, Lanczos solves for exactly that many, certified as in
-    `extreme_eigs`, and each Ritz value must lie beyond its shift, else
-    ConvergenceError. Where a count would reach n-1, `symmetric_eigs` solves."""
-    Af = _symmetric_float(A)
-    As = sp.csr_matrix(Af)
-    scale = max(float(abs(As).sum(axis=1).max()), 1.0)
+    ||A||, as (vals, V, residuals), eigenvalues descending. An inertia count
+    fixes how many lie on each side, Lanczos solves for exactly that many,
+    certified as in `extreme_eigs`, and each Ritz value must lie beyond its
+    shift, else ConvergenceError. Where a count would reach n-1,
+    `symmetric_eigs` solves."""
+    A, As = _symmetric_csr(A)
+    n = A.shape[0]
+    scale = _row_sum_norm(As)
     s = edge - INERTIA_GAP * scale
-    counts = [(side, _count_beyond(Af, side * s, side)) for side in (1.0, -1.0)]
-    if max(count for _, count in counts) >= len(Af) - 1:
-        return [p for p in symmetric_eigs(A) if abs(p.lam) > s]
-    pairs = []
+    counts = [(side, _count_beyond(A, side * s, side)) for side in (1.0, -1.0)]
+    if max(count for _, count in counts) >= n - 1:
+        vals, V, residuals = symmetric_eigs(A)
+        keep = np.abs(vals) > s
+        return vals[keep], V[:, keep], residuals[keep]
+    parts = [(np.empty(0), np.empty((n, 0)), np.empty(0))]
     for side, count in counts:
         if count:
-            vals, found = _lanczos_pairs(As, count, side, scale)
-            if not np.min(side * vals) > s:
+            parts.append(_lanczos_pairs(As, count, side, scale))
+            if not np.min(side * parts[-1][0]) > s:
                 raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
-            pairs += found
-    return pairs
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
-def _quad_roots(t: float, p: float) -> "tuple[complex, complex]":
-    """Roots of x^2 - t*x + p = 0, larger real part first (tie: +imag first).
+def _quad_roots(t, p: float) -> "tuple[np.ndarray, np.ndarray]":
+    """Roots of x^2 - t*x + p = 0 for each t, larger real part first (tie: +imag first).
 
-    Uses the product identity for the second root to avoid cancellation.
-    A discriminant within floating-point noise of zero is snapped to an
-    exact double root: near the bulk edge the raw formula would amplify an
-    eps-size eigenvalue error to sqrt(eps) in the roots.
+    A real pair takes the root of larger modulus from the formula and its
+    partner from the product identity, to avoid cancellation. A discriminant
+    within floating-point noise of zero is snapped to an exact double root:
+    near the bulk edge the raw formula would amplify an eps-size eigenvalue
+    error to sqrt(eps) in the roots.
     """
+    t = np.asarray(t, dtype=np.float64)
     disc = t * t - 4.0 * p
-    if abs(disc) <= 1e-13 * max(1.0, t * t, 4.0 * abs(p)):
-        return complex(0.5 * t), complex(0.5 * t)
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        if t >= 0.0:
-            big = 0.5 * (t + s)
-            small = p / big if big != 0.0 else 0.5 * (t - s)
-            return complex(big), complex(small)
-        small = 0.5 * (t - s)
-        big = p / small
-        return complex(big), complex(small)
-    s = math.sqrt(-disc)
-    return complex(0.5 * t, 0.5 * s), complex(0.5 * t, -0.5 * s)
+    s = np.sqrt(np.abs(disc))
+    snap = np.abs(disc) <= 1e-13 * np.maximum(np.maximum(1.0, t * t), 4.0 * abs(p))
+    real = (disc >= 0.0) & ~snap
+    mu = np.empty(t.shape, dtype=np.complex128)
+    mu.real = 0.5 * t
+    mu_prime = mu.copy()
+    mu.imag = np.where(real | snap, 0.0, 0.5 * s)
+    mu_prime.imag = np.where(real | snap, 0.0, -0.5 * s)
+    tr, sr, plus = t[real], s[real], t[real] >= 0.0
+    far = np.where(plus, 0.5 * (tr + sr), 0.5 * (tr - sr))
+    near = p / far
+    mu.real[real] = np.where(plus, far, near)
+    mu_prime.real[real] = np.where(plus, near, far)
+    return mu, mu_prime
 
 
-def lift_eigenvalue(lam: float, d: int) -> "tuple[complex, complex]":
-    """The two eigenvalues of the reduced operator lifted from lambda (graph case)."""
-    if d < 2:
-        raise DegenerateError("lift requires d >= 2")
-    return _quad_roots(float(lam), float(d - 1))
+@dataclass(frozen=True)
+class LiftModel:
+    """The (d, k) constants of the lift; k = None (or 2) for a graph.
 
+    The lift quadratic is mu^2 - (lambda - shift) mu + q = 0 with shift = k-2
+    and q = (d-1)(k-1). B's trivial eigenvalues 1 and -(k-1) are also the
+    zeros of the scalar factor of the determinant identity.
+    """
 
-def lift_eigenvalue_hyper(lam: float, d: int, k: int) -> "tuple[complex, complex]":
-    """Lifted eigenvalue pair for a (d, k)-regular hypergraph; k=2 matches the graph lift."""
-    if d < 2 or k < 2:
-        raise DegenerateError("lift requires d >= 2 and k >= 2")
-    return _quad_roots(float(lam) - (k - 2), float((d - 1) * (k - 1)))
+    d: int
+    k: "int | None" = None
 
+    @property
+    def _k(self) -> int:
+        return 2 if self.k is None else self.k
 
-def lift_eigenvector_reduced(v: np.ndarray, mu: complex, d: int) -> np.ndarray:
-    """Unit eigenvector [v; (mu/(d-1)) v] of the reduced operator."""
-    if d <= 1:
-        raise DegenerateError("reduced lift divides by d-1")
-    v = np.asarray(v)
-    c = complex(mu) / (d - 1)
-    u = np.concatenate([v.astype(np.complex128), c * v])
-    return u / np.linalg.norm(u)
+    @property
+    def shift(self) -> float:
+        return float(self._k - 2)
+
+    @property
+    def q(self) -> float:
+        return float((self.d - 1) * (self._k - 1))
+
+    @property
+    def radius(self) -> float:
+        """sqrt(q): the bulk circle |mu| = sqrt(q) and the rescale x -> 2x / sqrt(q)."""
+        return math.sqrt(self.q)
+
+    @property
+    def trivial(self) -> "tuple[float, float]":
+        return (1.0, -(self._k - 1.0))
+
+    @property
+    def perron(self) -> "tuple[float, float]":
+        """The deterministic pair (q, 1) lifted from lambda_1 = d(k-1)."""
+        return (self.q, 1.0)
+
+    def roots(self, lams) -> "tuple[np.ndarray, np.ndarray]":
+        """(mu, mu') of each lambda, branch convention as `_quad_roots`."""
+        return _quad_roots(np.asarray(lams, dtype=np.float64) - self.shift, self.q)
 
 
 def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: OrientedEdgeIndex) -> np.ndarray:
@@ -298,92 +339,57 @@ def deterministic_deloc_bound(lam: float, mu: complex, d: int, k: "int | None", 
     return v_inf * math.sqrt(k - 1) * (am + 1.0) / math.sqrt(den)
 
 
-def nb_norm_sq_graph(lam: float, mu: complex, d: int) -> float:
-    """Exact ||w||^2 of the graph lift for unit v: d(|mu|^2+1) - 2*lambda*Re(mu).
+def nb_norm_sq_graph(lam, mu, d: int):
+    """Exact ||w||^2 of the graph lift for unit v: d(|mu|^2+1) - 2*lambda*Re(mu),
+    elementwise over arrays.
 
     Reduces to d^2 - lambda^2 when mu, mu' are complex conjugates.
     """
-    mu = complex(mu)
-    return d * (abs(mu) ** 2 + 1.0) - 2.0 * lam * mu.real
+    return d * (np.abs(mu) ** 2 + 1.0) - 2.0 * lam * np.real(mu)
 
 
-def nb_norm_sq_hyper(lam: float, mu: complex, d: int, k: int) -> float:
-    """Exact ||w||^2 of the hypergraph lift for unit v.
+def nb_norm_sq_hyper(lam, mu, d: int, k: int):
+    """Exact ||w||^2 of the hypergraph lift for unit v, elementwise over arrays.
 
     Reduces to (k-1)(d+lambda)(d(k-1)-lambda) for conjugate pairs.
     """
-    mu = complex(mu)
     s = (k - 2) * lam + (k - 1) * d
-    return abs(mu) ** 2 * s + (k - 1) ** 2 * d - 2.0 * mu.real * (k - 1) * lam
+    return np.abs(mu) ** 2 * s + (k - 1) ** 2 * d - 2.0 * np.real(mu) * (k - 1) * lam
 
 
-@dataclass(frozen=True)
-class LiftedPair:
-    """Eigenvalue lambda of A with its two lifted eigenvalues and diagnostics.
-
-    Holds the unit eigenvector v of A when computed locally (None when read
-    back from a spectrum file); u/u_prime/w/w_prime are built on demand.
-    """
-
-    lam: float
-    mu: complex
-    mu_prime: complex
-    degenerate: bool
-    d: int
-    k: "int | None" = None
-    residual_u: "float | None" = None
-    residual_u_prime: "float | None" = None
-    ratio_v: "float | None" = None
-    ratio_u: "float | None" = None
-    ratio_u_prime: "float | None" = None
-    v: "np.ndarray | None" = field(default=None, repr=False, compare=False)
-
-    def _require_v(self) -> np.ndarray:
-        if self.v is None:
-            raise ValueError("this pair carries no eigenvector (loaded from file?)")
-        return self.v
-
-    def u(self) -> np.ndarray:
-        return lift_eigenvector_reduced(self._require_v(), self.mu, self.d)
-
-    def u_prime(self) -> np.ndarray:
-        return lift_eigenvector_reduced(self._require_v(), self.mu_prime, self.d)
-
-    def w(self, g, index: OrientedEdgeIndex | None = None) -> np.ndarray:
-        h = underlying_graph(g)
-        index = index or oriented_index(h)
-        if isinstance(h, RegularHypergraph):
-            return lift_eigenvector_nb_hyper(self._require_v(), self.mu, h, index)
-        return lift_eigenvector_nb(self._require_v(), self.mu, index)
-
-    def w_prime(self, g, index: OrientedEdgeIndex | None = None) -> np.ndarray:
-        h = underlying_graph(g)
-        index = index or oriented_index(h)
-        if isinstance(h, RegularHypergraph):
-            return lift_eigenvector_nb_hyper(self._require_v(), self.mu_prime, h, index)
-        return lift_eigenvector_nb(self._require_v(), self.mu_prime, index)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedSpectrum:
-    """All 2n eigenvalues of the reduced operator, as n lifted pairs (lambda descending)."""
+    """All 2n eigenvalues of the reduced operator, as n lifted pairs in arrays
+    (lambda descending), with each pair's diagnostics.
+
+    V holds the unit eigenvectors of A as columns when the spectrum was
+    computed, and is None when it was read back from a file.
+    """
 
     kind: str  # "regular" | "hypergraph" | "rsbm"
     n: int
     d: int
     k: "int | None"
-    pairs: tuple
+    lams: np.ndarray
+    mus: np.ndarray
+    mus_prime: np.ndarray
+    degenerate: np.ndarray
+    residual_u: np.ndarray
+    residual_u_prime: np.ndarray
+    ratio_v: np.ndarray
+    ratio_u: np.ndarray
+    ratio_u_prime: np.ndarray
+    V: "np.ndarray | None" = field(default=None, repr=False)
     d1: "int | None" = None
     d2: "int | None" = None
 
-    def mus(self) -> np.ndarray:
-        """The 2n lifted eigenvalues: mu of each pair, then mu_prime of each pair."""
-        return np.asarray(
-            [p.mu for p in self.pairs] + [p.mu_prime for p in self.pairs], dtype=np.complex128
-        )
+    @property
+    def model(self) -> LiftModel:
+        return LiftModel(self.d, self.k)
 
-    def lams(self) -> np.ndarray:
-        return np.asarray([p.lam for p in self.pairs], dtype=np.float64)
+    def eigenvalues(self) -> np.ndarray:
+        """The 2n lifted eigenvalues: mu of each pair, then mu' of each pair."""
+        return np.concatenate([self.mus, self.mus_prime])
 
 
 def _model_params(g) -> "tuple[str, int, int, int | None, int | None, int | None]":
@@ -395,76 +401,86 @@ def _model_params(g) -> "tuple[str, int, int, int | None, int | None, int | None
     return "regular", h.n, h.d, None, None, None
 
 
-def _lift_quadratic_params(d: int, k: "int | None") -> "tuple[float, float]":
-    """(shift, product): the lift quadratic is mu^2 - (lambda - shift) mu + product."""
-    if k is None:
-        return 0.0, float(d - 1)
-    return float(k - 2), float((d - 1) * (k - 1))
+#: rows per block of the u-residuals; keeps each (rows x n) temporary in cache
+U_BLOCK = 64
+
+
+def _u_residuals(AV: np.ndarray, V: np.ndarray, vnorms: np.ndarray, mus: np.ndarray, d: int, k: "int | None"):
+    """||B~ u - mu u|| / ||u|| of u = [v; c v], c = mu/(d-1), against the block operator.
+
+    B~ u - mu u = [((d-1)c - mu) v; c Av - (k-2) c v - (k-1) v - mu c v]
+    (k = 2 for a graph). AV and V are real, so the bottom block is formed as
+    its real and imaginary parts, in row blocks, with no complex temporary.
+    """
+    c = mus / (d - 1)
+    a, b = c.real, c.imag
+    mc = mus * c
+    bottom_sq = np.zeros(len(mus))
+    for r0 in range(0, len(V), U_BLOCK):
+        av, v = AV[r0 : r0 + U_BLOCK], V[r0 : r0 + U_BLOCK]
+        re = av * a
+        im = av * b
+        if k is None:
+            re -= v
+        else:
+            s = (k - 2) * v
+            re -= s * a
+            im -= s * b
+            re -= (k - 1) * v
+        re -= v * mc.real
+        im -= v * mc.imag
+        bottom_sq += np.einsum("ij,ij->j", re, re)
+        bottom_sq += np.einsum("ij,ij->j", im, im)
+    top = np.abs((d - 1) * c - mus) * vnorms
+    return np.sqrt(top**2 + bottom_sq) / (np.sqrt(1.0 + np.abs(c) ** 2) * vnorms)
 
 
 def full_lifted_spectrum(g) -> LiftedSpectrum:
     """Eigendecompose A and lift every eigenpair to the reduced operator.
 
-    Residuals of each lifted eigenvector are evaluated against the actual
-    block operator (sparse A), not the algebraic identity that produced them.
+    One product AV = A V with sparse A serves the eigen-certificate (as in
+    `symmetric_eigs`) and the residual of each lifted eigenvector, which is
+    evaluated against the actual block operator, not the algebraic identity
+    that produced it.
     """
     kind, n, d, k, d1, d2 = _model_params(g)
-    A = adjacency_matrix(g)
-    eigs = symmetric_eigs(A)
-    lams = np.asarray([p.lam for p in eigs])
-    V = np.column_stack([p.v for p in eigs])
-    shift, prod = _lift_quadratic_params(d, k)
-    roots = [_quad_roots(lam - shift, prod) for lam in lams]
-    mus = np.asarray([r[0] for r in roots], dtype=np.complex128)
-    mups = np.asarray([r[1] for r in roots], dtype=np.complex128)
-
-    As = sp.csr_matrix(A.astype(np.float64))
+    A, As = _symmetric_csr(adjacency_matrix(g))
+    lams, V = _eigh(A)
     AV = As @ V
-    vnorms = np.linalg.norm(V, axis=0)
-    vinfs = np.max(np.abs(V), axis=0)
+    _certify(AV, lams, V, _scale(lams))
+    mus, mups = LiftModel(d, k).roots(lams)
 
-    def u_residuals(muvec: np.ndarray, cols=slice(None)) -> np.ndarray:
-        c = muvec / (d - 1)
-        s = np.sqrt(1.0 + np.abs(c) ** 2)
-        Vc, vn = V[:, cols], vnorms[cols]
-        top = np.abs((d - 1) * c - muvec) * vn
-        if k is None:
-            R = AV[:, cols] * c[None, :] - Vc - Vc * (muvec * c)[None, :]
-        else:
-            R = AV[:, cols] * c[None, :] - (k - 2) * Vc * c[None, :] - (k - 1) * Vc - Vc * (muvec * c)[None, :]
-        bottom = np.linalg.norm(R, axis=0)
-        return np.sqrt(top**2 + bottom**2) / (s * vn)
+    vnorms = np.linalg.norm(V, axis=0)
+    vinfs = np.maximum(np.max(V, axis=0), -np.min(V, axis=0))
+
+    res_u = _u_residuals(AV, V, vnorms, mus, d, k)
+    # V and AV are real: where mu' = conj(mu) the residual is the conjugate one, same norm
+    res_up = res_u.copy()
+    own = np.flatnonzero(mups != np.conj(mus))
+    res_up[own] = _u_residuals(AV[:, own], V[:, own], vnorms[own], mups[own], d, k)
 
     def u_ratios(muvec: np.ndarray) -> np.ndarray:
         c = np.abs(muvec) / (d - 1)
         return np.maximum(1.0, c) * vinfs / (np.sqrt(1.0 + c**2) * vnorms)
 
-    res_u = u_residuals(mus)
-    # V and AV are real: where mu' = conj(mu) the residual is the conjugate one, same norm
-    res_up = res_u.copy()
-    own = np.flatnonzero(mups != np.conj(mus))
-    res_up[own] = u_residuals(mups[own], own)
-    ratio_u = u_ratios(mus)
-    ratio_up = u_ratios(mups)
-
-    pairs = tuple(
-        LiftedPair(
-            lam=float(lams[i]),
-            mu=complex(mus[i]),
-            mu_prime=complex(mups[i]),
-            degenerate=bool(mus[i] == mups[i]),
-            d=d,
-            k=k,
-            residual_u=float(res_u[i]),
-            residual_u_prime=float(res_up[i]),
-            ratio_v=float(vinfs[i] / vnorms[i]),
-            ratio_u=float(ratio_u[i]),
-            ratio_u_prime=float(ratio_up[i]),
-            v=V[:, i],
-        )
-        for i in range(len(eigs))
+    return LiftedSpectrum(
+        kind=kind,
+        n=n,
+        d=d,
+        k=k,
+        lams=lams,
+        mus=mus,
+        mus_prime=mups,
+        degenerate=mus == mups,
+        residual_u=res_u,
+        residual_u_prime=res_up,
+        ratio_v=vinfs / vnorms,
+        ratio_u=u_ratios(mus),
+        ratio_u_prime=u_ratios(mups),
+        V=V,
+        d1=d1,
+        d2=d2,
     )
-    return LiftedSpectrum(kind=kind, n=n, d=d, k=k, pairs=pairs, d1=d1, d2=d2)
 
 
 @dataclass(frozen=True)
@@ -544,17 +560,17 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     sparse B), the closed-form w norms, ratio monotonicity of u against v,
     the deterministic l_inf bound for conjugate-pair w's, and the Perron w
     ratio 1/sqrt(nd). keep_records=False drops the per-eigenvector records
-    (large corpora keep only the aggregates).
+    (large corpora keep only the aggregates). A given spectrum must carry
+    its eigenvectors (one read from a file does not).
     """
     h = underlying_graph(g)
     kind, n, d, k, _, _ = _model_params(g)
     spec = spectrum if spectrum is not None else full_lifted_spectrum(g)
-    lams = spec.lams()
-    mus = np.asarray([p.mu for p in spec.pairs], dtype=np.complex128)
-    mups = np.asarray([p.mu_prime for p in spec.pairs], dtype=np.complex128)
-    VT = np.vstack([p.v for p in spec.pairs])  # one eigenvector per row
-    shift, prod = _lift_quadratic_params(d, k)
-    q = prod
+    if spec.V is None:
+        raise ValueError("the audit needs the eigenvectors, which a spectrum read from a file lacks")
+    lams, mus, mups, V = spec.lams, spec.mus, spec.mus_prime, spec.V
+    model = LiftModel(d, k)
+    shift, q = model.shift, model.q
 
     vieta_sum_err = float(
         np.max(np.abs(mus + mups - (lams - shift)) / np.maximum(1.0, np.abs(lams - shift)))
@@ -566,36 +582,33 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     n_bulk = int(np.sum(bulk))
     circle_err = 0.0
     if n_bulk:
-        r = math.sqrt(q)
         circle_err = float(
             max(
-                np.max(np.abs(np.abs(mus[bulk]) - r)),
-                np.max(np.abs(np.abs(mups[bulk]) - r)),
+                np.max(np.abs(np.abs(mus[bulk]) - model.radius)),
+                np.max(np.abs(np.abs(mups[bulk]) - model.radius)),
             )
         )
 
-    resid_u_max = float(
-        max(max(p.residual_u for p in spec.pairs), max(p.residual_u_prime for p in spec.pairs))
-    )
+    resid_u_max = float(max(np.max(spec.residual_u), np.max(spec.residual_u_prime)))
 
     index = oriented_index(h)
     B = nonbacktracking_matrix(h, index)
     tails, heads = index.tails_heads()
     # hypergraph rows of W need each eigenvector's per-hyperedge sums
-    EST = None if k is None else np.ascontiguousarray(_hyperedge_sums(h, VT.T).T)
-    vinfs = np.asarray([p.ratio_v for p in spec.pairs])  # v is unit: ratio_v == ||v||_inf
+    EST = None if k is None else np.ascontiguousarray(_hyperedge_sums(h, V).T)
+    vinfs = spec.ratio_v  # v is unit: ratio_v == ||v||_inf
 
     # w-lift statistics (wnorm, winf, resid) of every pair, for mu and for mu'.
     # The factors G1, G2 (W = mu*G1 - G2) are real, so B is applied once per
     # block to them and the scalars enter after; and where mu' = conj(mu) the
     # W and residual of mu' are conjugates of those of mu, whose norms and
     # maxima are the same bits, so they are not computed again.
-    m = len(spec.pairs)
+    m = len(lams)
     wstats = np.empty((2, 3, m))
     own = np.flatnonzero(mups != np.conj(mus))
     for r0 in range(0, m, W_BLOCK):
         rows = slice(r0, min(r0 + W_BLOCK, m))
-        vt = VT[rows]
+        vt = np.ascontiguousarray(V[:, rows].T)  # one eigenvector per row
         if EST is None:
             G1, G2 = vt[:, heads], vt[:, tails]
         else:
@@ -610,8 +623,6 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
             j = mine - r0
             wstats[1][:, mine] = _w_row_stats(mups[mine], G1[j], G2[j], P[j], BG2[j])
 
-    trivial_vals = (1.0, -1.0) if k is None else (1.0, -(k - 1.0))
-
     resid_w_max = 0.0
     norm_paper_err = 0.0
     norm_general_err = 0.0
@@ -619,13 +630,17 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     skipped_trivial = 0
     skipped_zero = 0
     records: list = []
+    if k is None:
+        paper = d * d - lams**2
+    else:
+        paper = (k - 1) * (d + lams) * (d * (k - 1) - lams)
 
     for muvec, ratios_u, (wnorm, winf, resid) in (
-        (mus, [p.ratio_u for p in spec.pairs], wstats[0]),
-        (mups, [p.ratio_u_prime for p in spec.pairs], wstats[1]),
+        (mus, spec.ratio_u, wstats[0]),
+        (mups, spec.ratio_u_prime, wstats[1]),
     ):
         trivial = np.zeros(m, dtype=bool)
-        for t in trivial_vals:
+        for t in model.trivial:
             trivial |= np.abs(muvec - t) < TRIVIAL_TOL
         zero = (~trivial) & (wnorm < ZERO_W_TOL)
         ok = ~(trivial | zero)
@@ -635,13 +650,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
         skipped_zero += int(np.sum(zero))
         if np.any(ok):
             resid_w_max = max(resid_w_max, float(np.max(rel_resid[ok])))
-        if k is None:
-            general = d * (np.abs(muvec) ** 2 + 1.0) - 2.0 * lams * muvec.real
-            paper = d * d - lams**2
-        else:
-            s = (k - 2) * lams + (k - 1) * d
-            general = np.abs(muvec) ** 2 * s + (k - 1) ** 2 * d - 2.0 * muvec.real * (k - 1) * lams
-            paper = (k - 1) * (d + lams) * (d * (k - 1) - lams)
+        general = nb_norm_sq_graph(lams, muvec, d) if k is None else nb_norm_sq_hyper(lams, muvec, d, k)
         gerr = np.abs(wnorm**2 - general) / np.maximum(np.abs(general), 1.0)
         if np.any(ok):
             norm_general_err = max(norm_general_err, float(np.max(gerr[ok])))
@@ -673,16 +682,13 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
                     )
                 )
 
-    ratio_mono_violations = sum(
-        1
-        for p in spec.pairs
-        for r in (p.ratio_u, p.ratio_u_prime)
-        if r > p.ratio_v + 1e-12
+    ratio_mono_violations = int(
+        np.sum(spec.ratio_u > spec.ratio_v + 1e-12) + np.sum(spec.ratio_u_prime > spec.ratio_v + 1e-12)
     )
 
     # Perron lift from the exact all-ones eigenvector; ratio must be 1/sqrt(nd)
     perron_ratio_err = None
-    mu1 = float(q) if k else float(d - 1)
+    mu1 = model.perron[0]
     if abs(mu1 - 1.0) >= TRIVIAL_TOL:
         ones = np.full(n, 1.0 / math.sqrt(n))
         if k is None:

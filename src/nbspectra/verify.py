@@ -159,11 +159,6 @@ def _compare(z, lhs: LogDet, rhs_reduced: LogDet, rhs_adjacency: LogDet) -> Ihar
     )
 
 
-def _poles(k: int) -> tuple:
-    """Zeros of the scalar factor (z-1)^a (z+k-1)^b."""
-    return (1.0, -(k - 1.0))
-
-
 @dataclass(frozen=True)
 class IharaBassSystem:
     """Sparse operators and guard spectrum of one graph or hypergraph, built
@@ -214,7 +209,8 @@ def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassS
 
 def _check(system: IharaBassSystem, z: complex) -> IharaBassRecord:
     z = complex(z)
-    _guard(z, system.spectrum.mus(), _poles(system.k))
+    # the zeros of the scalar factor are B's trivial eigenvalues 1 and -(k-1)
+    _guard(z, system.spectrum.eigenvalues(), system.spectrum.model.trivial)
     B_z, reduced_z, poly = system.shifted(z)
     scalar = system.scalar(z)
     return _compare(z, logdet(B_z), scalar + logdet(reduced_z), scalar + logdet(poly))
@@ -257,12 +253,11 @@ def sample_z_points(g, count: int, seed: "int | Seed", spectrum: "LiftedSpectrum
     """Pseudo-random z in the annulus 0.1 <= |z| <= 2*sqrt(q) that avoid the
     near-singular guard (q = (d-1)(k-1), with k = 2 for graphs). The guard
     uses ``spectrum`` when given, else computes it."""
-    h = underlying_graph(g)
-    k = edge_size(h)
-    poles = _poles(k)
+    spec = full_lifted_spectrum(underlying_graph(g)) if spectrum is None else spectrum
+    poles = spec.model.trivial
     rng = as_seed(seed).generator()
-    mus = (full_lifted_spectrum(h) if spectrum is None else spectrum).mus()
-    rmax = 2.0 * math.sqrt((h.d - 1) * (k - 1))
+    mus = spec.eigenvalues()
+    rmax = 2.0 * spec.model.radius
     out: list = []
     attempts = 0
     while len(out) < count:

@@ -6,7 +6,12 @@ community recovery and the insider report from the full certified
 spectrum that the partial solves under test replaced, `quad_cdf` the
 per-segment adaptive quadrature that the closed-form CDFs under test
 replaced, and `sigma_reduced_eigenvector` the reduced-operator lift of
-the community vector.
+the community vector. `pairwise_lifted_spectrum` is the per-pair lift
+(one scalar quadratic and one `LiftedPair` per eigenvalue, complex
+residuals) that the array-backed `full_lifted_spectrum` replaced, with the
+scalar `quad_roots` and the one-pair lifts `lift_eigenvalue[_hyper]` and
+`lift_eigenvector_reduced`; `pairwise_spectrum_document` is the spectrum
+file it wrote.
 
 The characteristic polynomial is computed by the Faddeev-LeVerrier trace
 recursion in exact integer arithmetic, split into exact squarefree factors
@@ -17,17 +22,20 @@ code with the quadratic-lift path under test.
 
 import math
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import sympy
 from scipy import integrate
 from scipy.optimize import linear_sum_assignment
 
-from nbspectra.errors import AmbiguityError, MultiplicityError
+from nbspectra.errors import AmbiguityError, DegenerateError, MultiplicityError
+from nbspectra.io import FORMAT_VERSION
 from nbspectra.operators import adjacency_matrix
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
-from nbspectra.spectral import full_lifted_spectrum, symmetric_eigs
+from nbspectra.spectral import _model_params, full_lifted_spectrum, symmetric_eigs
 
 
 def dense_logdet(M) -> "tuple[float, float]":
@@ -68,15 +76,14 @@ def quad_cdf(model, xs) -> np.ndarray:
 def full_recovery(g) -> RecoveryResult:
     """`recover_communities` over the whole spectrum from `symmetric_eigs`
     (detectability is not checked)."""
-    eigs = symmetric_eigs(adjacency_matrix(g))
-    lams = np.asarray([p.lam for p in eigs])
+    lams, V, _ = symmetric_eigs(adjacency_matrix(g))
     perron = int(np.argmin(np.abs(lams - (g.d1 + g.d2))))
     target = float(g.d1 - g.d2)
-    cand = sorted((i for i in range(len(eigs)) if i != perron), key=lambda i: abs(lams[i] - target))
+    cand = sorted((i for i in range(len(lams)) if i != perron), key=lambda i: abs(lams[i] - target))
     best = cand[0]
     if abs(lams[cand[1]] - lams[best]) < 1e-6:
         raise AmbiguityError(f"eigenvalues {lams[best]} and {lams[cand[1]]} both lie near {target}")
-    v = eigs[best].v
+    v = V[:, best]
     sigma_hat = np.where(v >= 0.0, 1, -1)
     agree = float(np.mean(sigma_hat == np.asarray(g.sigma)))
     agreement = max(agree, 1.0 - agree)
@@ -93,7 +100,7 @@ def full_insider_report(g) -> InsiderGapReport:
     """`insider_gap_report` over all 2n lifted eigenvalues of the full
     certified spectrum (detectability and even d1 are not checked)."""
     pair = rsbm_mu2(g.d1, g.d2)
-    mus = full_lifted_spectrum(g).mus()
+    mus = full_lifted_spectrum(g).eigenvalues()
     specials = (float(g.d1 + g.d2 - 1), 1.0, float(pair.mu2.real), float(pair.mu2_prime.real))
     taken = np.zeros(len(mus), dtype=bool)
     for s in specials:
@@ -122,6 +129,160 @@ def sigma_reduced_eigenvector(g, mu: complex) -> np.ndarray:
     sigma = np.asarray(g.sigma, dtype=np.float64)
     u = np.concatenate([sigma.astype(np.complex128), (complex(mu) / (g.d1 + g.d2 - 1)) * sigma])
     return u / np.linalg.norm(u)
+
+
+def quad_roots(t: float, p: float) -> "tuple[complex, complex]":
+    """Roots of x^2 - t*x + p = 0, larger real part first (tie: +imag first).
+
+    Uses the product identity for the second root to avoid cancellation.
+    A discriminant within floating-point noise of zero is snapped to an
+    exact double root.
+    """
+    disc = t * t - 4.0 * p
+    if abs(disc) <= 1e-13 * max(1.0, t * t, 4.0 * abs(p)):
+        return complex(0.5 * t), complex(0.5 * t)
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        if t >= 0.0:
+            big = 0.5 * (t + s)
+            small = p / big if big != 0.0 else 0.5 * (t - s)
+            return complex(big), complex(small)
+        small = 0.5 * (t - s)
+        big = p / small
+        return complex(big), complex(small)
+    s = math.sqrt(-disc)
+    return complex(0.5 * t, 0.5 * s), complex(0.5 * t, -0.5 * s)
+
+
+def lift_eigenvalue(lam: float, d: int) -> "tuple[complex, complex]":
+    """The two eigenvalues of the reduced operator lifted from lambda (graph case)."""
+    if d < 2:
+        raise DegenerateError("lift requires d >= 2")
+    return quad_roots(float(lam), float(d - 1))
+
+
+def lift_eigenvalue_hyper(lam: float, d: int, k: int) -> "tuple[complex, complex]":
+    """Lifted eigenvalue pair for a (d, k)-regular hypergraph; k=2 matches the graph lift."""
+    if d < 2 or k < 2:
+        raise DegenerateError("lift requires d >= 2 and k >= 2")
+    return quad_roots(float(lam) - (k - 2), float((d - 1) * (k - 1)))
+
+
+def lift_eigenvector_reduced(v: np.ndarray, mu: complex, d: int) -> np.ndarray:
+    """Unit eigenvector [v; (mu/(d-1)) v] of the reduced operator."""
+    if d <= 1:
+        raise DegenerateError("reduced lift divides by d-1")
+    v = np.asarray(v)
+    c = complex(mu) / (d - 1)
+    u = np.concatenate([v.astype(np.complex128), c * v])
+    return u / np.linalg.norm(u)
+
+
+@dataclass(frozen=True)
+class LiftedPair:
+    """Eigenvalue lambda of A with its two lifted eigenvalues and diagnostics."""
+
+    lam: float
+    mu: complex
+    mu_prime: complex
+    degenerate: bool
+    d: int
+    k: "int | None" = None
+    residual_u: "float | None" = None
+    residual_u_prime: "float | None" = None
+    ratio_v: "float | None" = None
+    ratio_u: "float | None" = None
+    ratio_u_prime: "float | None" = None
+    v: "np.ndarray | None" = field(default=None, repr=False, compare=False)
+
+    def u(self) -> np.ndarray:
+        return lift_eigenvector_reduced(self.v, self.mu, self.d)
+
+    def u_prime(self) -> np.ndarray:
+        return lift_eigenvector_reduced(self.v, self.mu_prime, self.d)
+
+
+def pairwise_lifted_spectrum(g) -> tuple:
+    """One LiftedPair per eigenpair of `symmetric_eigs(A)` (lambda descending),
+    lifted pair by pair, with the u-residuals in complex arithmetic."""
+    kind, n, d, k, d1, d2 = _model_params(g)
+    A = adjacency_matrix(g)
+    lams, V, _ = symmetric_eigs(A)
+    shift, prod = (0.0, float(d - 1)) if k is None else (float(k - 2), float((d - 1) * (k - 1)))
+    roots = [quad_roots(lam - shift, prod) for lam in lams]
+    mus = np.asarray([r[0] for r in roots], dtype=np.complex128)
+    mups = np.asarray([r[1] for r in roots], dtype=np.complex128)
+
+    As = sp.csr_matrix(A.astype(np.float64))
+    AV = As @ V
+    vnorms = np.linalg.norm(V, axis=0)
+    vinfs = np.max(np.abs(V), axis=0)
+
+    def u_residuals(muvec: np.ndarray, cols=slice(None)) -> np.ndarray:
+        c = muvec / (d - 1)
+        s = np.sqrt(1.0 + np.abs(c) ** 2)
+        Vc, vn = V[:, cols], vnorms[cols]
+        top = np.abs((d - 1) * c - muvec) * vn
+        if k is None:
+            R = AV[:, cols] * c[None, :] - Vc - Vc * (muvec * c)[None, :]
+        else:
+            R = AV[:, cols] * c[None, :] - (k - 2) * Vc * c[None, :] - (k - 1) * Vc - Vc * (muvec * c)[None, :]
+        bottom = np.linalg.norm(R, axis=0)
+        return np.sqrt(top**2 + bottom**2) / (s * vn)
+
+    def u_ratios(muvec: np.ndarray) -> np.ndarray:
+        c = np.abs(muvec) / (d - 1)
+        return np.maximum(1.0, c) * vinfs / (np.sqrt(1.0 + c**2) * vnorms)
+
+    res_u = u_residuals(mus)
+    res_up = res_u.copy()
+    own = np.flatnonzero(mups != np.conj(mus))
+    res_up[own] = u_residuals(mups[own], own)
+    ratio_u = u_ratios(mus)
+    ratio_up = u_ratios(mups)
+    return tuple(
+        LiftedPair(
+            lam=float(lams[i]),
+            mu=complex(mus[i]),
+            mu_prime=complex(mups[i]),
+            degenerate=bool(mus[i] == mups[i]),
+            d=d,
+            k=k,
+            residual_u=float(res_u[i]),
+            residual_u_prime=float(res_up[i]),
+            ratio_v=float(vinfs[i] / vnorms[i]),
+            ratio_u=float(ratio_u[i]),
+            ratio_u_prime=float(ratio_up[i]),
+            v=V[:, i],
+        )
+        for i in range(len(lams))
+    )
+
+
+def pairwise_spectrum_document(g, pairs) -> dict:
+    """The spectrum file of `pairs` (from `pairwise_lifted_spectrum(g)`), as a JSON document."""
+    kind, n, d, k, d1, d2 = _model_params(g)
+    return {
+        "format": FORMAT_VERSION,
+        "model": kind,
+        "params": {"n": n, "d": d, "k": k, "d1": d1, "d2": d2},
+        "pairs": [
+            {
+                "lambda": p.lam,
+                "mu_re": p.mu.real,
+                "mu_im": p.mu.imag,
+                "mu_prime_re": p.mu_prime.real,
+                "mu_prime_im": p.mu_prime.imag,
+                "residual_u": p.residual_u,
+                "residual_u_prime": p.residual_u_prime,
+                "ratio_v": p.ratio_v,
+                "ratio_u": p.ratio_u,
+                "ratio_u_prime": p.ratio_u_prime,
+                "degenerate": p.degenerate,
+            }
+            for p in pairs
+        ],
+    }
 
 
 def _eye_obj(n: int) -> np.ndarray:

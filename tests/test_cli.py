@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -198,8 +197,8 @@ def test_rsbm_recover_ambiguity_error_exits_3(tmp_path, capsys, monkeypatch):
     extreme_eigs = nbspectra.rsbm.extreme_eigs
 
     def near_tie(A, target):
-        pairs = extreme_eigs(A, target)  # [Perron, target, next]
-        return pairs[:2] + [dataclasses.replace(pairs[2], lam=pairs[1].lam - 1e-7)]
+        vals, V, residuals = extreme_eigs(A, target)  # [Perron, target, next, ...]
+        return np.append(vals[:2], vals[1] - 1e-7), V[:, :3], residuals[:3]
 
     monkeypatch.setattr(nbspectra.rsbm, "extreme_eigs", near_tie)
     assert run(["rsbm-recover", "--n", "100", "--d1", "8", "--d2", "1", "--trials", "2", "--out", str(tmp_path / "r.json")]) == 3

@@ -19,7 +19,7 @@ from nbspectra.io import (
 )
 from nbspectra.measures import EmpiricalMeasure, project_real_parts
 from nbspectra.operators import nonbacktracking_matrix
-from nbspectra.spectral import full_lifted_spectrum
+from nbspectra.spectral import full_lifted_spectrum, spectrum_audit
 
 from conftest import named_graph
 
@@ -93,10 +93,9 @@ def test_spectrum_round_trip(tmp_path):
     write_spectrum(spec, p)
     back = read_spectrum(p)
     assert back.kind == "regular" and back.n == 16 and back.d == 3 and back.k is None
-    assert len(back.pairs) == len(spec.pairs)
-    for a, b in zip(spec.pairs, back.pairs):
-        assert a.lam == b.lam and a.mu == b.mu and a.mu_prime == b.mu_prime
-        assert a.ratio_u == b.ratio_u and a.degenerate == b.degenerate
+    assert len(back.lams) == len(spec.lams)
+    for name in ("lams", "mus", "mus_prime", "ratio_u", "degenerate"):
+        assert np.array_equal(getattr(back, name), getattr(spec, name)), name
     # values loaded from a file can still be projected
     m = project_real_parts(back, rescale="none", exclude_trivial=True)
     assert len(m) == 30
@@ -122,16 +121,31 @@ def _k_on_regular(doc):
     doc["params"]["k"] = 3
 
 
+def _drop_diagnostic(doc):
+    del doc["pairs"][5]["residual_u_prime"]
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_pairs, _nan_value, _swap_lambdas, _unknown_model, _k_on_regular]
+    "corrupt, error",
+    [
+        pytest.param(corrupt, error, id=corrupt.__name__)
+        for corrupt, error in [
+            (_drop_pairs, InvariantError),
+            (_nan_value, InvariantError),
+            (_swap_lambdas, InvariantError),
+            (_unknown_model, InvariantError),
+            (_k_on_regular, InvariantError),
+            (_drop_diagnostic, ParseError),
+        ]
+    ],
 )
-def test_spectrum_invariants_enforced(tmp_path, corrupt):
+def test_spectrum_invariants_enforced(tmp_path, corrupt, error):
     p = tmp_path / "s.json"
     write_spectrum(full_lifted_spectrum(sample_regular_graph(16, 3, 2)), p)
     doc = json.loads(p.read_text())
     corrupt(doc)
     p.write_text(json.dumps(doc))
-    with pytest.raises(InvariantError):
+    with pytest.raises(error):
         read_spectrum(p)
 
 
@@ -151,8 +165,9 @@ def test_spectrum_loaded_pairs_have_no_vectors(tmp_path):
     p = tmp_path / "s.json"
     write_spectrum(full_lifted_spectrum(g), p)
     back = read_spectrum(p)
+    assert back.V is None
     with pytest.raises(ValueError):
-        back.pairs[0].u()
+        spectrum_audit(g, spectrum=back)
 
 
 def test_histogram_csv(tmp_path):

@@ -215,9 +215,9 @@ def test_projection_modes_and_exclusion():
     assert any(abs(r - 1.0) < 1e-6 for r in removed)
     assert any(abs(r - 4.0) < 1e-6 for r in removed)
     # bulk lambda contributes lambda/2 twice
-    bulk = [p for p in spec.pairs if p.lam**2 < 4 * (g.d - 1)]
-    p = bulk[len(bulk) // 2]
-    hits = np.sum(np.abs(m.samples - p.lam / 2) < 1e-12)
+    bulk = spec.lams[spec.lams**2 < 4 * (g.d - 1)]
+    lam = bulk[len(bulk) // 2]
+    hits = np.sum(np.abs(m.samples - lam / 2) < 1e-12)
     assert hits >= 2
 
 
@@ -236,9 +236,9 @@ def test_projection_hypergraph_rescale_hits_normalized_adjacency():
     scaled = project_real_parts(spec, "hypergraph", True).samples
     # conjugate-pair real parts map to (lambda - (k-2))/sqrt(q)
     expected = []
-    for p in spec.pairs[1:]:
-        if (p.lam - (h.k - 2)) ** 2 <= 4 * q:
-            expected.append((p.lam - (h.k - 2)) / math.sqrt(q))
+    for lam in spec.lams[1:]:
+        if (lam - (h.k - 2)) ** 2 <= 4 * q:
+            expected.append((lam - (h.k - 2)) / math.sqrt(q))
     for e in expected:
         assert np.min(np.abs(scaled - e)) < 1e-9
 

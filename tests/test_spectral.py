@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbspectra.cli import main as cli_main
 from nbspectra.errors import DegenerateError, TrivialEigenvalueError, ZeroVectorError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
+from nbspectra.io import write_graph
 from nbspectra.operators import (
     adjacency_matrix,
     nonbacktracking_matrix,
@@ -14,14 +17,12 @@ from nbspectra.operators import (
     reduced_nb_matrix,
 )
 from nbspectra.spectral import (
+    _quad_roots,
     deterministic_deloc_bound,
     extreme_eigs,
     full_lifted_spectrum,
-    lift_eigenvalue,
-    lift_eigenvalue_hyper,
     lift_eigenvector_nb,
     lift_eigenvector_nb_hyper,
-    lift_eigenvector_reduced,
     nb_norm_sq_graph,
     nb_norm_sq_hyper,
     outlier_eigs,
@@ -30,33 +31,41 @@ from nbspectra.spectral import (
 )
 
 from conftest import ORACLE_CORPUS, named_graph
-from oracles import charpoly_roots, multiset_match_distance
+from oracles import (
+    charpoly_roots,
+    lift_eigenvalue,
+    lift_eigenvalue_hyper,
+    lift_eigenvector_reduced,
+    multiset_match_distance,
+    pairwise_lifted_spectrum,
+    pairwise_spectrum_document,
+    quad_roots,
+)
 
 
 # ---------------------------------------------------------------- eigensolver
 
 
 def test_eigs_k4(k4):
-    pairs = symmetric_eigs(adjacency_matrix(k4))
-    assert np.allclose([p.lam for p in pairs], [3, -1, -1, -1])
+    lams, _, _ = symmetric_eigs(adjacency_matrix(k4))
+    assert np.allclose(lams, [3, -1, -1, -1])
 
 
 def test_eigs_c3(c3):
-    pairs = symmetric_eigs(adjacency_matrix(c3))
-    assert np.allclose([p.lam for p in pairs], [2, -1, -1])
+    lams, _, _ = symmetric_eigs(adjacency_matrix(c3))
+    assert np.allclose(lams, [2, -1, -1])
 
 
 def test_eigs_perron_vector_is_constant(sampled_graphs):
     g = sampled_graphs[(20, 4)]
-    top = symmetric_eigs(adjacency_matrix(g))[0]
-    assert top.lam == pytest.approx(4.0, abs=1e-12)
-    v = top.v * np.sign(top.v[0])
+    lams, V, _ = symmetric_eigs(adjacency_matrix(g))
+    assert lams[0] == pytest.approx(4.0, abs=1e-12)
+    v = V[:, 0] * np.sign(V[0, 0])
     assert np.allclose(v, 1.0 / math.sqrt(g.n), atol=1e-10)
 
 
 def test_eigs_sorted_descending(sampled_graphs):
-    pairs = symmetric_eigs(adjacency_matrix(sampled_graphs[(30, 3)]))
-    lams = [p.lam for p in pairs]
+    lams = symmetric_eigs(adjacency_matrix(sampled_graphs[(30, 3)]))[0].tolist()
     assert lams == sorted(lams, reverse=True)
 
 
@@ -71,7 +80,7 @@ def test_extreme_eigs_falls_back_to_full_solve(eigsh_calls, name, target, ks):
     A = adjacency_matrix(named_graph(name))
     part = extreme_eigs(A, target)
     assert eigsh_calls == ks
-    assert np.array_equal([p.lam for p in part], [p.lam for p in symmetric_eigs(A)])
+    assert np.array_equal(part[0], symmetric_eigs(A)[0])
 
 
 def test_outlier_eigs_falls_back_to_full_solve(eigsh_calls, k4):
@@ -79,19 +88,49 @@ def test_outlier_eigs_falls_back_to_full_solve(eigsh_calls, k4):
     A = adjacency_matrix(k4)
     part = outlier_eigs(A, 0.5)
     assert eigsh_calls == []
-    assert np.array_equal([p.lam for p in part], [p.lam for p in symmetric_eigs(A)])
+    assert np.array_equal(part[0], symmetric_eigs(A)[0])
 
 
 def test_outlier_eigs_both_sides_match_full_solve(eigsh_calls):
     # (60, 2, 9): Perron 11 above the bulk edge 2 sqrt(10), d1-d2 = -7 below
     A = adjacency_matrix(sample_rsbm(60, 2, 9, 0))
-    part = outlier_eigs(A, 2.0 * math.sqrt(10))
-    full = [p.lam for p in symmetric_eigs(A) if abs(p.lam) > 2.0 * math.sqrt(10)]
+    part = outlier_eigs(A, 2.0 * math.sqrt(10))[0]
+    full = [lam for lam in symmetric_eigs(A)[0] if abs(lam) > 2.0 * math.sqrt(10)]
     assert len(eigsh_calls) == 2 and sum(eigsh_calls) == len(part)
-    assert np.allclose([p.lam for p in part], full, rtol=0, atol=1e-9)
+    assert np.allclose(part, full, rtol=0, atol=1e-9)
 
 
 # ------------------------------------------------------------ eigenvalue lift
+
+
+def _bits(z) -> bytes:
+    return np.asarray(z, dtype=np.complex128).tobytes()
+
+
+def test_vectorized_roots_match_scalar_bit_for_bit():
+    # bulk, real, edge-snapped (2 sqrt(p) +- 1e-15) and just-unsnapped values, both signs and -0.0
+    p = 4.0
+    edge = 2.0 * math.sqrt(p)
+    t = np.array(
+        [0.0, -0.0, 1.3, -1.3, 5.0, -5.0, 12.0, -12.0, edge, -edge, edge + 1e-15, edge - 1e-15,
+         edge + 1e-6, -edge - 1e-6, edge - 1e-6, 1e-300, -3.999999999999]
+    )
+    mu, mup = _quad_roots(t, p)
+    for i, ti in enumerate(t):
+        ref = quad_roots(float(ti), p)
+        assert _bits(mu[i]) == _bits(ref[0]) and _bits(mup[i]) == _bits(ref[1]), ti
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=1, max_size=20),
+    st.floats(min_value=0.5, max_value=100.0),
+)
+def test_vectorized_roots_match_scalar_property(ts, p):
+    mu, mup = _quad_roots(np.asarray(ts), p)
+    ref = [quad_roots(t, p) for t in ts]
+    assert _bits(mu) == _bits([r[0] for r in ref]) and _bits(mup) == _bits([r[1] for r in ref])
+
 
 
 def test_lift_perron_pair():
@@ -197,23 +236,26 @@ def test_reduced_lift_norm_factor_on_circle():
 def test_reduced_lift_residual_against_dense_operator(small_graph):
     g = small_graph
     Bt = reduced_nb_matrix(g)
-    for p in full_lifted_spectrum(g).pairs:
-        for mu, u in ((p.mu, p.u()), (p.mu_prime, p.u_prime())):
+    spec = full_lifted_spectrum(g)
+    for i in range(spec.n):
+        for mu in (spec.mus[i], spec.mus_prime[i]):
+            u = lift_eigenvector_reduced(spec.V[:, i], mu, g.d)
             assert np.linalg.norm(Bt @ u - mu * u) <= 1e-10
 
 
 def test_reduced_lift_residual_hyper(hyper923):
     Bt = reduced_nb_matrix(hyper923)
-    for p in full_lifted_spectrum(hyper923).pairs:
-        assert np.linalg.norm(Bt @ p.u() - p.mu * p.u()) <= 1e-10
-        assert np.linalg.norm(Bt @ p.u_prime() - p.mu_prime * p.u_prime()) <= 1e-10
+    spec = full_lifted_spectrum(hyper923)
+    for i in range(spec.n):
+        for mu in (spec.mus[i], spec.mus_prime[i]):
+            u = lift_eigenvector_reduced(spec.V[:, i], mu, hyper923.d)
+            assert np.linalg.norm(Bt @ u - mu * u) <= 1e-10
 
 
 def test_reduced_lift_ratio_never_exceeds_v(sampled_graphs):
     spec = full_lifted_spectrum(sampled_graphs[(20, 4)])
-    for p in spec.pairs:
-        assert p.ratio_u <= p.ratio_v + 1e-12
-        assert p.ratio_u_prime <= p.ratio_v + 1e-12
+    assert np.all(spec.ratio_u <= spec.ratio_v + 1e-12)
+    assert np.all(spec.ratio_u_prime <= spec.ratio_v + 1e-12)
 
 
 def test_reduced_lift_rejects_d1():
@@ -226,26 +268,25 @@ def test_reduced_lift_rejects_d1():
 
 def test_nb_lift_k4_norm_by_explicit_summation(k4):
     # lambda = -1, d = 3: sum over the 12 oriented edges must equal d^2 - lambda^2 = 8
-    pairs = symmetric_eigs(adjacency_matrix(k4))
-    p = pairs[1]
-    assert p.lam == pytest.approx(-1.0)
-    mu, _ = lift_eigenvalue(p.lam, 3)
+    lams, V, _ = symmetric_eigs(adjacency_matrix(k4))
+    lam, v = lams[1], V[:, 1]
+    assert lam == pytest.approx(-1.0)
+    mu, _ = lift_eigenvalue(lam, 3)
     idx = oriented_index(k4)
     total = 0.0
     for u_, v_ in idx.items:
-        total += abs(mu * p.v[v_] - p.v[u_]) ** 2
+        total += abs(mu * v[v_] - v[u_]) ** 2
     assert total == pytest.approx(8.0, rel=1e-10)
-    w = lift_eigenvector_nb(p.v, mu, idx)
+    w = lift_eigenvector_nb(v, mu, idx)
     assert np.linalg.norm(w) ** 2 == pytest.approx(8.0, rel=1e-10)
 
 
 def test_nb_lift_c3_residual_machine_precision(c3):
-    pairs = symmetric_eigs(adjacency_matrix(c3))
-    p = pairs[1]
-    assert p.lam == pytest.approx(-1.0)
-    mu, _ = lift_eigenvalue(p.lam, 2)
+    lams, V, _ = symmetric_eigs(adjacency_matrix(c3))
+    assert lams[1] == pytest.approx(-1.0)
+    mu, _ = lift_eigenvalue(lams[1], 2)
     idx = oriented_index(c3)
-    w = lift_eigenvector_nb(p.v, mu, idx)
+    w = lift_eigenvector_nb(V[:, 1], mu, idx)
     B = nonbacktracking_matrix(c3, idx).toarray()
     assert np.linalg.norm(B @ w - mu * w) <= 1e-12
 
@@ -279,12 +320,11 @@ def test_nb_lift_hyper_matches_graph_at_k2():
     from nbspectra.graphs import RegularGraph
 
     g = RegularGraph(n=8, d=3, edges=h.hyperedges)
-    pairs = symmetric_eigs(adjacency_matrix(g))
-    p = pairs[3]
-    mu, _ = lift_eigenvalue(p.lam, 3)
-    wg = lift_eigenvector_nb(p.v, mu, oriented_index(g))
+    lams, V, _ = symmetric_eigs(adjacency_matrix(g))
+    mu, _ = lift_eigenvalue(lams[3], 3)
+    wg = lift_eigenvector_nb(V[:, 3], mu, oriented_index(g))
     idxh = oriented_index(h)
-    wh = lift_eigenvector_nb_hyper(p.v, mu, h, idxh)
+    wh = lift_eigenvector_nb_hyper(V[:, 3], mu, h, idxh)
     # same index ordering: (v, rank of edge) sorts like oriented (v, other) here
     assert wh.shape == wg.shape
     assert np.linalg.norm(wh) == pytest.approx(np.linalg.norm(wg), rel=1e-12)
@@ -295,10 +335,10 @@ def test_nb_lift_hyper_residual(hyper923):
     idx = oriented_index(h)
     B = nonbacktracking_matrix(h, idx)
     spec = full_lifted_spectrum(h)
-    for p in spec.pairs[1:]:
-        w = lift_eigenvector_nb_hyper(p.v, p.mu, h, idx)
-        assert np.linalg.norm(B @ w - p.mu * w) / np.linalg.norm(w) <= 1e-10
-        exp = nb_norm_sq_hyper(p.lam, p.mu, h.d, h.k)
+    for lam, mu, v in zip(spec.lams[1:], spec.mus[1:], spec.V.T[1:]):
+        w = lift_eigenvector_nb_hyper(v, mu, h, idx)
+        assert np.linalg.norm(B @ w - mu * w) / np.linalg.norm(w) <= 1e-10
+        exp = nb_norm_sq_hyper(lam, mu, h.d, h.k)
         assert np.linalg.norm(w) ** 2 == pytest.approx(exp, rel=1e-8)
 
 
@@ -340,12 +380,13 @@ def test_bound_degenerate_cases():
 def test_bound_dominates_measured_ratio_on_sample():
     g = sample_regular_graph(60, 3, 9)
     idx = oriented_index(g)
-    for p in full_lifted_spectrum(g).pairs:
-        if (p.lam**2 > 4 * (g.d - 1)) or abs(abs(p.lam) - g.d) < 1e-9:
+    spec = full_lifted_spectrum(g)
+    for lam, mu, v in zip(spec.lams, spec.mus, spec.V.T):
+        if (lam**2 > 4 * (g.d - 1)) or abs(abs(lam) - g.d) < 1e-9:
             continue
-        w = lift_eigenvector_nb(p.v, p.mu, idx)
+        w = lift_eigenvector_nb(v, mu, idx)
         ratio = np.max(np.abs(w)) / np.linalg.norm(w)
-        bound = deterministic_deloc_bound(p.lam, p.mu, g.d, None, float(np.max(np.abs(p.v))))
+        bound = deterministic_deloc_bound(lam, mu, g.d, None, float(np.max(np.abs(v))))
         assert ratio <= bound + 1e-12
 
 
@@ -354,7 +395,7 @@ def test_bound_dominates_measured_ratio_on_sample():
 
 def test_full_spectrum_k4(k4):
     spec = full_lifted_spectrum(k4)
-    mus = spec.mus()
+    mus = spec.eigenvalues()
     s7 = math.sqrt(7)
     expected = [2, 1] + [complex(-0.5, s7 / 2)] * 3 + [complex(-0.5, -s7 / 2)] * 3
     assert multiset_match_distance(mus, expected) < 1e-10
@@ -366,7 +407,7 @@ def test_full_spectrum_k4(k4):
 def test_full_spectrum_c3_matches_reduced_matrix(c3):
     spec = full_lifted_spectrum(c3)
     roots = charpoly_roots(reduced_nb_matrix(c3).astype(int))
-    assert multiset_match_distance(spec.mus(), roots) < 1e-8
+    assert multiset_match_distance(spec.eigenvalues(), roots) < 1e-8
 
 
 @pytest.mark.parametrize("name", ORACLE_CORPUS)
@@ -374,26 +415,69 @@ def test_small_instance_oracle(name):
     g = named_graph(name)
     spec = full_lifted_spectrum(g)
     roots = charpoly_roots(reduced_nb_matrix(g).astype(int))
-    assert multiset_match_distance(spec.mus(), roots) < 1e-8
+    assert multiset_match_distance(spec.eigenvalues(), roots) < 1e-8
 
 
 def test_small_instance_oracle_sampled(sampled_graphs):
     g = sampled_graphs[(8, 3)]
     spec = full_lifted_spectrum(g)
     roots = charpoly_roots(reduced_nb_matrix(g).astype(int))
-    assert multiset_match_distance(spec.mus(), roots) < 1e-8
+    assert multiset_match_distance(spec.eigenvalues(), roots) < 1e-8
 
 
 def test_small_instance_oracle_hypergraph(hyper923):
     spec = full_lifted_spectrum(hyper923)
     roots = charpoly_roots(reduced_nb_matrix(hyper923).astype(int))
-    assert multiset_match_distance(spec.mus(), roots) < 1e-8
+    assert multiset_match_distance(spec.eigenvalues(), roots) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_regular_graph(300, 5, 1),
+        lambda: sample_regular_hypergraph(90, 3, 3, 1),
+        lambda: sample_rsbm(400, 12, 4, 1),
+    ],
+    ids=["regular-300-5", "hypergraph-90-3-3", "rsbm-400-12-4"],
+)
+def test_lifted_spectrum_matches_pairwise_oracle(make, tmp_path):
+    g = make()
+    spec = full_lifted_spectrum(g)
+    pairs = pairwise_lifted_spectrum(g)
+    exact = {
+        "lam": spec.lams,
+        "mu": spec.mus,
+        "mu_prime": spec.mus_prime,
+        "degenerate": spec.degenerate,
+        "ratio_v": spec.ratio_v,
+        "ratio_u": spec.ratio_u,
+        "ratio_u_prime": spec.ratio_u_prime,
+    }
+    for name, arr in exact.items():
+        ref = np.asarray([getattr(p, name) for p in pairs], dtype=arr.dtype)
+        assert arr.tobytes() == ref.tobytes(), name
+    for name in ("residual_u", "residual_u_prime"):
+        ref = np.asarray([getattr(p, name) for p in pairs])
+        assert np.max(np.abs(getattr(spec, name) - ref)) <= 1e-15, name
+
+    # the spectrum file differs from the per-pair one at most in the residual fields
+    graph, out = tmp_path / "g.json", tmp_path / "s.json"
+    write_graph(g, graph)
+    assert cli_main(["spectrum", "--in", str(graph), "--out", str(out)]) == 0
+    got, want = json.loads(out.read_text()), pairwise_spectrum_document(g, pairs)
+    residuals = {"residual_u", "residual_u_prime"}
+    for a, b in zip(got["pairs"], want["pairs"]):
+        assert max(abs(a[key] - b[key]) for key in residuals) <= 1e-15
+        for rec in (a, b):
+            for key in residuals:
+                del rec[key]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_degenerate_flag_set_on_exact_double_root():
     # lambda = 2 = 2*sqrt(d-1) for d = 2: C4 has lambda in {2, 0, 0, -2}
     spec = full_lifted_spectrum(named_graph("C4"))
-    flags = {round(p.lam, 9): p.degenerate for p in spec.pairs}
+    flags = dict(zip(np.round(spec.lams, 9).tolist(), spec.degenerate.tolist()))
     assert flags[2.0] and flags[-2.0]
     assert not flags[0.0]
 
@@ -402,18 +486,17 @@ def test_degenerate_flag_means_snapped_roots():
     # lambda = -2.999999999999142 sits 8.6e-13 inside the edge -d: its roots
     # mu = -2 +- 1.31e-6 i are not snapped, so the pair is not degenerate
     spec = full_lifted_spectrum(sample_regular_hypergraph(900, 3, 3, 1732846562))
-    assert all(p.degenerate == (p.mu == p.mu_prime) for p in spec.pairs)
-    edge = min(spec.pairs, key=lambda p: p.lam)
-    assert edge.lam == pytest.approx(-3.0, abs=1e-11)
-    assert edge.mu != edge.mu_prime and not edge.degenerate
+    assert np.array_equal(spec.degenerate, spec.mus == spec.mus_prime)
+    edge = int(np.argmin(spec.lams))
+    assert spec.lams[edge] == pytest.approx(-3.0, abs=1e-11)
+    assert spec.mus[edge] != spec.mus_prime[edge] and not spec.degenerate[edge]
 
 
 def test_vieta_holds_for_all_pairs(sampled_graphs):
     g = sampled_graphs[(50, 4)] if (50, 4) in sampled_graphs else sampled_graphs[(20, 4)]
     spec = full_lifted_spectrum(g)
-    for p in spec.pairs:
-        assert abs(p.mu + p.mu_prime - p.lam) <= 1e-10 * max(1.0, abs(p.lam))
-        assert abs(p.mu * p.mu_prime - (g.d - 1)) <= 1e-10 * (g.d - 1)
+    assert np.all(np.abs(spec.mus + spec.mus_prime - spec.lams) <= 1e-10 * np.maximum(1.0, np.abs(spec.lams)))
+    assert np.all(np.abs(spec.mus * spec.mus_prime - (g.d - 1)) <= 1e-10 * (g.d - 1))
 
 
 # ------------------------------------------------------------------- audit
@@ -441,9 +524,10 @@ def test_norm_identity_general_vs_conjugate_domain():
     d = 9
     idx = oriented_index(g.graph)
     spec = full_lifted_spectrum(g)
-    insider = min(spec.pairs, key=lambda p: abs(p.lam - 7))
-    assert insider.lam == pytest.approx(7.0, abs=1e-9)
-    w = lift_eigenvector_nb(insider.v, insider.mu, idx)
+    i = int(np.argmin(np.abs(spec.lams - 7)))
+    lam, mu = spec.lams[i], spec.mus[i]
+    assert lam == pytest.approx(7.0, abs=1e-9)
+    w = lift_eigenvector_nb(spec.V[:, i], mu, idx)
     nsq = float(np.linalg.norm(w) ** 2)
-    assert nsq == pytest.approx(nb_norm_sq_graph(insider.lam, insider.mu, d), rel=1e-9)
-    assert abs(nsq - (d * d - insider.lam**2)) > 1.0  # paper form does not apply here
+    assert nsq == pytest.approx(nb_norm_sq_graph(lam, mu, d), rel=1e-9)
+    assert abs(nsq - (d * d - lam**2)) > 1.0  # paper form does not apply here
