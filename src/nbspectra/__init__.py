@@ -77,9 +77,9 @@ from .spectral import (
 from .verify import (
     IharaBassSystem,
     LogDet,
-    eigen_residual,
     ihara_bass_check,
     ihara_bass_check_hyper,
+    ihara_bass_checks,
     ihara_bass_report,
     ihara_bass_system,
     logdet,

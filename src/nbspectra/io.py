@@ -7,6 +7,7 @@ separators) so equal objects produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,6 +87,18 @@ def write_graph(g, path) -> None:
     _write_text(path, _dumps(graph_document(g)))
 
 
+def _int_rows(rows) -> tuple:
+    """Equal-length lists of integers as a tuple of int tuples, from one
+    `int` pass over the flattened values (rows of unequal or zero length are
+    malformed)."""
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows) or (rows and width == 0):
+        raise ValueError("rows of unequal or zero length")
+    values = map(int, itertools.chain.from_iterable(rows))
+    return tuple(zip(*[values] * width))
+
+
 def read_graph(path):
     """Load a graph/hypergraph/RSBM file; the full degree audit runs before
     the object is returned (InvariantError on failure)."""
@@ -96,16 +109,14 @@ def read_graph(path):
             g = RegularGraph(
                 n=int(_require(obj, "n", path)),
                 d=int(_require(obj, "d", path)),
-                edges=tuple(tuple(int(x) for x in e) for e in _require(obj, "edges", path)),
+                edges=_int_rows(_require(obj, "edges", path)),
             )
         elif model == "hypergraph":
             g = RegularHypergraph(
                 n=int(_require(obj, "n", path)),
                 d=int(_require(obj, "d", path)),
                 k=int(_require(obj, "k", path)),
-                hyperedges=tuple(
-                    tuple(int(x) for x in e) for e in _require(obj, "hyperedges", path)
-                ),
+                hyperedges=_int_rows(_require(obj, "hyperedges", path)),
             )
         elif model == "rsbm":
             n = int(_require(obj, "n", path))
@@ -119,12 +130,12 @@ def read_graph(path):
                 graph=RegularGraph(
                     n=n,
                     d=d1 + d2,
-                    edges=tuple(tuple(int(x) for x in e) for e in _require(obj, "edges", path)),
+                    edges=_int_rows(_require(obj, "edges", path)),
                 ),
             )
         else:
             raise ParseError(f"{path}: unknown model {model!r}")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         if isinstance(e, (ParseError, InvariantError)):
             raise
         raise ParseError(f"{path}: malformed field ({e})") from e

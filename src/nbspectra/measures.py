@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, IntegrationError, InvariantError
 from .spectral import LiftModel
@@ -306,14 +305,6 @@ def ks_distance(m: EmpiricalMeasure, model) -> float:
     hi = np.abs(np.arange(1, n + 1) / n - F)
     lo = np.abs(np.arange(0, n) / n - F)
     return float(max(np.max(hi), np.max(lo)))
-
-
-def model_quantile(model, p: float) -> float:
-    """Inverse CDF by bisection (p strictly inside (0, 1))."""
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile level must be in (0, 1)")
-    a, b = model.support
-    return float(optimize.brentq(lambda x: density_cdf(model, x) - p, a, b, xtol=1e-12))
 
 
 def consistency_check_k2(d_values=(3, 5), grid_points: int = 401, alpha: float = 1e4) -> dict:

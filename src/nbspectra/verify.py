@@ -7,19 +7,29 @@ phase mod 2*pi carry the same information and stay bounded.
 
 Every determinant is a sparse LU factorization: B is nd x nd with about
 d(k-1) nonzeros per row, and a dense copy would cost 16 (nd)^2 bytes.
+
+The checks run in two lanes: det(B - zI) in the calling thread and the
+reduced side in one worker, while every loaded OpenBLAS is held at one
+thread. SuperLU releases the GIL, and otherwise hands its small supernodal
+panels to threaded BLAS, which costs about twice the CPU for the same
+wall time.
 """
 
 from __future__ import annotations
 
 import cmath
+import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NearSingularError, SingularError, ZeroVectorError
+from .errors import NearSingularError, SingularError
 from .graphs import RegularGraph, RegularHypergraph
 from .operators import (
     adjacency_matrix,
@@ -176,16 +186,16 @@ class IharaBassSystem:
     A: sp.csr_matrix
     k: int
 
-    def shifted(self, z: complex) -> tuple:
-        """The three sparse matrices whose determinants the identity compares:
-        B - zI, reduced - zI and the quadratic polynomial in A."""
+    def lhs_matrix(self, z: complex) -> sp.csr_matrix:
+        """B - zI, the left-hand side of the identity."""
+        return self.B - z * sp.identity(self.B.shape[0])
+
+    def rhs_matrices(self, z: complex) -> tuple:
+        """reduced - zI and the quadratic polynomial in A, the two right-hand
+        sides of the identity (each without the scalar factor)."""
         n, d, k = self.graph.n, self.graph.d, self.k
         poly = (z * z + (k - 2) * z + (k - 1) * (d - 1)) * sp.identity(n) - z * self.A
-        return (
-            self.B - z * sp.identity(self.B.shape[0]),
-            self.reduced - z * sp.identity(2 * n),
-            poly,
-        )
+        return self.reduced - z * sp.identity(2 * n), poly
 
     def scalar(self, z: complex) -> LogDet:
         """log of (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n}."""
@@ -207,46 +217,118 @@ def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassS
     )
 
 
-def _check(system: IharaBassSystem, z: complex) -> IharaBassRecord:
-    z = complex(z)
-    # the zeros of the scalar factor are B's trivial eigenvalues 1 and -(k-1)
-    _guard(z, system.spectrum.eigenvalues(), system.spectrum.model.trivial)
-    B_z, reduced_z, poly = system.shifted(z)
-    scalar = system.scalar(z)
-    return _compare(z, logdet(B_z), scalar + logdet(reduced_z), scalar + logdet(poly))
+#: (get, set) thread-count symbol names, by build prefix and symbol suffix
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("", "64_")
+)
+
+
+def _openblas_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS the process has loaded.
+
+    As threadpoolctl does, the libraries are found among the process's
+    mapped files, and each build exports the pair under its own prefix and
+    symbol suffix: scipy's wheel as ``scipy_openblas_set_num_threads``,
+    numpy's 64-bit-integer one as ``scipy_openblas_set_num_threads64_``.
+    ``openblas_set_num_threads_local`` is not used: it changes the global
+    count too. Empty where /proc/self/maps cannot be read.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in f if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        if not os.path.basename(path).startswith(("libopenblas", "libscipy_openblas")):
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def single_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, and restore each library's
+    previous count on exit, on error too. Yields whether any was found.
+
+    The counts are process-wide, so two of these must not overlap in time
+    from different threads: the later one would restore the pinned count.
+    """
+    saved = [(put, get()) for get, put in _openblas_controls()]
+    try:
+        for put, _ in saved:
+            put(1)
+        yield bool(saved)
+    finally:
+        for put, count in saved:
+            put(count)
+
+
+def _lhs_lane(system: IharaBassSystem, zs: list) -> list:
+    return [logdet(system.lhs_matrix(z)) for z in zs]
+
+
+def _rhs_lane(system: IharaBassSystem, zs: list) -> list:
+    out = []
+    for z in zs:
+        scalar = system.scalar(z)
+        reduced_z, poly = system.rhs_matrices(z)
+        out.append((scalar + logdet(reduced_z), scalar + logdet(poly)))
+    return out
+
+
+def ihara_bass_checks(system: IharaBassSystem, zs) -> list:
+    """Compare det(B - zI) against (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n}
+    det(reduced - zI) and the equivalent quadratic form in A, in log space,
+    at every z of ``zs``; one record per z, in order.
+
+    Every z is guarded before any factorization. det(B - zI) is factored in
+    the calling thread and the reduced side in one worker, under
+    `single_blas_thread`; with no OpenBLAS to pin, both run in the caller.
+    """
+    zs = [complex(z) for z in zs]
+    mus = system.spectrum.eigenvalues()
+    for z in zs:
+        # the zeros of the scalar factor are B's trivial eigenvalues 1 and -(k-1)
+        _guard(z, mus, system.spectrum.model.trivial)
+    with single_blas_thread() as pinned:
+        if pinned:
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                rhs = worker.submit(_rhs_lane, system, zs)
+                lhs = _lhs_lane(system, zs)
+                rhs = rhs.result()
+        else:
+            lhs, rhs = _lhs_lane(system, zs), _rhs_lane(system, zs)
+    return [_compare(z, left, *right) for z, left, right in zip(zs, lhs, rhs)]
 
 
 def ihara_bass_check(g, z: complex, spectrum=None) -> IharaBassRecord:
-    """Compare det(B - zI) against (z^2-1)^{|E|-n} det(reduced - zI) and the
-    equivalent quadratic form in A, all in log space.
+    """`ihara_bass_checks` at the one point ``z``.
 
     ``g`` is a graph, hypergraph or RSBM, or an `IharaBassSystem` that
     carries its operators and spectrum across many z points (``spectrum``
-    is then unused). Hypergraphs go to `ihara_bass_check_hyper`.
+    is then unused).
     """
     system = g if isinstance(g, IharaBassSystem) else ihara_bass_system(g, spectrum)
-    if isinstance(system.graph, RegularHypergraph):
-        return ihara_bass_check_hyper(system, z)
-    return _check(system, z)
+    return ihara_bass_checks(system, [z])[0]
 
 
 def ihara_bass_check_hyper(H, z: complex, spectrum=None) -> IharaBassRecord:
-    """Hypergraph identity: det(B - zI) =
-    (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI).
-
-    ``H`` is a hypergraph or its `IharaBassSystem`, as in `ihara_bass_check`.
-    """
-    system = H if isinstance(H, IharaBassSystem) else ihara_bass_system(H, spectrum)
-    return _check(system, z)
-
-
-def eigen_residual(M, mu: complex, w: np.ndarray) -> float:
-    """Relative eigen-residual ||M w - mu w|| / ||w||; M dense or sparse."""
-    w = np.asarray(w)
-    nw = np.linalg.norm(w)
-    if nw < 1e-300:
-        raise ZeroVectorError("w must be nonzero")
-    return float(np.linalg.norm(M @ w - complex(mu) * w) / nw)
+    """`ihara_bass_check` for a hypergraph ``H`` or its `IharaBassSystem`:
+    det(B - zI) = (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI)."""
+    return ihara_bass_check(H, z, spectrum)
 
 
 def sample_z_points(g, count: int, seed: "int | Seed", spectrum: "LiftedSpectrum | None" = None) -> list:
@@ -283,5 +365,5 @@ def ihara_bass_report(g, trials: int = 8, seed: "int | Seed" = 0) -> "tuple[list
     """
     system = ihara_bass_system(g)
     zs = sample_z_points(system.graph, trials, seed, spectrum=system.spectrum)
-    records = [ihara_bass_check(system, z) for z in zs]
+    records = ihara_bass_checks(system, zs)
     return records, all(r.ok for r in records)

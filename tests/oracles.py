@@ -6,7 +6,10 @@ community recovery and the insider report from the full certified
 spectrum that the partial solves under test replaced, `quad_cdf` the
 per-segment adaptive quadrature that the closed-form CDFs under test
 replaced, and `sigma_reduced_eigenvector` the reduced-operator lift of
-the community vector. `pairwise_lifted_spectrum` is the per-pair lift
+the community vector. `model_quantile` is the inverse CDF by root
+finding, `eigen_residual` a relative eigen-residual, and
+`serial_ihara_bass_checks` the one-z-at-a-time determinant check that the
+two-lane `ihara_bass_checks` under test replaced. `pairwise_lifted_spectrum` is the per-pair lift
 (one scalar quadratic and one `LiftedPair` per eigenvalue, complex
 residuals) that the array-backed `full_lifted_spectrum` replaced, with the
 scalar `quad_roots` and the one-pair lifts `lift_eigenvalue[_hyper]` and
@@ -29,13 +32,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import sympy
 from scipy import integrate
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 
-from nbspectra.errors import AmbiguityError, DegenerateError, MultiplicityError
+from nbspectra.errors import AmbiguityError, DegenerateError, DomainError, MultiplicityError, ZeroVectorError
 from nbspectra.io import FORMAT_VERSION
+from nbspectra.measures import density_cdf
 from nbspectra.operators import adjacency_matrix
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
 from nbspectra.spectral import _model_params, full_lifted_spectrum, symmetric_eigs
+from nbspectra.verify import _compare, logdet
 
 
 def dense_logdet(M) -> "tuple[float, float]":
@@ -71,6 +76,35 @@ def quad_cdf(model, xs) -> np.ndarray:
             prev = x
         F[i] = acc
     return F
+
+
+def model_quantile(model, p: float) -> float:
+    """Inverse CDF by bisection (p strictly inside (0, 1))."""
+    if not 0.0 < p < 1.0:
+        raise DomainError("quantile level must be in (0, 1)")
+    a, b = model.support
+    return float(brentq(lambda x: density_cdf(model, x) - p, a, b, xtol=1e-12))
+
+
+def eigen_residual(M, mu: complex, w: np.ndarray) -> float:
+    """Relative eigen-residual ||M w - mu w|| / ||w||; M dense or sparse."""
+    w = np.asarray(w)
+    nw = np.linalg.norm(w)
+    if nw < 1e-300:
+        raise ZeroVectorError("w must be nonzero")
+    return float(np.linalg.norm(M @ w - complex(mu) * w) / nw)
+
+
+def serial_ihara_bass_checks(system, zs) -> list:
+    """The determinant check one z at a time, every factorization in the
+    calling thread; same arithmetic as `ihara_bass_checks`."""
+    records = []
+    for z in map(complex, zs):
+        reduced_z, poly = system.rhs_matrices(z)
+        scalar = system.scalar(z)
+        lhs = logdet(system.lhs_matrix(z))
+        records.append(_compare(z, lhs, scalar + logdet(reduced_z), scalar + logdet(poly)))
+    return records
 
 
 def full_recovery(g) -> RecoveryResult:

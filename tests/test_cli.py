@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,30 @@ def test_verify_explicit_z(tmp_path, capsys):
     assert run(["verify", "--in", str(g), "--z", "0.3+0.4i"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["trials"] == 1 and doc["all_ok"]
+
+
+def test_verify_guards_every_z_before_factoring(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    run(["gen", "--model", "regular", "--n", "4", "--d", "3", "--out", str(g)])
+    calls = []
+    original = nbspectra.verify.logdet
+
+    def counted(M):
+        calls.append(1)
+        return original(M)
+
+    monkeypatch.setattr(nbspectra.verify, "logdet", counted)
+    assert run(["verify", "--in", str(g), "--z", "0.3+0.4i", "--z", "1.0"]) == 2
+    assert "NearSingularError" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, nbspectra.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_computes_spectrum_once(tmp_path, monkeypatch):

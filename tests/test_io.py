@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nbspectra.cli import main as cli_main
 from nbspectra.errors import InvariantError, ParseError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.io import (
@@ -84,6 +85,34 @@ def test_unknown_model_rejected(tmp_path):
     p.write_text('{"model": "weighted", "n": 4, "d": 3, "edges": []}')
     with pytest.raises(ParseError):
         read_graph(p)
+
+
+@pytest.mark.parametrize(
+    "model,field,value",
+    [
+        ("regular", "edges", [[0, "x"]]),
+        ("regular", "edges", [[0, None]]),
+        ("regular", "edges", [[0, [1]]]),
+        ("regular", "edges", [0, 1]),
+        ("regular", "edges", [[0, float("inf")]]),
+        ("hypergraph", "hyperedges", [[0, 1, 2], [3, 4]]),
+        ("rsbm", "edges", {"x": 1}),
+    ],
+)
+def test_malformed_graph_field_rejected(tmp_path, model, field, value):
+    g = {
+        "regular": sample_regular_graph(10, 3, 0),
+        "hypergraph": sample_regular_hypergraph(12, 3, 3, 1),
+        "rsbm": sample_rsbm(16, 2, 1, 1),
+    }[model]
+    p = tmp_path / "g.json"
+    write_graph(g, p)
+    doc = json.loads(p.read_text())
+    doc[field] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        read_graph(p)
+    assert cli_main(["verify", "--in", str(p), "--z", "0.3+0.4i"]) == 2
 
 
 def test_spectrum_round_trip(tmp_path):

@@ -22,13 +22,12 @@ from nbspectra.measures import (
     density_pdf,
     histogram,
     ks_distance,
-    model_quantile,
     project_real_parts,
 )
 from nbspectra.seeds import Seed
 from nbspectra.spectral import full_lifted_spectrum
 
-from oracles import quad_cdf
+from oracles import model_quantile, quad_cdf
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,27 +1,33 @@
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import nbspectra.verify
+from nbspectra.cli import main as cli_main
 from nbspectra.errors import NearSingularError, SingularError, ZeroVectorError
 from nbspectra.graphs import RegularGraph, sample_regular_hypergraph
 from nbspectra.operators import nonbacktracking_matrix, oriented_index
 from nbspectra.spectral import full_lifted_spectrum, lift_eigenvector_nb, symmetric_eigs
 from nbspectra.verify import (
     LogDet,
-    eigen_residual,
+    _openblas_controls,
     ihara_bass_check,
     ihara_bass_check_hyper,
+    ihara_bass_checks,
     ihara_bass_report,
     ihara_bass_system,
     logdet,
     phase_distance,
     sample_z_points,
+    single_blas_thread,
 )
 
 from conftest import IHARA_CORPUS, named_graph
-from oracles import dense_logdet, lift_eigenvalue
+from oracles import dense_logdet, eigen_residual, lift_eigenvalue, serial_ihara_bass_checks
 
 
 # ------------------------------------------------------------------- logdet
@@ -108,7 +114,7 @@ def test_logdet_matches_dense_oracle(name, hyper923):
     g = hyper923 if name == "hyper923" else named_graph(name)
     system = ihara_bass_system(g)
     for z in ORACLE_Z:
-        for M in system.shifted(z):
+        for M in (system.lhs_matrix(z), *system.rhs_matrices(z)):
             ld = logdet(M)
             log_abs, phase = dense_logdet(M)
             assert abs(ld.log_abs - log_abs) <= 1e-12 * max(1.0, abs(log_abs))
@@ -199,6 +205,93 @@ def test_ihara_bass_hyper_k2_reduces_to_graph():
 def test_ihara_bass_hyper_guard(hyper923):
     with pytest.raises(NearSingularError):
         ihara_bass_check_hyper(hyper923, -(hyper923.k - 1.0) + 1e-8)
+
+
+# ------------------------------------------------------------------ lanes
+
+
+def _blas_counts() -> list:
+    return [get() for get, _ in _openblas_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads for the test, so that a count
+    left pinned at one shows; the old counts come back afterwards."""
+    controls = _openblas_controls()
+    saved = [(put, get()) for get, put in controls]
+    for _, put in controls:
+        put(2)
+    yield _blas_counts()
+    for put, count in saved:
+        put(count)
+
+
+def _graph_file(tmp_path) -> str:
+    g = tmp_path / "g.json"
+    assert cli_main(["gen", "--model", "regular", "--n", "12", "--d", "3", "--seed", "4", "--out", str(g)]) == 0
+    return str(g)
+
+
+def test_openblas_found():
+    counts = _blas_counts()
+    assert counts and all(c >= 1 for c in counts)
+
+
+@pytest.mark.parametrize("name", ["petersen", "hyper923"])
+def test_checks_match_serial_bit_for_bit(name, hyper923):
+    g = hyper923 if name == "hyper923" else named_graph(name)
+    system = ihara_bass_system(g)
+    zs = sample_z_points(system.graph, 6, 3, spectrum=system.spectrum)
+    with single_blas_thread():
+        serial = serial_ihara_bass_checks(system, zs)
+    assert ihara_bass_checks(system, zs) == serial
+
+
+def test_verify_pins_and_restores_blas_threads(tmp_path, monkeypatch, two_blas_threads):
+    seen = []
+    original = nbspectra.verify.logdet
+
+    def spy(M):
+        seen.append((threading.current_thread() is threading.main_thread(), _blas_counts()))
+        return original(M)
+
+    monkeypatch.setattr(nbspectra.verify, "logdet", spy)
+    assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "3", "--seed", "1"]) == 0
+    assert len(seen) == 9
+    assert sum(main for main, _ in seen) == 3  # det(B - zI) in the caller, the rest in the worker
+    assert all(counts == [1] * len(two_blas_threads) for _, counts in seen)
+    assert _blas_counts() == two_blas_threads
+
+
+def test_worker_lane_error_restores_blas_threads(tmp_path, capsys, monkeypatch, two_blas_threads):
+    original = nbspectra.verify.logdet
+
+    def failing(M):
+        if threading.current_thread() is not threading.main_thread():
+            raise SingularError("pivot magnitude underflow; matrix is singular")
+        return original(M)
+
+    monkeypatch.setattr(nbspectra.verify, "logdet", failing)
+    assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "3", "--seed", "1"]) == 3
+    assert "internal error: SingularError: pivot magnitude underflow" in capsys.readouterr().err
+    assert _blas_counts() == two_blas_threads
+
+
+def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
+    threads = set()
+    original = nbspectra.verify.logdet
+
+    def spy(M):
+        threads.add(threading.current_thread())
+        return original(M)
+
+    monkeypatch.setattr(nbspectra.verify, "_openblas_controls", lambda: [])
+    monkeypatch.setattr(nbspectra.verify, "logdet", spy)
+    assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "4", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_ok"] and doc["trials"] == 4
+    assert threads == {threading.main_thread()}
 
 
 def test_sample_z_points_respect_guard(k4):
