@@ -8,11 +8,11 @@ phase mod 2*pi carry the same information and stay bounded.
 Every determinant is a sparse LU factorization: B is nd x nd with about
 d(k-1) nonzeros per row, and a dense copy would cost 16 (nd)^2 bytes.
 
-The checks run in two lanes: det(B - zI) in the calling thread and the
-reduced side in one worker, while every loaded OpenBLAS is held at one
-thread. SuperLU releases the GIL, and otherwise hands its small supernodal
-panels to threaded BLAS, which costs about twice the CPU for the same
-wall time.
+The checks run in two lanes that meet at every z: det(B - zI) in the
+calling thread and the reduced side in one worker, while every loaded
+OpenBLAS is held at one thread. SuperLU releases the GIL, and otherwise
+hands its small supernodal panels to threaded BLAS, which costs about
+twice the CPU for the same wall time.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import cmath
 import ctypes
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -258,35 +259,34 @@ def _openblas_controls() -> list:
     return controls
 
 
+#: serializes `single_blas_thread` across threads, as the counts are process-wide
+_BLAS_PIN = threading.RLock()
+
+
 @contextmanager
 def single_blas_thread():
     """Hold every loaded OpenBLAS at one thread, and restore each library's
     previous count on exit, on error too. Yields whether any was found.
 
-    The counts are process-wide, so two of these must not overlap in time
-    from different threads: the later one would restore the pinned count.
+    The counts are process-wide, so callers in different threads take turns:
+    if two pins overlapped, the later one would restore the pinned count.
     """
-    saved = [(put, get()) for get, put in _openblas_controls()]
-    try:
-        for put, _ in saved:
-            put(1)
-        yield bool(saved)
-    finally:
-        for put, count in saved:
-            put(count)
+    with _BLAS_PIN:
+        saved = [(put, get()) for get, put in _openblas_controls()]
+        try:
+            for put, _ in saved:
+                put(1)
+            yield bool(saved)
+        finally:
+            for put, count in saved:
+                put(count)
 
 
-def _lhs_lane(system: IharaBassSystem, zs: list) -> list:
-    return [logdet(system.lhs_matrix(z)) for z in zs]
-
-
-def _rhs_lane(system: IharaBassSystem, zs: list) -> list:
-    out = []
-    for z in zs:
-        scalar = system.scalar(z)
-        reduced_z, poly = system.rhs_matrices(z)
-        out.append((scalar + logdet(reduced_z), scalar + logdet(poly)))
-    return out
+def _rhs(system: IharaBassSystem, z: complex) -> tuple:
+    """The two right-hand sides at ``z``, scalar factor included."""
+    scalar = system.scalar(z)
+    reduced_z, poly = system.rhs_matrices(z)
+    return scalar + logdet(reduced_z), scalar + logdet(poly)
 
 
 def ihara_bass_checks(system: IharaBassSystem, zs) -> list:
@@ -294,24 +294,25 @@ def ihara_bass_checks(system: IharaBassSystem, zs) -> list:
     det(reduced - zI) and the equivalent quadratic form in A, in log space,
     at every z of ``zs``; one record per z, in order.
 
-    Every z is guarded before any factorization. det(B - zI) is factored in
-    the calling thread and the reduced side in one worker, under
-    `single_blas_thread`; with no OpenBLAS to pin, both run in the caller.
+    Every z is guarded before any factorization. At each z, det(B - zI) is
+    factored in the calling thread while one worker factors the reduced
+    side, under `single_blas_thread`; with no OpenBLAS to pin, both run in
+    the caller. The two sides meet at every z, so at most one z is in
+    flight when either side raises.
     """
     zs = [complex(z) for z in zs]
     mus = system.spectrum.eigenvalues()
     for z in zs:
         # the zeros of the scalar factor are B's trivial eigenvalues 1 and -(k-1)
         _guard(z, mus, system.spectrum.model.trivial)
-    with single_blas_thread() as pinned:
-        if pinned:
-            with ThreadPoolExecutor(max_workers=1) as worker:
-                rhs = worker.submit(_rhs_lane, system, zs)
-                lhs = _lhs_lane(system, zs)
-                rhs = rhs.result()
-        else:
-            lhs, rhs = _lhs_lane(system, zs), _rhs_lane(system, zs)
-    return [_compare(z, left, *right) for z, left, right in zip(zs, lhs, rhs)]
+    records = []
+    with single_blas_thread() as pinned, ThreadPoolExecutor(max_workers=1) as worker:
+        for z in zs:
+            right = worker.submit(_rhs, system, z) if pinned else None
+            left = logdet(system.lhs_matrix(z))
+            right = right.result() if pinned else _rhs(system, z)
+            records.append(_compare(z, left, *right))
+    return records
 
 
 def ihara_bass_check(g, z: complex, spectrum=None) -> IharaBassRecord:

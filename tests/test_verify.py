@@ -278,6 +278,65 @@ def test_worker_lane_error_restores_blas_threads(tmp_path, capsys, monkeypatch, 
     assert _blas_counts() == two_blas_threads
 
 
+def test_caller_lane_error_waits_for_one_z_only(tmp_path, capsys, monkeypatch, two_blas_threads):
+    worker_calls = []
+    original = nbspectra.verify.logdet
+
+    def failing(M):
+        if threading.current_thread() is threading.main_thread():
+            raise SingularError("pivot magnitude underflow; matrix is singular")
+        worker_calls.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(nbspectra.verify, "logdet", failing)
+    assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "6", "--seed", "1"]) == 3
+    assert "internal error: SingularError: pivot magnitude underflow" in capsys.readouterr().err
+    assert len(worker_calls) == 2  # the reduced side of the first z, not of all six
+    assert _blas_counts() == two_blas_threads
+
+
+def test_pins_from_two_threads_take_turns(two_blas_threads):
+    held, release, entered = threading.Event(), threading.Event(), threading.Event()
+
+    def first():
+        with single_blas_thread():
+            held.set()
+            release.wait(10)
+
+    def second():
+        with single_blas_thread():
+            entered.set()
+
+    a = threading.Thread(target=first)
+    a.start()
+    assert held.wait(10)
+    b = threading.Thread(target=second)
+    b.start()
+    assert not entered.wait(0.2)  # the second pin waits for the first to restore
+    release.set()
+    a.join(10)
+    b.join(10)
+    assert entered.is_set()
+    assert _blas_counts() == two_blas_threads
+
+
+def test_concurrent_checks_restore_blas_threads(two_blas_threads):
+    system = ihara_bass_system(named_graph("petersen"))
+    zs = sample_z_points(system.graph, 4, 3, spectrum=system.spectrum)
+    results = [None, None]
+
+    def run(i):
+        results[i] = ihara_bass_checks(system, zs)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    assert results[0] == results[1] and all(r.ok for r in results[0])
+    assert _blas_counts() == two_blas_threads
+
+
 def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
     threads = set()
     original = nbspectra.verify.logdet
