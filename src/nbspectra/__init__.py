@@ -50,6 +50,7 @@ from .measures import (
 )
 from .operators import (
     OrientedEdgeIndex,
+    adjacency_csr,
     adjacency_matrix,
     nonbacktracking_matrix,
     oriented_index,

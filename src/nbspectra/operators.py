@@ -1,9 +1,10 @@
 """Adjacency matrix, oriented-edge index, non-backtracking operator B, and
 the reduced 2n x 2n form.
 
-A is dense (desk scale, for the symmetric eigensolve); B and the reduced
-matrix are sparse CSR, as they are only applied to vectors or factored by
-sparse LU (`reduced_nb_matrix` is a dense copy for small-size oracles).
+A is built as sparse CSR from the edge arrays; `adjacency_matrix` is its
+dense copy, for the full symmetric eigensolve. B and the reduced matrix are
+sparse CSR, as they are only applied to vectors or factored by sparse LU
+(`reduced_nb_matrix` is a dense copy for small-size oracles).
 Index ordering of oriented edges is lexicographic so serialized operators
 are reproducible.
 """
@@ -51,25 +52,30 @@ def edge_size(g) -> int:
     return g.k if isinstance(g, RegularHypergraph) else 2
 
 
-def adjacency_matrix(g) -> np.ndarray:
-    """Symmetric adjacency matrix with zero diagonal.
+def adjacency_csr(g) -> sp.csr_matrix:
+    """Symmetric int64 adjacency in canonical CSR, built from the edge arrays.
 
     Graph entries are 0/1; hypergraph entries count the hyperedges containing
     both endpoints, so rows sum to d(k-1).
     """
     g = underlying_graph(g)
-    A = np.zeros((g.n, g.n), dtype=np.int64)
     if isinstance(g, RegularHypergraph):
-        for e in g.hyperedges:
-            for a in range(len(e)):
-                for b in range(a + 1, len(e)):
-                    A[e[a], e[b]] += 1
-                    A[e[b], e[a]] += 1
+        E = np.asarray(g.hyperedges, dtype=np.int64).reshape(-1, g.k)
+        a, b = np.triu_indices(g.k, 1)
+        tails, heads = E[:, a].ravel(), E[:, b].ravel()
     else:
-        for u, v in g.edges:
-            A[u, v] = 1
-            A[v, u] = 1
+        E = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+        tails, heads = E[:, 0], E[:, 1]
+    rows, cols = np.concatenate([tails, heads]), np.concatenate([heads, tails])
+    # tocsr sums the repeated pairs of a hypergraph into multiplicities
+    A = sp.coo_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(g.n, g.n)).tocsr()
+    A.sort_indices()
     return A
+
+
+def adjacency_matrix(g) -> np.ndarray:
+    """Dense int64 copy of `adjacency_csr`, zero diagonal."""
+    return adjacency_csr(g).toarray()
 
 
 def oriented_index(g) -> OrientedEdgeIndex:
@@ -124,14 +130,16 @@ def nonbacktracking_matrix(g, index: OrientedEdgeIndex | None = None) -> sp.csr_
     return B
 
 
-def reduced_nb_operator(g) -> sp.csr_matrix:
+def reduced_nb_operator(g, A: "sp.csr_matrix | None" = None) -> sp.csr_matrix:
     """Reduced non-backtracking matrix as sparse CSR: 2n x 2n, four n x n blocks.
 
     Graph: [[0, (d-1)I], [-I, A]].
     Hypergraph: [[0, (d-1)I], [-(k-1)I, A-(k-2)I]].
+    A is the float64 `adjacency_csr` of g, built here unless given.
     """
     h = underlying_graph(g)
-    A = sp.csr_matrix(adjacency_matrix(h), dtype=np.float64)
+    if A is None:
+        A = adjacency_csr(h).astype(np.float64)
     k = edge_size(h)
     eye = sp.identity(h.n, format="csr")
     return sp.bmat([[None, (h.d - 1) * eye], [-(k - 1) * eye, A - (k - 2) * eye]], format="csr")

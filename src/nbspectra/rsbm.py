@@ -26,7 +26,7 @@ from .errors import (
     StructureError,
 )
 from .graphs import RsbmGraph
-from .operators import adjacency_matrix
+from .operators import adjacency_csr
 from .spectral import INERTIA_GAP, LiftedSpectrum, LiftModel, extreme_eigs, outlier_eigs
 
 #: tolerance for matching the four deterministic eigenvalues in a lifted spectrum
@@ -64,12 +64,12 @@ def rsbm_mu2(d1: int, d2: int) -> InsiderPair:
 
 
 def deterministic_sigma_eigenpair(g: RsbmGraph) -> "tuple[int, bool]":
-    """Verify A sigma = (d1-d2) sigma in exact integer arithmetic.
+    """Verify A sigma = (d1-d2) sigma in exact integer arithmetic (int64 CSR A).
 
     This holds for every valid sample by the degree structure; a failure
     means the generator (or a loaded file) is corrupt.
     """
-    A = adjacency_matrix(g)
+    A = adjacency_csr(g)
     sigma = np.asarray(g.sigma, dtype=np.int64)
     lhs = A @ sigma
     lam = g.d1 - g.d2
@@ -99,7 +99,7 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
             f"(d1-d2)^2 = {(g.d1 - g.d2) ** 2} <= 4(d1+d2-1) = {4 * (g.d1 + g.d2 - 1)}"
         )
     target = float(g.d1 - g.d2)
-    lams, V, _ = extreme_eigs(adjacency_matrix(g), target)
+    lams, V, _ = extreme_eigs(adjacency_csr(g), target)
     cand = list(range(len(lams)))
     # the Perron eigenvalue d1+d2 is the largest: returned on the d1 >= d2 side,
     # or when the solve covered the whole spectrum
@@ -147,7 +147,7 @@ def insider_gap_report(g: RsbmGraph, spectrum: LiftedSpectrum | None = None) -> 
     `outlier_eigs`, or from `spectrum` beyond the same edges. Each special must
     match one lifted outlier within MATCH_TOL, ISOLATION_TOL clear of the
     others and of the circle; the deviation is over the other lifted outliers
-    (0.0 if none). n=2000, (12,4): 0.7 s, 1.9 s with `eigh` (2-core Xeon VM).
+    (0.0 if none). n=2000, (12,4): 0.14–0.19 s, 1.1–1.3 s with `eigh` (2-core Xeon VM).
     """
     pair = rsbm_mu2(g.d1, g.d2)
     if not pair.detectable:
@@ -157,7 +157,7 @@ def insider_gap_report(g: RsbmGraph, spectrum: LiftedSpectrum | None = None) -> 
     model = LiftModel(g.d1 + g.d2)
     radius = model.radius
     if spectrum is None:
-        lams = outlier_eigs(adjacency_matrix(g), 2.0 * radius)[0]
+        lams = outlier_eigs(adjacency_csr(g), 2.0 * radius)[0]
     else:
         lams = spectrum.lams[np.abs(spectrum.lams) > 2.0 * radius - INERTIA_GAP * (g.d1 + g.d2)]
     mus = np.concatenate(model.roots(lams))

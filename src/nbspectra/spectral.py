@@ -53,15 +53,14 @@ INERTIA_GAP = 1e-7
 CERT_TOL = 1e-9
 
 
-def _symmetric_csr(A) -> "tuple[np.ndarray, sp.csr_matrix]":
-    """A as an array and its float64 CSR copy, once A is square and symmetric."""
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def _symmetric_csr(A) -> sp.csr_matrix:
+    """The float64 CSR copy of A, dense or sparse, once A is square and symmetric."""
+    if np.ndim(A) != 2 or np.shape(A)[0] != np.shape(A)[1]:
         raise ValueError("A must be square")
     As = sp.csr_matrix(A, dtype=np.float64)
     if (As != As.T).nnz:
         raise ValueError("A must be symmetric")
-    return A, As
+    return As
 
 
 def _certify(AV: np.ndarray, vals: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
@@ -101,23 +100,29 @@ def symmetric_eigs(A: np.ndarray):
     certificate requires every residual <= CERT_TOL * ||A|| and the columns
     orthonormal to CERT_TOL, else ConvergenceError.
     """
-    A, As = _symmetric_csr(A)
-    vals, V = _eigh(A)
+    As = _symmetric_csr(A)
+    vals, V = _eigh(np.asarray(A))
     return vals, V, _certify(As @ V, vals, V, _scale(vals))
 
 
-def _count_beyond(A: np.ndarray, s: float, side: float) -> int:
-    """Number of eigenvalues of symmetric A above s (side = 1) or below s (side = -1).
+def _count_beyond(As: sp.csr_matrix, s: float, side: float) -> int:
+    """Number of eigenvalues of symmetric CSR As above s (side = 1) or below s (side = -1).
 
     Sylvester's law of inertia: they are the positive eigenvalues of
     side*(A - sI) = L D L^T, hence of Bunch-Kaufman's block-diagonal D. Each
     2x2 block of D has a negative determinant (the pivoting rule ensures it),
-    so it holds one eigenvalue of each sign.
+    so it holds one eigenvalue of each sign. The one dense n x n buffer is
+    filled from the CSR, shifted and signed in place and factored in place,
+    with the workspace LAPACK asks for: `dsytrf`'s default of n words would
+    drop it to the unblocked, BLAS-2 `dsytf2`.
     """
-    M = np.array(A, dtype=np.float64, order="F")
-    M.flat[:: M.shape[0] + 1] -= s
-    M *= side
-    ldu, ipiv, _ = lapack.dsytrf(M, overwrite_a=True)
+    n = As.shape[0]
+    M = As.toarray(order="F")
+    M.ravel(order="F")[:: n + 1] -= s
+    if side < 0:
+        np.negative(M, out=M)
+    lwork = int(lapack.dsytrf_lwork(n)[0])
+    ldu, ipiv, _ = lapack.dsytrf(M, lwork=lwork, overwrite_a=True)
     one = ipiv > 0
     return int(np.count_nonzero(np.diagonal(ldu)[one] > 0)) + int(np.count_nonzero(~one)) // 2
 
@@ -140,8 +145,9 @@ def _row_sum_norm(As) -> float:
     return max(float(abs(As).sum(axis=1).max()), 1.0)
 
 
-def extreme_eigs(A: np.ndarray, target: float):
-    """The extreme eigenpairs of symmetric A on the side of `target`, certified.
+def extreme_eigs(A, target: float):
+    """The extreme eigenpairs of symmetric A (dense or sparse) on the side of
+    `target`, certified.
 
     Returns (vals, V, residuals) as `symmetric_eigs`, eigenvalues descending:
     the k largest eigenpairs when target >= 0, else the k smallest, for the
@@ -160,8 +166,8 @@ def extreme_eigs(A: np.ndarray, target: float):
     Where k would reach n-1, where ARPACK cannot run, this is
     `symmetric_eigs(A)`.
     """
-    A, As = _symmetric_csr(A)
-    n = A.shape[0]
+    As = _symmetric_csr(A)
+    n = As.shape[0]
     scale = _row_sum_norm(As)
     side = 1.0 if target >= 0 else -1.0
     k = 3
@@ -169,29 +175,29 @@ def extreme_eigs(A: np.ndarray, target: float):
         found = _lanczos_pairs(As, k, side, scale)
         vals = found[0]
         inner, before = (vals[-1], vals[-2]) if side > 0 else (vals[0], vals[1])
-        count = _count_beyond(A, inner - side * INERTIA_GAP * scale, side)
+        count = _count_beyond(As, inner - side * INERTIA_GAP * scale, side)
         if count < k:
             raise ConvergenceError(f"inertia count {count} below the {k} Ritz values it must certify")
         if count == k and side * (inner + before) <= 2.0 * side * target:
             return found
         k = count + 1
-    return symmetric_eigs(A)
+    return symmetric_eigs(As.toarray())
 
 
-def outlier_eigs(A: np.ndarray, edge: float):
-    """The eigenpairs of symmetric A above s and below -s, s = edge - INERTIA_GAP *
-    ||A||, as (vals, V, residuals), eigenvalues descending. An inertia count
-    fixes how many lie on each side, Lanczos solves for exactly that many,
-    certified as in `extreme_eigs`, and each Ritz value must lie beyond its
-    shift, else ConvergenceError. Where a count would reach n-1,
-    `symmetric_eigs` solves."""
-    A, As = _symmetric_csr(A)
-    n = A.shape[0]
+def outlier_eigs(A, edge: float):
+    """The eigenpairs of symmetric A (dense or sparse) above s and below -s,
+    s = edge - INERTIA_GAP * ||A||, as (vals, V, residuals), eigenvalues
+    descending. An inertia count fixes how many lie on each side, Lanczos
+    solves for exactly that many, certified as in `extreme_eigs`, and each
+    Ritz value must lie beyond its shift, else ConvergenceError. Where a
+    count would reach n-1, `symmetric_eigs` solves."""
+    As = _symmetric_csr(A)
+    n = As.shape[0]
     scale = _row_sum_norm(As)
     s = edge - INERTIA_GAP * scale
-    counts = [(side, _count_beyond(A, side * s, side)) for side in (1.0, -1.0)]
+    counts = [(side, _count_beyond(As, side * s, side)) for side in (1.0, -1.0)]
     if max(count for _, count in counts) >= n - 1:
-        vals, V, residuals = symmetric_eigs(A)
+        vals, V, residuals = symmetric_eigs(As.toarray())
         keep = np.abs(vals) > s
         return vals[keep], V[:, keep], residuals[keep]
     parts = [(np.empty(0), np.empty((n, 0)), np.empty(0))]
@@ -444,7 +450,8 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     that produced it.
     """
     kind, n, d, k, d1, d2 = _model_params(g)
-    A, As = _symmetric_csr(adjacency_matrix(g))
+    A = adjacency_matrix(g)
+    As = _symmetric_csr(A)
     lams, V = _eigh(A)
     AV = As @ V
     _certify(AV, lams, V, _scale(lams))

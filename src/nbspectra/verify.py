@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 from .errors import NearSingularError, SingularError
 from .graphs import RegularGraph, RegularHypergraph
 from .operators import (
-    adjacency_matrix,
+    adjacency_csr,
     edge_size,
     nonbacktracking_matrix,
     reduced_nb_operator,
@@ -208,12 +208,13 @@ class IharaBassSystem:
 def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassSystem:
     """Build B, the reduced matrix and A (all sparse) and, unless given, the spectrum."""
     h = underlying_graph(g)
+    A = adjacency_csr(h).astype(np.float64)
     return IharaBassSystem(
         graph=h,
         spectrum=full_lifted_spectrum(h) if spectrum is None else spectrum,
         B=nonbacktracking_matrix(h),
-        reduced=reduced_nb_operator(h),
-        A=sp.csr_matrix(adjacency_matrix(h), dtype=np.float64),
+        reduced=reduced_nb_operator(h, A),
+        A=A,
         k=edge_size(h),
     )
 

@@ -14,7 +14,8 @@ two-lane `ihara_bass_checks` under test replaced. `pairwise_lifted_spectrum` is 
 residuals) that the array-backed `full_lifted_spectrum` replaced, with the
 scalar `quad_roots` and the one-pair lifts `lift_eigenvalue[_hyper]` and
 `lift_eigenvector_reduced`; `pairwise_spectrum_document` is the spectrum
-file it wrote.
+file it wrote. `loop_adjacency` is the entry-by-entry dense adjacency that
+the CSR builder under test replaced.
 
 The characteristic polynomial is computed by the Faddeev-LeVerrier trace
 recursion in exact integer arithmetic, split into exact squarefree factors
@@ -35,9 +36,10 @@ from scipy import integrate
 from scipy.optimize import brentq, linear_sum_assignment
 
 from nbspectra.errors import AmbiguityError, DegenerateError, DomainError, MultiplicityError, ZeroVectorError
+from nbspectra.graphs import RegularHypergraph
 from nbspectra.io import FORMAT_VERSION
 from nbspectra.measures import density_cdf
-from nbspectra.operators import adjacency_matrix
+from nbspectra.operators import adjacency_matrix, underlying_graph
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
 from nbspectra.spectral import _model_params, full_lifted_spectrum, symmetric_eigs
 from nbspectra.verify import _compare, logdet
@@ -54,6 +56,24 @@ def dense_logdet(M) -> "tuple[float, float]":
     diag = np.diagonal(lu)
     swaps = int(np.sum(piv != np.arange(len(piv))))
     return float(np.sum(np.log(np.abs(diag)))), float(np.sum(np.angle(diag))) + math.pi * (swaps % 2)
+
+
+def loop_adjacency(g) -> np.ndarray:
+    """Dense int64 adjacency, one entry at a time; hypergraph entries count
+    the hyperedges containing both endpoints."""
+    g = underlying_graph(g)
+    A = np.zeros((g.n, g.n), dtype=np.int64)
+    if isinstance(g, RegularHypergraph):
+        for e in g.hyperedges:
+            for a in range(len(e)):
+                for b in range(a + 1, len(e)):
+                    A[e[a], e[b]] += 1
+                    A[e[b], e[a]] += 1
+    else:
+        for u, v in g.edges:
+            A[u, v] = 1
+            A[v, u] = 1
+    return A
 
 
 def quad_cdf(model, xs) -> np.ndarray:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from nbspectra.graphs import sample_regular_hypergraph, sample_rsbm
+from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.operators import (
+    adjacency_csr,
     adjacency_matrix,
     nonbacktracking_matrix,
     oriented_index,
@@ -11,7 +13,7 @@ from nbspectra.operators import (
 )
 
 from conftest import named_graph
-from oracles import charpoly_roots, multiset_match_distance
+from oracles import charpoly_roots, loop_adjacency, multiset_match_distance
 
 
 def test_adjacency_k4(k4):
@@ -38,6 +40,29 @@ def test_adjacency_k2_hypergraph_matches_graph():
 
     g = RegularGraph(n=8, d=3, edges=h.hyperedges)
     assert np.array_equal(adjacency_matrix(h), adjacency_matrix(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        sample_regular_graph(300, 5, 1),
+        sample_regular_graph(10, 1, 0),
+        sample_regular_hypergraph(300, 2, 3, 1),
+        sample_regular_hypergraph(90, 3, 3, 2),  # pairs shared by two hyperedges: entries 2
+        sample_rsbm(400, 12, 4, 0),
+    ],
+    ids=["regular-300-5", "matching-10", "hypergraph-300-2-3", "hypergraph-90-3-3", "rsbm-400-12-4"],
+)
+def test_adjacency_matches_loop_oracle(g):
+    ref = loop_adjacency(g)
+    A = adjacency_matrix(g)
+    assert A.dtype == ref.dtype and np.array_equal(A, ref)
+    # the CSR is canonical and, as float64, equals the CSR of the dense matrix array for array
+    C = adjacency_csr(g)
+    assert C.dtype == np.int64 and C.has_canonical_format
+    F, R = C.astype(np.float64), sp.csr_matrix(ref, dtype=np.float64)
+    for a, b in ((F.indptr, R.indptr), (F.indices, R.indices), (F.data, R.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_oriented_index_sizes(c3, k4, hyper923):

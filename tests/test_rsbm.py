@@ -225,6 +225,20 @@ def test_insider_report_ritz_value_short_of_shift_raises(monkeypatch):
         insider_gap_report(sample_rsbm(120, 12, 4, 5))
 
 
+def test_rsbm_path_builds_no_dense_adjacency(monkeypatch):
+    # the sigma check, recovery and the insider report work on the CSR of A
+    def dense(g):
+        raise AssertionError("dense n x n adjacency built on the RSBM path")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("nbspectra") and hasattr(mod, "adjacency_matrix"):
+            monkeypatch.setattr(mod, "adjacency_matrix", dense)
+    g = sample_rsbm(400, 12, 4, 0)
+    assert deterministic_sigma_eigenpair(g) == (8, True)
+    assert recover_communities(g).exact
+    assert insider_gap_report(g).specials == (15.0, 1.0, 5.0, 3.0)
+
+
 def assert_matches_full_recovery(g):
     part, full = recover_communities(g), full_recovery(g)
     assert part.lam_selected == pytest.approx(full.lam_selected, abs=1e-9)

@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from nbspectra.cli import main as cli_main
 from nbspectra.errors import DegenerateError, TrivialEigenvalueError, ZeroVectorError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.io import write_graph
 from nbspectra.operators import (
+    adjacency_csr,
     adjacency_matrix,
     nonbacktracking_matrix,
     oriented_index,
     reduced_nb_matrix,
 )
 from nbspectra.spectral import (
+    INERTIA_GAP,
+    _count_beyond,
     _quad_roots,
     deterministic_deloc_bound,
     extreme_eigs,
@@ -98,6 +102,48 @@ def test_outlier_eigs_both_sides_match_full_solve(eigsh_calls):
     full = [lam for lam in symmetric_eigs(A)[0] if abs(lam) > 2.0 * math.sqrt(10)]
     assert len(eigsh_calls) == 2 and sum(eigsh_calls) == len(part)
     assert np.allclose(part, full, rtol=0, atol=1e-9)
+
+
+# Sizes above LAPACK's block size of 64, so the blocked LDL^T runs. Shifts at
+# both bulk edges; the (300,2,3) hypergraph has n - nd/k = 100 eigenvalues
+# exactly -2, with shifts 1e-7 ||A|| either side of them.
+@pytest.mark.parametrize(
+    "g, shifts",
+    [
+        (sample_rsbm(400, 12, 4, 0), [2.0 * math.sqrt(15), -2.0 * math.sqrt(15)]),
+        (sample_regular_graph(300, 5, 1), [4.0, -4.0]),
+        (
+            sample_regular_hypergraph(300, 2, 3, 1),
+            [1.0 + 2.0 * math.sqrt(2), 1.0 - 2.0 * math.sqrt(2), -2.0 + 4.0 * INERTIA_GAP, -2.0 - 4.0 * INERTIA_GAP],
+        ),
+    ],
+    ids=["rsbm-400-12-4", "regular-300-5", "hypergraph-300-2-3"],
+)
+def test_count_beyond_matches_eigvalsh(g, shifts):
+    A = adjacency_csr(g).astype(np.float64)
+    lams = np.linalg.eigvalsh(adjacency_matrix(g))
+    for s in shifts:
+        assert np.min(np.abs(lams - s)) > 1e-9  # each count is well posed
+        assert _count_beyond(A, s, 1.0) == np.sum(lams > s)
+        assert _count_beyond(A, s, -1.0) == np.sum(lams < s)
+
+
+def test_count_beyond_uses_blocked_workspace(monkeypatch):
+    # dsytrf's default lwork = n would fall back to the unblocked dsytf2
+    lworks = []
+    dsytrf = lapack.dsytrf
+
+    def spy(a, **kw):
+        lworks.append((a.shape[0], kw.get("lwork")))
+        return dsytrf(a, **kw)
+
+    monkeypatch.setattr(lapack, "dsytrf", spy)
+    A = adjacency_csr(sample_rsbm(400, 12, 4, 0))
+    extreme_eigs(A, 8.0)
+    outlier_eigs(A, 2.0 * math.sqrt(15))
+    assert len(lworks) == 3
+    for n, lwork in lworks:
+        assert lwork is not None and lwork >= lapack.dsytrf_lwork(n)[0] > n
 
 
 # ------------------------------------------------------------ eigenvalue lift

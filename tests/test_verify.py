@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import nbspectra.operators
 import nbspectra.verify
 from nbspectra.cli import main as cli_main
 from nbspectra.errors import NearSingularError, SingularError, ZeroVectorError
 from nbspectra.graphs import RegularGraph, sample_regular_hypergraph
-from nbspectra.operators import nonbacktracking_matrix, oriented_index
+from nbspectra.operators import nonbacktracking_matrix, oriented_index, reduced_nb_operator
 from nbspectra.spectral import full_lifted_spectrum, lift_eigenvector_nb, symmetric_eigs
 from nbspectra.verify import (
     LogDet,
@@ -131,6 +132,26 @@ def test_logdet_matches_slogdet():
 
 
 # ------------------------------------------------------------- ihara-bass
+
+
+@pytest.mark.parametrize("name", ["petersen", "hyper923"])
+def test_system_builds_adjacency_once(monkeypatch, name, hyper923):
+    g = hyper923 if name == "hyper923" else named_graph(name)
+    spectrum, ref = full_lifted_spectrum(g), reduced_nb_operator(g)
+    calls = []
+    build = nbspectra.verify.adjacency_csr
+
+    def counted(h):
+        calls.append(1)
+        return build(h)
+
+    monkeypatch.setattr(nbspectra.verify, "adjacency_csr", counted)
+    monkeypatch.setattr(nbspectra.operators, "adjacency_csr", counted)
+    system = ihara_bass_system(g, spectrum)
+    assert len(calls) == 1
+    # the shared A gives the reduced matrix that its own build gives, array for array
+    for a, b in ((system.reduced.indptr, ref.indptr), (system.reduced.indices, ref.indices), (system.reduced.data, ref.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", IHARA_CORPUS)
