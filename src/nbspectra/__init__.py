@@ -49,7 +49,6 @@ from .measures import (
     project_real_parts,
 )
 from .operators import (
-    OrientedEdgeIndex,
     adjacency_csr,
     adjacency_matrix,
     nonbacktracking_matrix,

@@ -3,12 +3,15 @@
 All samplers are pure functions of (parameters, seed): stub matching with
 rejection of self-loops, multi-edges, degenerate hyperedges, and duplicate
 hyperedges. Every returned object passes a full degree audit.
+
+A graph holds read-only arrays: int64 edge or hyperedge rows and, for the
+RSBM, an int8 community vector. Each pairing and bipartite pass is a few
+array operations over the shuffled stubs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,123 +29,142 @@ MAX_RESTARTS = 10_000
 _MAX_DISSOLVES = 1_000
 
 
-@dataclass(frozen=True)
-class RegularGraph:
+class _Arrays:
+    """Equality over a graph's fields, array fields compared by value."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
+
+
+def _frozen(values, dtype=np.int64, width: "int | None" = None) -> np.ndarray:
+    """A read-only copy of `values` as a `dtype` array; the empty list becomes
+    (0, width) when a width is given."""
+    a = np.array(values, dtype=dtype)
+    if width is not None and a.shape == (0,):
+        a = a.reshape(0, width)
+    a.flags.writeable = False
+    return a
+
+
+def _audit_rows(E: np.ndarray, n: int, d: int, what: str) -> None:
+    """Rows of E strictly increasing lexicographically, and every vertex in d rows."""
+    step = np.diff(E, axis=0)
+    # each step's first nonzero entry (0 where two rows are equal) sets its sign
+    lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+    if np.any(lead == 0):
+        raise InvariantError(f"repeated {what} {E[1:][lead == 0][0].tolist()}")
+    if np.any(lead < 0):
+        raise InvariantError(f"{what}s not sorted")
+    if np.any(np.bincount(E.ravel(), minlength=n) != d):
+        raise InvariantError("degree audit failed")
+
+
+@dataclass(frozen=True, eq=False)
+class RegularGraph(_Arrays):
     """Simple d-regular graph on vertices 0..n-1.
 
-    ``edges`` holds unordered pairs (u, v) with u < v, sorted
-    lexicographically, so equal graphs serialize to identical bytes.
+    ``edges`` is a read-only (m, 2) int64 array of pairs (u, v) with u < v,
+    rows sorted lexicographically, so equal graphs serialize to identical
+    bytes. Any sequence of pairs is accepted and copied into that array.
     """
 
     n: int
     d: int
-    edges: tuple
+    edges: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", _frozen(self.edges, width=2))
 
     def validate(self) -> None:
-        if self.n < 1 or self.d < 0:
-            raise InvariantError(f"bad sizes n={self.n} d={self.d}")
-        if len(self.edges) != self.n * self.d // 2 or (self.n * self.d) % 2:
+        E = self.edges
+        if self.n < 1 or self.d < 0 or E.ndim != 2 or E.shape[1] != 2:
+            raise InvariantError(f"bad sizes n={self.n} d={self.d} edges {E.shape}")
+        if len(E) != self.n * self.d // 2 or (self.n * self.d) % 2:
             raise InvariantError("edge count does not match n*d/2")
-        deg = [0] * self.n
-        seen = set()
-        prev = None
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise InvariantError(f"bad edge {e}")
-            if e in seen:
-                raise InvariantError(f"repeated edge {e}")
-            if prev is not None and not prev < tuple(e):
-                raise InvariantError("edges not sorted")
-            seen.add(tuple(e))
-            prev = tuple(e)
-            deg[u] += 1
-            deg[v] += 1
-        if any(x != self.d for x in deg):
-            raise InvariantError("degree audit failed")
+        bad = (E[:, 0] < 0) | (E[:, 0] >= E[:, 1]) | (E[:, 1] >= self.n)
+        if np.any(bad):
+            raise InvariantError(f"bad edge {E[bad][0].tolist()}")
+        _audit_rows(E, self.n, self.d, "edge")
 
 
-@dataclass(frozen=True)
-class RegularHypergraph:
+@dataclass(frozen=True, eq=False)
+class RegularHypergraph(_Arrays):
     """(d, k)-regular hypergraph: every vertex in d hyperedges, each of size k.
 
-    Hyperedges are k-tuples of distinct vertices sorted ascending; the list
-    is sorted lexicographically. Two hyperedges may share more than one
-    vertex (adjacency then counts multiplicity); duplicates are forbidden.
+    ``hyperedges`` is a read-only (m, k) int64 array: each row k distinct
+    vertices ascending, rows sorted lexicographically. Two hyperedges may
+    share more than one vertex (adjacency then counts multiplicity);
+    duplicates are forbidden.
     """
 
     n: int
     d: int
     k: int
-    hyperedges: tuple
+    hyperedges: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "hyperedges", _frozen(self.hyperedges, width=self.k))
 
     def validate(self) -> None:
+        E = self.hyperedges
         if self.d < 2 or self.k < 2:
             raise InvariantError("require d >= 2 and k >= 2")
         if (self.n * self.d) % self.k:
             raise InvariantError("k must divide n*d")
-        if len(self.hyperedges) != self.n * self.d // self.k:
+        if E.ndim != 2 or E.shape[1] != self.k:
+            raise InvariantError(f"hyperedges {E.shape} are not rows of {self.k} vertices")
+        if len(E) != self.n * self.d // self.k:
             raise InvariantError("hyperedge count does not match n*d/k")
-        deg = [0] * self.n
-        seen = set()
-        prev = None
-        for e in self.hyperedges:
-            t = tuple(e)
-            if len(t) != self.k or len(set(t)) != self.k:
-                raise InvariantError(f"hyperedge {t} is not {self.k} distinct vertices")
-            if list(t) != sorted(t) or not (0 <= t[0] and t[-1] < self.n):
-                raise InvariantError(f"hyperedge {t} not sorted in range")
-            if t in seen:
-                raise InvariantError(f"duplicate hyperedge {t}")
-            if prev is not None and not prev < t:
-                raise InvariantError("hyperedges not sorted")
-            seen.add(t)
-            prev = t
-            for v in t:
-                deg[v] += 1
-        if any(x != self.d for x in deg):
-            raise InvariantError("degree audit failed")
+        bad = np.any(np.diff(E, axis=1) <= 0, axis=1) | (E[:, 0] < 0) | (E[:, -1] >= self.n)
+        if np.any(bad):
+            raise InvariantError(
+                f"hyperedge {E[bad][0].tolist()} is not {self.k} distinct vertices ascending in range"
+            )
+        _audit_rows(E, self.n, self.d, "hyperedge")
 
 
-@dataclass(frozen=True)
-class RsbmGraph:
+@dataclass(frozen=True, eq=False)
+class RsbmGraph(_Arrays):
     """Regular stochastic block model sample.
 
-    Two d1-regular halves joined by a d2-regular bipartite graph; ``sigma``
-    in {-1,+1}^n records the community of each vertex and ``graph`` is the
-    resulting simple (d1+d2)-regular graph.
+    Two d1-regular halves joined by a d2-regular bipartite graph; ``sigma``,
+    a read-only int8 array in {-1,+1}^n, records the community of each
+    vertex and ``graph`` is the resulting simple (d1+d2)-regular graph.
     """
 
     n: int
     d1: int
     d2: int
-    sigma: tuple
+    sigma: np.ndarray
     graph: RegularGraph
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", _frozen(self.sigma, np.int8))
 
     @property
     def d(self) -> int:
         return self.d1 + self.d2
 
     def validate(self) -> None:
+        s = self.sigma
         if self.n % 2:
             raise InvariantError("n must be even")
-        if len(self.sigma) != self.n or any(s not in (-1, 1) for s in self.sigma):
+        if s.shape != (self.n,) or np.any((s != 1) & (s != -1)):
             raise InvariantError("sigma must be a +-1 vector of length n")
-        if sum(1 for s in self.sigma if s == 1) != self.n // 2:
+        if np.count_nonzero(s == 1) != self.n // 2:
             raise InvariantError("sigma must split vertices evenly")
         if self.graph.n != self.n or self.graph.d != self.d1 + self.d2:
             raise InvariantError("underlying graph has wrong size or degree")
         self.graph.validate()
-        within = [0] * self.n
-        cross = [0] * self.n
-        for u, v in self.graph.edges:
-            if self.sigma[u] == self.sigma[v]:
-                within[u] += 1
-                within[v] += 1
-            else:
-                cross[u] += 1
-                cross[v] += 1
-        if any(x != self.d1 for x in within) or any(x != self.d2 for x in cross):
+        E = self.graph.edges
+        # every degree is d1 + d2, so d1 within means d2 across
+        within = np.bincount(E[s[E[:, 0]] == s[E[:, 1]]].ravel(), minlength=self.n)
+        if np.any(within != self.d1):
             raise InvariantError("within/cross degree audit failed")
 
 
@@ -150,43 +172,52 @@ def _permuted(items: list, rng: np.random.Generator) -> list:
     return [items[i] for i in rng.permutation(len(items))]
 
 
-def _suitable(edges: set, leftover: dict) -> bool:
-    # True if some pair of leftover stubs can still form a new simple edge.
-    if not leftover:
-        return True
-    nodes = list(leftover)
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            e = (u, v) if u < v else (v, u)
-            if e not in edges:
-                return True
-    return False
+def _first_new(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Which pairs of one pass are accepted: the first occurrence of each
+    pair key (a flat index into `taken`) that no earlier pass took."""
+    m = len(keys)
+    # sorting key * m + position puts each key's first position at the head of its run
+    s = np.sort(keys * m + np.arange(m))
+    run = s // m
+    first = np.zeros(m, dtype=bool)
+    first[s[np.r_[True, run[1:] != run[:-1]]] % m] = True
+    return first & ~taken.ravel()[keys]
 
 
-def _try_pairing(n: int, d: int, rng: np.random.Generator):
+def _sorted_edges(E: np.ndarray, n: int) -> np.ndarray:
+    """Edges (u < v < n) in lexicographic order."""
+    return E[np.argsort(E[:, 0] * n + E[:, 1])]
+
+
+def _try_pairing(n: int, d: int, rng: np.random.Generator) -> "np.ndarray | None":
     """One attempt at stub matching; keeps good pairs across passes.
 
-    Returns the edge set, or None if the remaining stubs cannot be completed
-    (full restart required).
+    Each pass pairs off the shuffled stubs, accepts the first occurrence of
+    every pair that is no self-loop and no edge yet, and passes the stubs of
+    the rest on, vertices in first-seen order. Returns the edges (u < v) in
+    acceptance order, or None if the remaining stubs cannot be completed
+    (full restart required). `taken` is an n x n mask, diagonal included.
     """
-    edges: set = set()
-    stubs = list(range(n)) * d
-    while stubs:
-        stubs = _permuted(stubs, rng)
-        leftover: dict = defaultdict(int)
-        it = iter(stubs)
-        for u, v in zip(it, it):
-            if u > v:
-                u, v = v, u
-            if u != v and (u, v) not in edges:
-                edges.add((u, v))
-            else:
-                leftover[u] += 1
-                leftover[v] += 1
-        if not _suitable(edges, leftover):
+    taken = np.eye(n, dtype=bool)
+    accepted = []
+    stubs = np.tile(np.arange(n), d)
+    while len(stubs):
+        a, b = stubs[rng.permutation(len(stubs))].reshape(-1, 2).T
+        pairs = np.column_stack([np.minimum(a, b), np.maximum(a, b)])
+        new = _first_new(pairs[:, 0] * n + pairs[:, 1], taken)
+        u, v = pairs[new].T
+        taken[u, v] = taken[v, u] = True
+        accepted.append(pairs[new])
+        rest = pairs[~new].ravel()
+        if not len(rest):
+            break
+        verts, first, counts = np.unique(rest, return_index=True, return_counts=True)
+        # no pair of distinct leftover vertices can still form a new edge
+        if taken[np.ix_(verts, verts)].all():
             return None
-        stubs = [v for v, c in leftover.items() for _ in range(c)]
-    return edges
+        order = np.argsort(first)
+        stubs = np.repeat(verts[order], counts[order])
+    return np.concatenate(accepted)
 
 
 def sample_regular_graph(n: int, d: int, seed: "int | Seed") -> RegularGraph:
@@ -216,7 +247,7 @@ def sample_regular_graph(n: int, d: int, seed: "int | Seed") -> RegularGraph:
     for _ in range(MAX_RESTARTS):
         edges = _try_pairing(n, d, rng)
         if edges is not None:
-            g = RegularGraph(n=n, d=d, edges=tuple(sorted(edges)))
+            g = RegularGraph(n=n, d=d, edges=_sorted_edges(edges, n))
             g.validate()
             return g
     raise RetryExhausted(f"no simple {d}-regular graph found in {MAX_RESTARTS} restarts")
@@ -269,42 +300,33 @@ def sample_regular_hypergraph(n: int, d: int, k: int, seed: "int | Seed") -> Reg
     for _ in range(MAX_RESTARTS):
         edges = _try_grouping(n, d, k, rng)
         if edges is not None:
-            h = RegularHypergraph(n=n, d=d, k=k, hyperedges=tuple(sorted(edges)))
+            h = RegularHypergraph(n=n, d=d, k=k, hyperedges=sorted(edges))
             h.validate()
             return h
     raise RetryExhausted(f"no ({d},{k})-regular hypergraph found in {MAX_RESTARTS} restarts")
 
 
-def _suitable_bipartite(edges: set, left: list, right: list) -> bool:
-    if not left:
-        return True
-    for u in set(left):
-        for v in set(right):
-            if (u, v) not in edges:
-                return True
-    return False
+def _try_bipartite(size: int, deg: int, rng: np.random.Generator) -> "np.ndarray | None":
+    """One attempt at a deg-regular bipartite matching between two sets of
+    `size` vertices, as pairs (i, j) of positions in the left and right set.
 
-
-def _try_bipartite(left: list, right: list, deg: int, rng: np.random.Generator):
-    """One attempt at a deg-regular bipartite matching between two vertex sets."""
-    edges: set = set()
-    ls = [u for u in left for _ in range(deg)]
-    rs = [v for v in right for _ in range(deg)]
-    while ls:
-        ls = _permuted(ls, rng)
-        rs = _permuted(rs, rng)
-        lo_l: list = []
-        lo_r: list = []
-        for u, v in zip(ls, rs):
-            if (u, v) not in edges:
-                edges.add((u, v))
-            else:
-                lo_l.append(u)
-                lo_r.append(v)
-        if not _suitable_bipartite(edges, lo_l, lo_r):
+    Each pass shuffles both stub lists, accepts the first occurrence of every
+    new pair and passes the rest on in order; None if no leftover pair can
+    still be new (full restart required).
+    """
+    taken = np.zeros((size, size), dtype=bool)
+    accepted = []
+    left = right = np.repeat(np.arange(size), deg)
+    while len(left):
+        left = left[rng.permutation(len(left))]
+        right = right[rng.permutation(len(right))]
+        new = _first_new(left * size + right, taken)
+        taken[left[new], right[new]] = True
+        accepted.append(np.column_stack([left[new], right[new]]))
+        left, right = left[~new], right[~new]
+        if len(left) and taken[np.ix_(np.unique(left), np.unique(right))].all():
             return None
-        ls, rs = lo_l, lo_r
-    return edges
+    return np.concatenate(accepted)
 
 
 def sample_rsbm(n: int, d1: int, d2: int, seed: "int | Seed") -> RsbmGraph:
@@ -330,14 +352,10 @@ def sample_rsbm(n: int, d1: int, d2: int, seed: "int | Seed") -> RsbmGraph:
         raise InfeasibleError(f"need 1 <= d2 <= n/2, got d2={d2} n={n}")
     rng = as_seed(seed).generator()
     half = n // 2
-    perm = [int(x) for x in rng.permutation(n)]
-    side1 = sorted(perm[:half])
-    side2 = sorted(perm[half:])
-    sigma = [0] * n
-    for v in side1:
-        sigma[v] = 1
-    for v in side2:
-        sigma[v] = -1
+    perm = rng.permutation(n)
+    side1, side2 = np.sort(perm[:half]), np.sort(perm[half:])
+    sigma = np.ones(n, dtype=np.int8)
+    sigma[side2] = -1
 
     for _ in range(MAX_RESTARTS):
         e1 = _try_pairing(half, d1, rng)
@@ -346,23 +364,13 @@ def sample_rsbm(n: int, d1: int, d2: int, seed: "int | Seed") -> RsbmGraph:
         e2 = _try_pairing(half, d1, rng)
         if e2 is None:
             continue
-        ec = _try_bipartite(side1, side2, d2, rng)
+        ec = _try_bipartite(half, d2, rng)
         if ec is None:
             continue
-        edges = set()
-        for u, v in e1:
-            edges.add((side1[u], side1[v]) if side1[u] < side1[v] else (side1[v], side1[u]))
-        for u, v in e2:
-            edges.add((side2[u], side2[v]) if side2[u] < side2[v] else (side2[v], side2[u]))
-        for u, v in ec:
-            edges.add((u, v) if u < v else (v, u))
-        g = RsbmGraph(
-            n=n,
-            d1=d1,
-            d2=d2,
-            sigma=tuple(sigma),
-            graph=RegularGraph(n=n, d=d1 + d2, edges=tuple(sorted(edges))),
-        )
+        # the sides are ascending, so within-side pairs keep u < v
+        cross = np.sort(np.column_stack([side1[ec[:, 0]], side2[ec[:, 1]]]), axis=1)
+        edges = _sorted_edges(np.concatenate([side1[e1], side2[e2], cross]), n)
+        g = RsbmGraph(n=n, d1=d1, d2=d2, sigma=sigma, graph=RegularGraph(n=n, d=d1 + d2, edges=edges))
         g.validate()
         return g
     raise RetryExhausted(f"no simple RSBM({n},{d1},{d2}) found in {MAX_RESTARTS} restarts")

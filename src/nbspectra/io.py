@@ -7,7 +7,6 @@ separators) so equal objects produce byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,8 +59,8 @@ def graph_document(g) -> dict:
             "d": g.d1 + g.d2,
             "d1": g.d1,
             "d2": g.d2,
-            "sigma": list(g.sigma),
-            "edges": [list(e) for e in g.graph.edges],
+            "sigma": g.sigma.tolist(),
+            "edges": g.graph.edges.tolist(),
         }
     if isinstance(g, RegularHypergraph):
         return {
@@ -70,7 +69,7 @@ def graph_document(g) -> dict:
             "n": g.n,
             "d": g.d,
             "k": g.k,
-            "hyperedges": [list(e) for e in g.hyperedges],
+            "hyperedges": g.hyperedges.tolist(),
         }
     if isinstance(g, RegularGraph):
         return {
@@ -78,7 +77,7 @@ def graph_document(g) -> dict:
             "model": "regular",
             "n": g.n,
             "d": g.d,
-            "edges": [list(e) for e in g.edges],
+            "edges": g.edges.tolist(),
         }
     raise TypeError(f"cannot serialize {type(g).__name__}")
 
@@ -87,16 +86,12 @@ def write_graph(g, path) -> None:
     _write_text(path, _dumps(graph_document(g)))
 
 
-def _int_rows(rows) -> tuple:
-    """Equal-length lists of integers as a tuple of int tuples, from one
-    `int` pass over the flattened values (rows of unequal or zero length are
-    malformed)."""
-    rows = list(rows)
-    width = len(rows[0]) if rows else 0
-    if any(len(r) != width for r in rows) or (rows and width == 0):
-        raise ValueError("rows of unequal or zero length")
-    values = map(int, itertools.chain.from_iterable(rows))
-    return tuple(zip(*[values] * width))
+def _int_matrix(rows) -> np.ndarray:
+    """A list of equal-length integer rows (or the empty list) as an int64 array."""
+    a = np.array(rows, dtype=np.int64)
+    if a.ndim != 2 and a.shape != (0,):
+        raise ValueError("not a list of equal-length integer rows")
+    return a
 
 
 def read_graph(path):
@@ -109,14 +104,14 @@ def read_graph(path):
             g = RegularGraph(
                 n=int(_require(obj, "n", path)),
                 d=int(_require(obj, "d", path)),
-                edges=_int_rows(_require(obj, "edges", path)),
+                edges=_int_matrix(_require(obj, "edges", path)),
             )
         elif model == "hypergraph":
             g = RegularHypergraph(
                 n=int(_require(obj, "n", path)),
                 d=int(_require(obj, "d", path)),
                 k=int(_require(obj, "k", path)),
-                hyperedges=_int_rows(_require(obj, "hyperedges", path)),
+                hyperedges=_int_matrix(_require(obj, "hyperedges", path)),
             )
         elif model == "rsbm":
             n = int(_require(obj, "n", path))
@@ -126,11 +121,11 @@ def read_graph(path):
                 n=n,
                 d1=d1,
                 d2=d2,
-                sigma=tuple(int(s) for s in _require(obj, "sigma", path)),
+                sigma=_require(obj, "sigma", path),
                 graph=RegularGraph(
                     n=n,
                     d=d1 + d2,
-                    edges=_int_rows(_require(obj, "edges", path)),
+                    edges=_int_matrix(_require(obj, "edges", path)),
                 ),
             )
         else:

@@ -2,43 +2,18 @@
 the reduced 2n x 2n form.
 
 A is built as sparse CSR from the edge arrays; `adjacency_matrix` is its
-dense copy, for the full symmetric eigensolve. B and the reduced matrix are
-sparse CSR, as they are only applied to vectors or factored by sparse LU
-(`reduced_nb_matrix` is a dense copy for small-size oracles).
-Index ordering of oriented edges is lexicographic so serialized operators
-are reproducible.
+dense copy. B and the reduced matrix are sparse CSR, as they are only
+applied to vectors or factored by sparse LU (`reduced_nb_matrix` is a dense
+copy for small-size oracles). The oriented edges are indexed in A's CSR
+order, so serialized operators are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import RegularGraph, RegularHypergraph, RsbmGraph
-
-
-@dataclass(frozen=True)
-class OrientedEdgeIndex:
-    """Bijection between oriented (hyper)edges and 0..nd-1.
-
-    Graphs: items are oriented edges (u, v) with {u, v} an edge.
-    Hypergraphs: items are incidences (vertex, hyperedge rank), where the
-    rank is the position of the hyperedge in the sorted hyperedge list.
-    """
-
-    items: tuple
-    lookup: dict
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def tails_heads(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Component arrays: (tails, heads) for graphs, (vertices, ranks) for hypergraphs."""
-        a = np.asarray([it[0] for it in self.items], dtype=np.int64)
-        b = np.asarray([it[1] for it in self.items], dtype=np.int64)
-        return a, b
+from .graphs import RegularHypergraph, RsbmGraph
 
 
 def underlying_graph(g):
@@ -52,6 +27,11 @@ def edge_size(g) -> int:
     return g.k if isinstance(g, RegularHypergraph) else 2
 
 
+def _rows(g) -> np.ndarray:
+    """The (m, k) array of g's hyperedges; a graph's edges are the k = 2 case."""
+    return g.hyperedges if isinstance(g, RegularHypergraph) else g.edges
+
+
 def adjacency_csr(g) -> sp.csr_matrix:
     """Symmetric int64 adjacency in canonical CSR, built from the edge arrays.
 
@@ -59,13 +39,9 @@ def adjacency_csr(g) -> sp.csr_matrix:
     both endpoints, so rows sum to d(k-1).
     """
     g = underlying_graph(g)
-    if isinstance(g, RegularHypergraph):
-        E = np.asarray(g.hyperedges, dtype=np.int64).reshape(-1, g.k)
-        a, b = np.triu_indices(g.k, 1)
-        tails, heads = E[:, a].ravel(), E[:, b].ravel()
-    else:
-        E = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-        tails, heads = E[:, 0], E[:, 1]
+    E = _rows(g)
+    a, b = np.triu_indices(E.shape[1], 1)
+    tails, heads = E[:, a].ravel(), E[:, b].ravel()
     rows, cols = np.concatenate([tails, heads]), np.concatenate([heads, tails])
     # tocsr sums the repeated pairs of a hypergraph into multiplicities
     A = sp.coo_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(g.n, g.n)).tocsr()
@@ -78,56 +54,53 @@ def adjacency_matrix(g) -> np.ndarray:
     return adjacency_csr(g).toarray()
 
 
-def oriented_index(g) -> OrientedEdgeIndex:
+def oriented_index(g) -> "tuple[np.ndarray, np.ndarray]":
+    """The oriented edges in A's CSR order, as int64 arrays (tails, heads).
+
+    Graphs: the oriented edges (u, v), sorted. Hypergraphs: the incidences
+    (vertex, hyperedge rank), sorted, which is the CSR order of the
+    incidence matrix; the rank is the row of the hyperedge. Position i is
+    row i of B and entry i of an edge-lifted eigenvector.
+    """
     g = underlying_graph(g)
+    flat = _rows(g).ravel()
+    slots = np.argsort(flat, kind="stable")  # by vertex, then by rank
     if isinstance(g, RegularHypergraph):
-        items = sorted((v, rank) for rank, e in enumerate(g.hyperedges) for v in e)
-    else:
-        items = sorted(x for u, v in g.edges for x in ((u, v), (v, u)))
-    items = tuple(items)
-    return OrientedEdgeIndex(items=items, lookup={it: r for r, it in enumerate(items)})
+        return flat[slots], slots // g.k
+    # edges are sorted, so at each vertex rank order is the order of the other endpoints
+    return flat[slots], flat[slots ^ 1]
 
 
-def nonbacktracking_matrix(g, index: OrientedEdgeIndex | None = None) -> sp.csr_matrix:
+def nonbacktracking_matrix(g, index: "tuple[np.ndarray, np.ndarray] | None" = None) -> sp.csr_matrix:
     """Non-backtracking operator B as a CSR matrix over the oriented index.
 
     Graphs: B[(u,v),(x,y)] = 1 iff v = x and u != y.
     Hypergraphs: B[(i,e),(j,f)] = 1 iff j in e\\{i} and f != e.
+
+    One rule covers both: row (i, e) holds, for each other incidence (j, e)
+    of its (hyper)edge, the index block of vertex j without (j, e) itself;
+    a graph's one other incidence of (u, v) is the reverse edge (v, u). The
+    index is sorted by vertex and the j ascend, so each row's columns come
+    out ascending.
     """
     g = underlying_graph(g)
-    if index is None:
-        index = oriented_index(g)
-    rows: list = []
-    cols: list = []
+    tails, heads = oriented_index(g) if index is None else index
+    m, k = len(tails), edge_size(g)
+    starts = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=g.n), out=starts[1:])
     if isinstance(g, RegularHypergraph):
-        incident: list = [[] for _ in range(g.n)]
-        for rank, e in enumerate(g.hyperedges):
-            for v in e:
-                incident[v].append(rank)
-        for r, (i, erank) in enumerate(index.items):
-            for j in g.hyperedges[erank]:
-                if j == i:
-                    continue
-                for frank in incident[j]:
-                    if frank != erank:
-                        rows.append(r)
-                        cols.append(index.lookup[(j, frank)])
+        # the incidences of each row's hyperedge, ascending vertex, but the row's own
+        members = np.argsort(heads, kind="stable").reshape(-1, k)[heads]
+        pivots = members[members != np.arange(m)[:, None]]
     else:
-        nbrs: list = [[] for _ in range(g.n)]
-        for u, v in g.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for r, (u, v) in enumerate(index.items):
-            for y in nbrs[v]:
-                if y != u:
-                    rows.append(r)
-                    cols.append(index.lookup[(v, y)])
-    m = len(index)
-    B = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(m, m), dtype=np.float64
-    ).tocsr()
-    B.sort_indices()
-    return B
+        # ordered by head, position p holds (v, u): the reverse of (u, v) at p
+        pivots = np.argsort(heads, kind="stable")
+    # each pivot's whole index block, concatenated; the pivot itself is then dropped
+    lo, size = starts[tails[pivots]], np.diff(starts)[tails[pivots]]
+    cols = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(np.sum(size))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(size - 1)[k - 2 :: k - 1]
+    return sp.csr_matrix((np.ones(indptr[-1]), cols[cols != np.repeat(pivots, size)], indptr), shape=(m, m))
 
 
 def reduced_nb_operator(g, A: "sp.csr_matrix | None" = None) -> sp.csr_matrix:

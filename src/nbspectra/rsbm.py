@@ -118,7 +118,7 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
     agree = float(np.mean(sigma_hat == sigma))
     agreement = max(agree, 1.0 - agree)
     return RecoveryResult(
-        sigma_hat=tuple(int(s) for s in sigma_hat),
+        sigma_hat=tuple(sigma_hat.tolist()),
         agreement=agreement,
         exact=agreement == 1.0,
         zero_entries=zero_entries,

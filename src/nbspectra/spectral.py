@@ -33,13 +33,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .graphs import RegularHypergraph, RsbmGraph
-from .operators import (
-    OrientedEdgeIndex,
-    adjacency_matrix,
-    nonbacktracking_matrix,
-    oriented_index,
-    underlying_graph,
-)
+from .operators import adjacency_csr, nonbacktracking_matrix, oriented_index, underlying_graph
 
 #: lifted eigenvalues closer than this to a trivial value are rejected for w-lifts
 TRIVIAL_TOL = 1e-9
@@ -279,7 +273,7 @@ class LiftModel:
         return _quad_roots(np.asarray(lams, dtype=np.float64) - self.shift, self.q)
 
 
-def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: OrientedEdgeIndex) -> np.ndarray:
+def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: "tuple[np.ndarray, np.ndarray]") -> np.ndarray:
     """Eigenvector of B on oriented edges: w(x, y) = mu*v(y) - v(x).
 
     Unnormalized; for a unit v and a conjugate-pair mu its squared norm is
@@ -288,7 +282,7 @@ def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: OrientedEdgeIndex) ->
     mu = complex(mu)
     if abs(mu - 1.0) < TRIVIAL_TOL or abs(mu + 1.0) < TRIVIAL_TOL:
         raise TrivialEigenvalueError(f"mu = {mu} is a trivial eigenvalue of B")
-    tails, heads = index.tails_heads()
+    tails, heads = index
     v = np.asarray(v)
     w = mu * v[heads] - v[tails]
     if np.linalg.norm(w) < ZERO_W_TOL:
@@ -298,16 +292,13 @@ def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: OrientedEdgeIndex) ->
 
 def _hyperedge_sums(H: RegularHypergraph, V: np.ndarray) -> np.ndarray:
     """Per-hyperedge sums of vector entries; V may be (n,) or (n, m)."""
-    rows = np.asarray([rank for rank, e in enumerate(H.hyperedges) for _ in e])
-    cols = np.asarray([v for e in H.hyperedges for v in e])
-    M = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(H.hyperedges), H.n)
-    )
+    E = H.hyperedges
+    M = sp.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.k)), shape=(len(E), H.n))
     return M @ V
 
 
 def lift_eigenvector_nb_hyper(
-    v: np.ndarray, mu: complex, H: RegularHypergraph, index: OrientedEdgeIndex
+    v: np.ndarray, mu: complex, H: RegularHypergraph, index: "tuple[np.ndarray, np.ndarray]"
 ) -> np.ndarray:
     """Eigenvector of hypergraph B: w(x, e) = mu * sum_{y in e, y != x} v(y) - (k-1) v(x)."""
     mu = complex(mu)
@@ -316,7 +307,7 @@ def lift_eigenvector_nb_hyper(
         raise TrivialEigenvalueError(f"mu = {mu} is a trivial eigenvalue of hypergraph B")
     v = np.asarray(v)
     esum = _hyperedge_sums(H, v)
-    verts, ranks = index.tails_heads()
+    verts, ranks = index
     w = mu * (esum[ranks] - v[verts]) - (k - 1) * v[verts]
     if np.linalg.norm(w) < ZERO_W_TOL:
         raise ZeroVectorError("lifted eigenvector vanished")
@@ -450,9 +441,8 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     that produced it.
     """
     kind, n, d, k, d1, d2 = _model_params(g)
-    A = adjacency_matrix(g)
-    As = _symmetric_csr(A)
-    lams, V = _eigh(A)
+    As = adjacency_csr(g).astype(np.float64)
+    lams, V = _eigh(As.toarray())
     AV = As @ V
     _certify(AV, lams, V, _scale(lams))
     mus, mups = LiftModel(d, k).roots(lams)
@@ -600,7 +590,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
 
     index = oriented_index(h)
     B = nonbacktracking_matrix(h, index)
-    tails, heads = index.tails_heads()
+    tails, heads = index
     # hypergraph rows of W need each eigenvector's per-hyperedge sums
     EST = None if k is None else np.ascontiguousarray(_hyperedge_sums(h, V).T)
     vinfs = spec.ratio_v  # v is unit: ratio_v == ||v||_inf
@@ -703,7 +693,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
         else:
             w1 = lift_eigenvector_nb_hyper(ones, mu1, h, index)
         ratio1 = float(np.max(np.abs(w1)) / np.linalg.norm(w1))
-        perron_ratio_err = abs(ratio1 - 1.0 / math.sqrt(len(index)))
+        perron_ratio_err = abs(ratio1 - 1.0 / math.sqrt(len(tails)))
 
     return SpectrumAudit(
         kind=kind,

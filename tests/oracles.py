@@ -15,7 +15,12 @@ residuals) that the array-backed `full_lifted_spectrum` replaced, with the
 scalar `quad_roots` and the one-pair lifts `lift_eigenvalue[_hyper]` and
 `lift_eigenvector_reduced`; `pairwise_spectrum_document` is the spectrum
 file it wrote. `loop_adjacency` is the entry-by-entry dense adjacency that
-the CSR builder under test replaced.
+the CSR builder under test replaced. The `loop_*` graph functions are the
+per-item samplers (`loop_try_pairing`, `loop_try_bipartite`, over Python
+tuples with the same RNG calls), degree
+audit (`loop_validate`), oriented index and non-backtracking matrix (one
+nonzero at a time through a lookup dict) that the array-backed graph layer
+under test replaced; `loop_gen_document` is the `gen` file they give.
 
 The characteristic polynomial is computed by the Faddeev-LeVerrier trace
 recursion in exact integer arithmetic, split into exact squarefree factors
@@ -26,6 +31,7 @@ code with the quadratic-lift path under test.
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +41,20 @@ import sympy
 from scipy import integrate
 from scipy.optimize import brentq, linear_sum_assignment
 
-from nbspectra.errors import AmbiguityError, DegenerateError, DomainError, MultiplicityError, ZeroVectorError
-from nbspectra.graphs import RegularHypergraph
+from nbspectra.errors import (
+    AmbiguityError,
+    DegenerateError,
+    DomainError,
+    InvariantError,
+    MultiplicityError,
+    ZeroVectorError,
+)
+from nbspectra.graphs import RegularHypergraph, RsbmGraph, _try_grouping
 from nbspectra.io import FORMAT_VERSION
 from nbspectra.measures import density_cdf
 from nbspectra.operators import adjacency_matrix, underlying_graph
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
+from nbspectra.seeds import as_seed
 from nbspectra.spectral import _model_params, full_lifted_spectrum, symmetric_eigs
 from nbspectra.verify import _compare, logdet
 
@@ -389,3 +403,239 @@ def multiset_match_distance(a, b) -> float:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))
+
+
+# ------------------------------------------------------------------ loop graphs
+# The per-item samplers, audits and operators that the array-backed graph layer
+# replaced, over Python tuples: same RNG calls, same acceptance rules.
+
+
+def _permuted(items: list, rng: np.random.Generator) -> list:
+    return [items[i] for i in rng.permutation(len(items))]
+
+
+def _suitable(edges: set, leftover: dict) -> bool:
+    # True if some pair of leftover stubs can still form a new simple edge.
+    if not leftover:
+        return True
+    nodes = list(leftover)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            e = (u, v) if u < v else (v, u)
+            if e not in edges:
+                return True
+    return False
+
+
+def loop_try_pairing(n: int, d: int, rng: np.random.Generator):
+    """One attempt at stub matching: the edge set, or None (restart)."""
+    edges: set = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        stubs = _permuted(stubs, rng)
+        leftover: dict = defaultdict(int)
+        it = iter(stubs)
+        for u, v in zip(it, it):
+            if u > v:
+                u, v = v, u
+            if u != v and (u, v) not in edges:
+                edges.add((u, v))
+            else:
+                leftover[u] += 1
+                leftover[v] += 1
+        if not _suitable(edges, leftover):
+            return None
+        stubs = [v for v, c in leftover.items() for _ in range(c)]
+    return edges
+
+
+def _suitable_bipartite(edges: set, left: list, right: list) -> bool:
+    if not left:
+        return True
+    for u in set(left):
+        for v in set(right):
+            if (u, v) not in edges:
+                return True
+    return False
+
+
+def loop_try_bipartite(left: list, right: list, deg: int, rng: np.random.Generator):
+    """One attempt at a deg-regular bipartite matching: the edge set, or None."""
+    edges: set = set()
+    ls = [u for u in left for _ in range(deg)]
+    rs = [v for v in right for _ in range(deg)]
+    while ls:
+        ls = _permuted(ls, rng)
+        rs = _permuted(rs, rng)
+        lo_l: list = []
+        lo_r: list = []
+        for u, v in zip(ls, rs):
+            if (u, v) not in edges:
+                edges.add((u, v))
+            else:
+                lo_l.append(u)
+                lo_r.append(v)
+        if not _suitable_bipartite(edges, lo_l, lo_r):
+            return None
+        ls, rs = lo_l, lo_r
+    return edges
+
+
+def loop_sample_regular_graph(n: int, d: int, seed) -> tuple:
+    """The sorted edge tuple that `sample_regular_graph(n, d, seed)` must return."""
+    rng = as_seed(seed).generator()
+    while True:
+        edges = loop_try_pairing(n, d, rng)
+        if edges is not None:
+            return tuple(sorted(edges))
+
+
+def loop_sample_regular_hypergraph(n: int, d: int, k: int, seed) -> tuple:
+    """The sorted hyperedge tuple of `sample_regular_hypergraph(n, d, k, seed)`;
+    the grouping pass is the package's own, which works on Python tuples."""
+    rng = as_seed(seed).generator()
+    while True:
+        edges = _try_grouping(n, d, k, rng)
+        if edges is not None:
+            return tuple(sorted(edges))
+
+
+def loop_sample_rsbm(n: int, d1: int, d2: int, seed) -> "tuple[tuple, tuple]":
+    """(sigma, sorted edges) of `sample_rsbm(n, d1, d2, seed)`, as tuples."""
+    rng = as_seed(seed).generator()
+    half = n // 2
+    perm = [int(x) for x in rng.permutation(n)]
+    side1, side2 = sorted(perm[:half]), sorted(perm[half:])
+    sigma = [0] * n
+    for v in side1:
+        sigma[v] = 1
+    for v in side2:
+        sigma[v] = -1
+    while True:
+        e1 = loop_try_pairing(half, d1, rng)
+        if e1 is None:
+            continue
+        e2 = loop_try_pairing(half, d1, rng)
+        if e2 is None:
+            continue
+        ec = loop_try_bipartite(side1, side2, d2, rng)
+        if ec is None:
+            continue
+        edges = {tuple(sorted((side1[u], side1[v]))) for u, v in e1}
+        edges |= {tuple(sorted((side2[u], side2[v]))) for u, v in e2}
+        edges |= {tuple(sorted(e)) for e in ec}
+        return tuple(sigma), tuple(sorted(edges))
+
+
+def loop_gen_document(model: str, n: int, seed, d=None, k=None, d1=None, d2=None) -> dict:
+    """The `gen` file of the loop sample of a model, as a JSON document."""
+    head = {"format": FORMAT_VERSION, "model": model, "n": n}
+    if model == "regular":
+        return {**head, "d": d, "edges": [list(e) for e in loop_sample_regular_graph(n, d, seed)]}
+    if model == "hypergraph":
+        rows = loop_sample_regular_hypergraph(n, d, k, seed)
+        return {**head, "d": d, "k": k, "hyperedges": [list(e) for e in rows]}
+    sigma, edges = loop_sample_rsbm(n, d1, d2, seed)
+    return {
+        **head,
+        "d": d1 + d2,
+        "d1": d1,
+        "d2": d2,
+        "sigma": list(sigma),
+        "edges": [list(e) for e in edges],
+    }
+
+
+def loop_validate(g) -> None:
+    """The per-item degree audit of a graph, hypergraph or RSBM sample."""
+    if isinstance(g, RsbmGraph):
+        sigma = g.sigma.tolist()
+        if g.n % 2:
+            raise InvariantError("n must be even")
+        if len(sigma) != g.n or any(s not in (-1, 1) for s in sigma):
+            raise InvariantError("sigma must be a +-1 vector of length n")
+        if sum(1 for s in sigma if s == 1) != g.n // 2:
+            raise InvariantError("sigma must split vertices evenly")
+        if g.graph.n != g.n or g.graph.d != g.d1 + g.d2:
+            raise InvariantError("underlying graph has wrong size or degree")
+        loop_validate(g.graph)
+        within = [0] * g.n
+        cross = [0] * g.n
+        for u, v in g.graph.edges.tolist():
+            side = within if sigma[u] == sigma[v] else cross
+            side[u] += 1
+            side[v] += 1
+        if any(x != g.d1 for x in within) or any(x != g.d2 for x in cross):
+            raise InvariantError("within/cross degree audit failed")
+        return
+    hyper = isinstance(g, RegularHypergraph)
+    k = g.k if hyper else 2
+    if hyper and (g.d < 2 or k < 2 or (g.n * g.d) % k):
+        raise InvariantError("bad hypergraph sizes")
+    if not hyper and (g.n < 1 or g.d < 0 or (g.n * g.d) % 2):
+        raise InvariantError(f"bad sizes n={g.n} d={g.d}")
+    rows = [tuple(e) for e in (g.hyperedges if hyper else g.edges).tolist()]
+    if len(rows) != g.n * g.d // k:
+        raise InvariantError("edge count mismatch")
+    deg = [0] * g.n
+    seen: set = set()
+    prev = None
+    for t in rows:
+        if len(t) != k or len(set(t)) != k or list(t) != sorted(t) or not (0 <= t[0] and t[-1] < g.n):
+            raise InvariantError(f"bad edge {t}")
+        if t in seen:
+            raise InvariantError(f"repeated edge {t}")
+        if prev is not None and not prev < t:
+            raise InvariantError("edges not sorted")
+        seen.add(t)
+        prev = t
+        for v in t:
+            deg[v] += 1
+    if any(x != g.d for x in deg):
+        raise InvariantError("degree audit failed")
+
+
+def loop_oriented_index(g) -> tuple:
+    """Sorted oriented edges (u, v) of a graph, or sorted incidences (vertex,
+    hyperedge rank) of a hypergraph."""
+    g = underlying_graph(g)
+    if isinstance(g, RegularHypergraph):
+        return tuple(sorted((v, rank) for rank, e in enumerate(g.hyperedges.tolist()) for v in e))
+    return tuple(sorted(x for u, v in g.edges.tolist() for x in ((u, v), (v, u))))
+
+
+def loop_nonbacktracking_matrix(g) -> sp.csr_matrix:
+    """B over `loop_oriented_index`, one nonzero at a time through a lookup dict."""
+    g = underlying_graph(g)
+    items = loop_oriented_index(g)
+    lookup = {it: r for r, it in enumerate(items)}
+    rows: list = []
+    cols: list = []
+    if isinstance(g, RegularHypergraph):
+        hyperedges = g.hyperedges.tolist()
+        incident: list = [[] for _ in range(g.n)]
+        for rank, e in enumerate(hyperedges):
+            for v in e:
+                incident[v].append(rank)
+        for r, (i, erank) in enumerate(items):
+            for j in hyperedges[erank]:
+                if j == i:
+                    continue
+                for frank in incident[j]:
+                    if frank != erank:
+                        rows.append(r)
+                        cols.append(lookup[(j, frank)])
+    else:
+        nbrs: list = [[] for _ in range(g.n)]
+        for u, v in g.edges.tolist():
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for r, (u, v) in enumerate(items):
+            for y in nbrs[v]:
+                if y != u:
+                    rows.append(r)
+                    cols.append(lookup[(v, y)])
+    m = len(items)
+    B = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m), dtype=np.float64).tocsr()
+    B.sort_indices()
+    return B

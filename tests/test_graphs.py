@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import nbspectra.graphs as graphs
 from nbspectra.errors import (
     DivisibilityError,
     InfeasibleError,
@@ -10,6 +13,7 @@ from nbspectra.errors import (
 )
 from nbspectra.graphs import (
     RegularGraph,
+    RegularHypergraph,
     RsbmGraph,
     sample_regular_graph,
     sample_regular_hypergraph,
@@ -17,19 +21,20 @@ from nbspectra.graphs import (
 )
 from nbspectra.io import graph_document
 from nbspectra.seeds import Seed
+from oracles import loop_sample_regular_graph, loop_sample_rsbm, loop_validate
 
 
 def test_k4_is_forced():
     # the unique simple 3-regular graph on 4 vertices
     for seed in (0, 1, 99):
         g = sample_regular_graph(4, 3, seed)
-        assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 def test_triangle_is_forced():
     for seed in (0, 17):
         g = sample_regular_graph(3, 2, seed)
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_parity_error():
@@ -87,6 +92,7 @@ def test_hypergraph_audit_and_determinism(n, d, k):
     h2 = sample_regular_hypergraph(n, d, k, 13)
     h1.validate()
     assert h1 == h2
+    assert sample_regular_hypergraph(n, d, k, 14) != h1
 
 
 def test_rsbm_cycle_structure():
@@ -116,6 +122,7 @@ def test_rsbm_audit_and_determinism():
     g2 = sample_rsbm(2000, 12, 4, Seed(1))
     g1.validate()
     assert g1 == g2
+    assert sample_rsbm(2000, 12, 4, Seed(2)) != g1
 
 
 def test_rsbm_sigma_balanced():
@@ -125,10 +132,119 @@ def test_rsbm_sigma_balanced():
 
 def test_validate_rejects_corruption():
     g = sample_regular_graph(10, 3, 0)
-    bad = RegularGraph(n=g.n, d=g.d, edges=g.edges[:-1] + ((0, 9),))
+    bad = RegularGraph(n=g.n, d=g.d, edges=np.vstack([g.edges[:-1], [(0, 9)]]))
     with pytest.raises(InvariantError):
         bad.validate()
     r = sample_rsbm(8, 2, 1, 0)
-    flipped = tuple(-s for s in r.sigma[:1]) + r.sigma[1:]
+    flipped = np.concatenate([-r.sigma[:1], r.sigma[1:]])
     with pytest.raises(InvariantError):
         RsbmGraph(r.n, r.d1, r.d2, flipped, r.graph).validate()
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """Failed attempts (None results) of the pairing and bipartite passes, counted by a spy."""
+    counts = {"_try_pairing": 0, "_try_bipartite": 0}
+    for name in counts:
+        def spy(*args, _fn=getattr(graphs, name), _name=name):
+            out = _fn(*args)
+            counts[_name] += out is None
+            return out
+
+        monkeypatch.setattr(graphs, name, spy)
+    return counts
+
+
+# restarted: these seeds make the vectorized passes give up and restart, and
+# the spy shows it, so the comparison covers the restart path too
+@pytest.mark.parametrize(
+    "n,d,restarted", [(6, 5, False), (10, 8, True), (16, 14, True), (50, 4, False), (2000, 5, True)]
+)
+def test_regular_sampler_matches_loop_oracle(n, d, restarted, restarts):
+    for seed in range(4):
+        g = sample_regular_graph(n, d, seed)
+        assert g.edges.tolist() == [list(e) for e in loop_sample_regular_graph(n, d, seed)], seed
+        loop_validate(g)
+    if restarted:
+        assert restarts["_try_pairing"] > 0
+
+
+@pytest.mark.parametrize("n,d1,d2", [(16, 1, 6), (40, 1, 8), (60, 2, 9), (400, 12, 4), (1000, 12, 4)])
+def test_rsbm_sampler_matches_loop_oracle(n, d1, d2, restarts):
+    for seed in range(3):
+        g = sample_rsbm(n, d1, d2, seed)
+        sigma, edges = loop_sample_rsbm(n, d1, d2, seed)
+        assert g.sigma.tolist() == list(sigma), seed
+        assert g.graph.edges.tolist() == [list(e) for e in edges], seed
+        loop_validate(g)
+    assert restarts["_try_pairing"] + restarts["_try_bipartite"] > 0
+
+
+_G = sample_regular_graph(10, 3, 0)
+_H = sample_regular_hypergraph(9, 2, 3, 0)
+_R = sample_rsbm(16, 2, 1, 2)
+
+
+def _with_row(E, i, row):
+    E = np.array(E)
+    E[i] = row
+    return E
+
+
+def _swap_sides(r):
+    # one vertex of each community trades places: balanced, but no longer blocks
+    s = np.array(r.sigma)
+    i, j = int(np.argmax(s == 1)), int(np.argmax(s == -1))
+    s[i], s[j] = -1, 1
+    return s
+
+
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: replace(_G, n=0), "bad sizes"),
+        (lambda: replace(_G, edges=_G.edges[:, :1]), "bad sizes"),
+        (lambda: replace(_G, edges=_G.edges[:-1]), "edge count"),
+        (lambda: replace(_G, edges=_with_row(_G.edges, 0, (0, 0))), "bad edge"),
+        (lambda: replace(_G, edges=_with_row(_G.edges, -1, (8, 10))), "bad edge"),
+        (lambda: replace(_G, edges=_with_row(_G.edges, 1, _G.edges[0])), "repeated edge"),
+        (lambda: replace(_G, edges=_G.edges[::-1]), "edges not sorted"),
+        (lambda: RegularGraph(4, 2, ((0, 1), (0, 2), (0, 3), (1, 2))), "degree audit"),
+        (lambda: replace(_H, d=1), "require d >= 2"),
+        (lambda: replace(_H, n=8), "k must divide"),
+        (lambda: replace(_H, hyperedges=_H.hyperedges[:, :2]), "not rows of 3"),
+        (lambda: replace(_H, hyperedges=_H.hyperedges[:-1]), "hyperedge count"),
+        (lambda: replace(_H, hyperedges=_with_row(_H.hyperedges, 0, (0, 0, 1))), "distinct vertices"),
+        (lambda: replace(_H, hyperedges=_with_row(_H.hyperedges, 0, (1, 0, 2))), "distinct vertices"),
+        (lambda: replace(_H, hyperedges=_with_row(_H.hyperedges, -1, (6, 7, 9))), "distinct vertices"),
+        (lambda: replace(_H, hyperedges=_with_row(_H.hyperedges, 1, _H.hyperedges[0])), "repeated hyperedge"),
+        (lambda: replace(_H, hyperedges=_H.hyperedges[::-1]), "hyperedges not sorted"),
+        (lambda: RegularHypergraph(6, 2, 3, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 5))), "degree audit"),
+        (lambda: replace(_R, n=15, sigma=_R.sigma[:15]), "n must be even"),
+        (lambda: replace(_R, sigma=_R.sigma[:-1]), "sigma must be a"),
+        (lambda: replace(_R, sigma=_with_row(_R.sigma, 0, 0)), "sigma must be a"),
+        (lambda: replace(_R, sigma=np.abs(_R.sigma)), "split vertices evenly"),
+        (lambda: replace(_R, d2=2), "wrong size or degree"),
+        (lambda: replace(_R, graph=replace(_R.graph, edges=_R.graph.edges[::-1])), "edges not sorted"),
+        (lambda: replace(_R, sigma=_swap_sides(_R)), "within/cross"),
+    ],
+)
+def test_validate_branch_rejects(make, match):
+    bad = make()
+    with pytest.raises(InvariantError, match=match):
+        bad.validate()
+    with pytest.raises(InvariantError):
+        loop_validate(bad)
+
+
+def test_graph_arrays_are_read_only_copies():
+    r, h = sample_rsbm(16, 2, 1, 0), sample_regular_hypergraph(9, 2, 3, 0)
+    for a in (r.sigma, r.graph.edges, h.hyperedges):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1]
+    assert (r.sigma.dtype, r.graph.edges.dtype, h.hyperedges.dtype) == (np.int8, np.int64, np.int64)
+    E = np.array(r.graph.edges)
+    g = RegularGraph(r.n, r.d, E)
+    E[0] = (0, 0)  # the graph owns a copy
+    assert g == r.graph
+    g.validate()

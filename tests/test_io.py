@@ -23,6 +23,7 @@ from nbspectra.operators import nonbacktracking_matrix
 from nbspectra.spectral import full_lifted_spectrum, spectrum_audit
 
 from conftest import named_graph
+from oracles import loop_gen_document
 
 
 def test_graph_round_trip(tmp_path, k4):
@@ -247,3 +248,23 @@ def test_config_validation():
         ExperimentConfig(model="regular", params={}, trials=0).validate()
     with pytest.raises(InvariantError):
         ExperimentConfig(model="regular", params={}, tolerances={"ks": -1.0}).validate()
+
+
+@pytest.mark.parametrize(
+    "model,params",
+    [
+        ("regular", {"n": 50, "d": 4}),
+        ("regular", {"n": 16, "d": 14}),
+        ("hypergraph", {"n": 90, "d": 3, "k": 3}),
+        ("hypergraph", {"n": 60, "d": 2, "k": 3}),
+        ("rsbm", {"n": 60, "d1": 2, "d2": 9}),
+        ("rsbm", {"n": 400, "d1": 12, "d2": 4}),
+    ],
+)
+def test_gen_file_matches_loop_oracle(tmp_path, model, params):
+    for seed in range(3):
+        out = tmp_path / f"{seed}.json"
+        flags = [x for key, value in params.items() for x in (f"--{key}", str(value))]
+        assert cli_main(["gen", "--model", model, *flags, "--seed", str(seed), "--out", str(out)]) == 0
+        doc = loop_gen_document(model, seed=seed, **params)
+        assert out.read_bytes() == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()

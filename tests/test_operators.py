@@ -12,8 +12,14 @@ from nbspectra.operators import (
     sparse_triplets,
 )
 
-from conftest import named_graph
-from oracles import charpoly_roots, loop_adjacency, multiset_match_distance
+from conftest import IHARA_CORPUS, named_graph
+from oracles import (
+    charpoly_roots,
+    loop_adjacency,
+    loop_nonbacktracking_matrix,
+    loop_oriented_index,
+    multiset_match_distance,
+)
 
 
 def test_adjacency_k4(k4):
@@ -66,16 +72,15 @@ def test_adjacency_matches_loop_oracle(g):
 
 
 def test_oriented_index_sizes(c3, k4, hyper923):
-    assert len(oriented_index(c3)) == 6
-    assert len(oriented_index(k4)) == 12
-    assert len(oriented_index(hyper923)) == 18
+    assert [len(a) for a in oriented_index(c3)] == [6, 6]
+    assert [len(a) for a in oriented_index(k4)] == [12, 12]
+    assert [len(a) for a in oriented_index(hyper923)] == [18, 18]
 
 
 def test_oriented_index_bijection(k4):
-    idx = oriented_index(k4)
-    assert sorted(idx.lookup.values()) == list(range(12))
-    for r, item in enumerate(idx.items):
-        assert idx.lookup[item] == r
+    # positions 0..11 are the 12 oriented edges, each once, in sorted order
+    items = list(zip(*(a.tolist() for a in oriented_index(k4))))
+    assert items == sorted({(u, v) for e in k4.edges.tolist() for u, v in (e, e[::-1])})
 
 
 def test_nb_matrix_c3_is_two_directed_cycles(c3):
@@ -106,8 +111,9 @@ def test_nb_matrix_hyper_no_same_edge_transitions(hyper923):
     # B[(i,e),(j,e)] = 0 for all j: an incidence never stays on its hyperedge
     idx = oriented_index(hyper923)
     B = nonbacktracking_matrix(hyper923, idx).toarray()
-    for r, (i, erank) in enumerate(idx.items):
-        for c, (j, frank) in enumerate(idx.items):
+    ranks = idx[1]
+    for r, erank in enumerate(ranks):
+        for c, frank in enumerate(ranks):
             if frank == erank:
                 assert B[r, c] == 0
 
@@ -169,3 +175,29 @@ def test_sparse_triplets_sorted(k4):
     assert trips == sorted(trips)
     assert all(v == 1.0 for _, _, v in trips)
     assert len(trips) == B.nnz
+
+
+@pytest.mark.parametrize(
+    "g",
+    [named_graph(name) for name in IHARA_CORPUS]
+    + [
+        sample_regular_hypergraph(9, 2, 3, 42),
+        sample_regular_hypergraph(90, 3, 3, 2),  # pairs shared by two hyperedges
+        sample_regular_hypergraph(8, 3, 2, 4),
+        sample_rsbm(400, 12, 4, 0),
+    ],
+    ids=lambda g: f"{type(g).__name__}-{g.n}",
+)
+def test_index_and_nb_matrix_match_loop_oracle(g):
+    tails, heads = oriented_index(g)
+    assert tails.dtype == heads.dtype == np.int64
+    assert list(zip(tails.tolist(), heads.tolist())) == list(loop_oriented_index(g))
+    B, R = nonbacktracking_matrix(g), loop_nonbacktracking_matrix(g)
+    assert B.shape == R.shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(B, field), getattr(R, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def test_oracle_hypergraph_has_multiplicity_two():
+    assert adjacency_csr(sample_regular_hypergraph(90, 3, 3, 2)).max() == 2

@@ -320,7 +320,7 @@ def test_nb_lift_k4_norm_by_explicit_summation(k4):
     mu, _ = lift_eigenvalue(lam, 3)
     idx = oriented_index(k4)
     total = 0.0
-    for u_, v_ in idx.items:
+    for u_, v_ in zip(*idx):
         total += abs(mu * v[v_] - v[u_]) ** 2
     assert total == pytest.approx(8.0, rel=1e-10)
     w = lift_eigenvector_nb(v, mu, idx)
