@@ -43,8 +43,6 @@ from .measures import (
     KestenMcKay,
     Semicircle,
     consistency_check_k2,
-    density_cdf,
-    density_pdf,
     ks_distance,
     project_real_parts,
 )
@@ -70,7 +68,6 @@ from .spectral import (
     deterministic_deloc_bound,
     full_lifted_spectrum,
     lift_eigenvector_nb,
-    lift_eigenvector_nb_hyper,
     spectrum_audit,
     symmetric_eigs,
 )

@@ -54,6 +54,14 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}") from e
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    value = int(text)  # argparse reports the ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _format_z(z: complex) -> str:
     """z in the a+bi form that --z accepts, at full precision."""
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
@@ -266,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--in", dest="infile", required=True, help="spectrum JSON from 'spectrum'")
     pr.add_argument("--rescale", choices=["none", "graph", "hypergraph"], default="none")
     pr.add_argument("--exclude-trivial", action="store_true")
-    pr.add_argument("--bins", type=int, default=None, help="bin count (default Freedman-Diaconis)")
+    pr.add_argument("--bins", type=positive_int, default=None, help="bin count (default Freedman-Diaconis)")
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_project)
 
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="determinant-identity checks at random z points")
     vf.add_argument("--in", dest="infile", required=True)
-    vf.add_argument("--trials", type=int, default=8)
+    vf.add_argument("--trials", type=positive_int, default=8)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument(
         "--z",
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--d1", type=int, required=True)
     rc.add_argument("--d2", type=int, required=True)
     rc.add_argument("--seed", type=int, default=0)
-    rc.add_argument("--trials", type=int, default=1)
+    rc.add_argument("--trials", type=positive_int, default=1)
     rc.add_argument("--out")
     rc.set_defaults(func=cmd_rsbm_recover)
 

@@ -1,4 +1,4 @@
-"""Serialization: graphs, spectra, histograms, reports, experiment configs.
+"""Serialization: graphs, spectra, histograms and reports.
 
 One self-describing JSON-shaped format (``"format": 1``) covers all object
 types; files are UTF-8 and written canonically (sorted keys, fixed
@@ -7,8 +7,8 @@ separators) so equal objects produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import InvariantError, ParseError
 from .graphs import RegularGraph, RegularHypergraph, RsbmGraph
 from .measures import EmpiricalMeasure, histogram
-from .operators import sparse_triplets
 from .spectral import LiftedSpectrum
 
 FORMAT_VERSION = 1
@@ -48,6 +47,15 @@ def _require(obj: dict, key: str, path):
     if key not in obj:
         raise ParseError(f"{path}: missing field {key!r}")
     return obj[key]
+
+
+def _require_int(obj: dict, key: str, path) -> int:
+    """A required field that must be a JSON integer: json reads 10.9 as a
+    float and true as a bool, and neither is truncated to an int."""
+    value = _require(obj, key, path)
+    if type(value) is not int:
+        raise ParseError(f"{path}: field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def graph_document(g) -> dict:
@@ -86,11 +94,16 @@ def write_graph(g, path) -> None:
     _write_text(path, _dumps(graph_document(g)))
 
 
-def _int_matrix(rows) -> np.ndarray:
-    """A list of equal-length integer rows (or the empty list) as an int64 array."""
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim != 2 and a.shape != (0,):
-        raise ValueError("not a list of equal-length integer rows")
+def _int_array(value, ndim: int, dtype=np.int64) -> np.ndarray:
+    """A list of integers (ndim 1) or of equal-length integer rows (ndim 2),
+    or the empty list, as a `dtype` array. Every entry must be a JSON integer,
+    as in `_require_int`, and fit the dtype."""
+    a = np.array(value, dtype=dtype)
+    if a.ndim != ndim and a.shape != (0,):
+        raise ValueError(f"not a {ndim}-d list of integers")
+    entries = value if ndim == 1 else itertools.chain.from_iterable(value)
+    if not set(map(type, entries)) <= {int}:
+        raise ValueError("an entry is not an integer")
     return a
 
 
@@ -102,30 +115,30 @@ def read_graph(path):
     try:
         if model == "regular":
             g = RegularGraph(
-                n=int(_require(obj, "n", path)),
-                d=int(_require(obj, "d", path)),
-                edges=_int_matrix(_require(obj, "edges", path)),
+                n=_require_int(obj, "n", path),
+                d=_require_int(obj, "d", path),
+                edges=_int_array(_require(obj, "edges", path), 2),
             )
         elif model == "hypergraph":
             g = RegularHypergraph(
-                n=int(_require(obj, "n", path)),
-                d=int(_require(obj, "d", path)),
-                k=int(_require(obj, "k", path)),
-                hyperedges=_int_matrix(_require(obj, "hyperedges", path)),
+                n=_require_int(obj, "n", path),
+                d=_require_int(obj, "d", path),
+                k=_require_int(obj, "k", path),
+                hyperedges=_int_array(_require(obj, "hyperedges", path), 2),
             )
         elif model == "rsbm":
-            n = int(_require(obj, "n", path))
-            d1 = int(_require(obj, "d1", path))
-            d2 = int(_require(obj, "d2", path))
+            n = _require_int(obj, "n", path)
+            d1 = _require_int(obj, "d1", path)
+            d2 = _require_int(obj, "d2", path)
             g = RsbmGraph(
                 n=n,
                 d1=d1,
                 d2=d2,
-                sigma=_require(obj, "sigma", path),
+                sigma=_int_array(_require(obj, "sigma", path), 1, np.int8),
                 graph=RegularGraph(
                     n=n,
                     d=d1 + d2,
-                    edges=_int_matrix(_require(obj, "edges", path)),
+                    edges=_int_array(_require(obj, "edges", path), 2),
                 ),
             )
         else:
@@ -184,7 +197,7 @@ def read_spectrum(path) -> LiftedSpectrum:
     kind = _require(obj, "model", path)
     if kind not in ("regular", "hypergraph", "rsbm"):
         raise InvariantError(f"{path}: unknown spectrum model {kind!r}")
-    d = int(_require(params, "d", path))
+    d = _require_int(params, "d", path)
     k = params.get("k")
     k_ok = (isinstance(k, int) and k >= 2) if kind == "hypergraph" else k is None
     if not k_ok:
@@ -201,7 +214,7 @@ def read_spectrum(path) -> LiftedSpectrum:
     mus.imag, mus_prime.imag = col["mu_im"], col["mu_prime_im"]
     spec = LiftedSpectrum(
         kind=kind,
-        n=int(_require(params, "n", path)),
+        n=_require_int(params, "n", path),
         d=d,
         k=k,
         lams=col["lambda"],
@@ -237,70 +250,3 @@ def write_histogram(m: EmpiricalMeasure, path, bins=None) -> None:
 
 def write_report(report: dict, path) -> None:
     _write_text(path, _dumps(report))
-
-
-def write_matrix_triplets(M, path, header: dict) -> None:
-    """Sparse dump: one JSON header line, then 'row col value' lines sorted
-    row-major."""
-    lines = [_dumps({"format": FORMAT_VERSION, **header}).rstrip("\n")]
-    for r, c, v in sparse_triplets(M):
-        lines.append(f"{r} {c} {v!r}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Reproducible experiment description: model, trials, seed, outputs."""
-
-    model: str
-    params: dict
-    trials: int = 1
-    master_seed: int = 0
-    out_dir: str = "."
-    tolerances: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise InvariantError("trial count must be >= 1")
-        for name, tol in self.tolerances.items():
-            if not tol > 0:
-                raise InvariantError(f"tolerance {name} must be positive, got {tol}")
-
-    def to_json(self) -> str:
-        return _dumps(
-            {
-                "format": FORMAT_VERSION,
-                "model": self.model,
-                "params": self.params,
-                "trials": self.trials,
-                "master_seed": self.master_seed,
-                "out_dir": self.out_dir,
-                "tolerances": self.tolerances,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"config: invalid JSON ({e})") from e
-        cfg = cls(
-            model=obj.get("model", ""),
-            params=obj.get("params", {}),
-            trials=int(obj.get("trials", 1)),
-            master_seed=int(obj.get("master_seed", 0)),
-            out_dir=obj.get("out_dir", "."),
-            tolerances=obj.get("tolerances", {}),
-        )
-        cfg.validate()
-        return cfg
-
-
-def write_config(cfg: ExperimentConfig, path) -> None:
-    cfg.validate()
-    _write_text(path, cfg.to_json())
-
-
-def read_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_json(Path(path).read_text(encoding="utf-8"))

@@ -256,11 +256,6 @@ class HyperAlpha(_PoleLaw):
         return ((-sa / (2.0 * math.pi), -(sa + 1.0 / sa)),)
 
 
-def density_pdf(model, x):
-    """Closed-form density value(s); zero outside the support."""
-    return model.pdf(x)
-
-
 #: tolerance of the CDF certificate: monotonicity and total mass
 CDF_CERT_TOL = 1e-12
 
@@ -282,14 +277,6 @@ def _segment_integral(model, lo: float, hi):
             f"closed-form CDF of {model} failed its certificate: total mass {float(total)!r}, largest decrease {drop!r}"
         )
     return mass if np.ndim(hi) else float(mass[0])
-
-
-def density_cdf(model, x: float) -> float:
-    """Closed-form CDF, certified (see `_segment_integral`)."""
-    a = model.support[0]
-    if x <= a:
-        return 0.0
-    return _segment_integral(model, a, float(x))
 
 
 def ks_distance(m: EmpiricalMeasure, model) -> float:

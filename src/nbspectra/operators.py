@@ -4,8 +4,8 @@ the reduced 2n x 2n form.
 A is built as sparse CSR from the edge arrays; `adjacency_matrix` is its
 dense copy. B and the reduced matrix are sparse CSR, as they are only
 applied to vectors or factored by sparse LU (`reduced_nb_matrix` is a dense
-copy for small-size oracles). The oriented edges are indexed in A's CSR
-order, so serialized operators are reproducible.
+copy for small-size oracles). The incidences (a graph's oriented edges)
+are indexed in CSR order, so serialized operators are reproducible.
 """
 
 from __future__ import annotations
@@ -55,46 +55,45 @@ def adjacency_matrix(g) -> np.ndarray:
 
 
 def oriented_index(g) -> "tuple[np.ndarray, np.ndarray]":
-    """The oriented edges in A's CSR order, as int64 arrays (tails, heads).
+    """The incidences (vertex, hyperedge) in A's CSR order, as int64 arrays
+    (tails, partners).
 
-    Graphs: the oriented edges (u, v), sorted. Hypergraphs: the incidences
-    (vertex, hyperedge rank), sorted, which is the CSR order of the
-    incidence matrix; the rank is the row of the hyperedge. Position i is
-    row i of B and entry i of an edge-lifted eigenvector.
+    tails[i] is the vertex of incidence i; the incidences are sorted by
+    vertex, then by the rank (row) of their hyperedge, which is the CSR order
+    of the incidence matrix. partners[i] holds, ascending, the positions of
+    the other k-1 incidences of the same hyperedge. A graph is the k = 2
+    case: incidence i is the oriented edge (tails[i], tails[partners[i, 0]]),
+    and as edges are sorted, rank order at a vertex is the order of the other
+    endpoints. Position i is row i of B and entry i of an edge-lifted
+    eigenvector.
     """
-    g = underlying_graph(g)
-    flat = _rows(g).ravel()
+    E = _rows(underlying_graph(g))
+    m, k = E.size, E.shape[1]
+    flat = E.ravel()
     slots = np.argsort(flat, kind="stable")  # by vertex, then by rank
-    if isinstance(g, RegularHypergraph):
-        return flat[slots], slots // g.k
-    # edges are sorted, so at each vertex rank order is the order of the other endpoints
-    return flat[slots], flat[slots ^ 1]
+    pos = np.empty(m, dtype=np.int64)
+    pos[slots] = np.arange(m)
+    # each incidence's whole hyperedge, as positions ascending with the vertex; drop its own
+    members = pos.reshape(-1, k)[slots // k]
+    return flat[slots], members[members != np.arange(m)[:, None]].reshape(m, k - 1)
 
 
 def nonbacktracking_matrix(g, index: "tuple[np.ndarray, np.ndarray] | None" = None) -> sp.csr_matrix:
     """Non-backtracking operator B as a CSR matrix over the oriented index.
 
-    Graphs: B[(u,v),(x,y)] = 1 iff v = x and u != y.
-    Hypergraphs: B[(i,e),(j,f)] = 1 iff j in e\\{i} and f != e.
+    B[(i,e),(j,f)] = 1 iff j in e\\{i} and f != e; for a graph (k = 2) that
+    is B[(u,v),(x,y)] = 1 iff v = x and u != y.
 
-    One rule covers both: row (i, e) holds, for each other incidence (j, e)
-    of its (hyper)edge, the index block of vertex j without (j, e) itself;
-    a graph's one other incidence of (u, v) is the reverse edge (v, u). The
-    index is sorted by vertex and the j ascend, so each row's columns come
-    out ascending.
+    Row (i, e) holds, for each partner (j, e), the index block of vertex j
+    without (j, e) itself. The index is sorted by vertex and the partners
+    ascend, so each row's columns come out ascending.
     """
     g = underlying_graph(g)
-    tails, heads = oriented_index(g) if index is None else index
-    m, k = len(tails), edge_size(g)
+    tails, partners = oriented_index(g) if index is None else index
+    m, k = len(tails), partners.shape[1] + 1
     starts = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=g.n), out=starts[1:])
-    if isinstance(g, RegularHypergraph):
-        # the incidences of each row's hyperedge, ascending vertex, but the row's own
-        members = np.argsort(heads, kind="stable").reshape(-1, k)[heads]
-        pivots = members[members != np.arange(m)[:, None]]
-    else:
-        # ordered by head, position p holds (v, u): the reverse of (u, v) at p
-        pivots = np.argsort(heads, kind="stable")
+    pivots = partners.ravel()
     # each pivot's whole index block, concatenated; the pivot itself is then dropped
     lo, size = starts[tails[pivots]], np.diff(starts)[tails[pivots]]
     cols = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(np.sum(size))
@@ -121,10 +120,3 @@ def reduced_nb_operator(g, A: "sp.csr_matrix | None" = None) -> sp.csr_matrix:
 def reduced_nb_matrix(g) -> np.ndarray:
     """Dense copy of `reduced_nb_operator`."""
     return reduced_nb_operator(g).toarray()
-
-
-def sparse_triplets(M: sp.spmatrix) -> list:
-    """Row-major sorted (row, col, value) triplets of a sparse matrix."""
-    coo = M.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return [(int(coo.row[i]), int(coo.col[i]), float(coo.data[i])) for i in order]

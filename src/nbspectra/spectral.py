@@ -2,14 +2,15 @@
 non-backtracking spectra.
 
 Each adjacency eigenpair (lambda, v) yields two eigenvalues of the reduced
-operator through a quadratic:
+operator through the quadratic
 
-    graphs:       mu^2 - lambda*mu + (d-1) = 0
-    hypergraphs:  mu^2 - (lambda-k+2)*mu + (d-1)(k-1) = 0
+    mu^2 - (lambda-k+2)*mu + (d-1)(k-1) = 0
 
 with eigenvectors [v; (mu/(d-1)) v] for the reduced operator and the
-edge-indexed lifts for B itself. The "+" branch is fixed as the root with
-larger real part (ties: nonnegative imaginary part) so runs are comparable.
+incidence-indexed lifts for B itself. A graph is the k = 2 hypergraph, so
+every lift identity is written once in k. The "+" branch is fixed as the
+root with larger real part (ties: nonnegative imaginary part) so runs are
+comparable.
 
 A spectrum is arrays, one entry per adjacency eigenpair, lambda descending:
 the lift is a few vectorized maps over the eigenvalues and the eigenvector
@@ -33,7 +34,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .graphs import RegularHypergraph, RsbmGraph
-from .operators import adjacency_csr, nonbacktracking_matrix, oriented_index, underlying_graph
+from .operators import adjacency_csr, edge_size, nonbacktracking_matrix, oriented_index, underlying_graph
 
 #: lifted eigenvalues closer than this to a trivial value are rejected for w-lifts
 TRIVIAL_TOL = 1e-9
@@ -273,82 +274,54 @@ class LiftModel:
         return _quad_roots(np.asarray(lams, dtype=np.float64) - self.shift, self.q)
 
 
+def _partner_sums(X: np.ndarray, index: "tuple[np.ndarray, np.ndarray]") -> np.ndarray:
+    """For each incidence, the sum of X over the vertices of its partners;
+    X is (n,) or (rows, n), the sums run along the last axis."""
+    tails, partners = index
+    heads = tails[partners]
+    S = X[..., heads[:, 0]]
+    for j in range(1, heads.shape[1]):
+        S += X[..., heads[:, j]]
+    return S
+
+
 def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: "tuple[np.ndarray, np.ndarray]") -> np.ndarray:
-    """Eigenvector of B on oriented edges: w(x, y) = mu*v(y) - v(x).
+    """Eigenvector of B on the incidences: w(x, e) = mu * sum_{y in e, y != x} v(y) - (k-1) v(x).
 
-    Unnormalized; for a unit v and a conjugate-pair mu its squared norm is
-    d^2 - lambda^2. Trivial eigenvalues +-1 are rejected, as is a vanishing w.
+    A graph is k = 2: w(x, y) = mu*v(y) - v(x). Unnormalized; for a unit v
+    and a conjugate-pair mu its squared norm is (k-1)(d+lambda)(d(k-1)-lambda).
+    The trivial eigenvalues 1 and -(k-1) are rejected, as is a vanishing w.
     """
     mu = complex(mu)
-    if abs(mu - 1.0) < TRIVIAL_TOL or abs(mu + 1.0) < TRIVIAL_TOL:
-        raise TrivialEigenvalueError(f"mu = {mu} is a trivial eigenvalue of B")
-    tails, heads = index
-    v = np.asarray(v)
-    w = mu * v[heads] - v[tails]
-    if np.linalg.norm(w) < ZERO_W_TOL:
-        raise ZeroVectorError("lifted eigenvector vanished")
-    return w
-
-
-def _hyperedge_sums(H: RegularHypergraph, V: np.ndarray) -> np.ndarray:
-    """Per-hyperedge sums of vector entries; V may be (n,) or (n, m)."""
-    E = H.hyperedges
-    M = sp.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.k)), shape=(len(E), H.n))
-    return M @ V
-
-
-def lift_eigenvector_nb_hyper(
-    v: np.ndarray, mu: complex, H: RegularHypergraph, index: "tuple[np.ndarray, np.ndarray]"
-) -> np.ndarray:
-    """Eigenvector of hypergraph B: w(x, e) = mu * sum_{y in e, y != x} v(y) - (k-1) v(x)."""
-    mu = complex(mu)
-    k = H.k
+    tails, partners = index
+    k = partners.shape[1] + 1
     if abs(mu - 1.0) < TRIVIAL_TOL or abs(mu + (k - 1)) < TRIVIAL_TOL:
-        raise TrivialEigenvalueError(f"mu = {mu} is a trivial eigenvalue of hypergraph B")
+        raise TrivialEigenvalueError(f"mu = {mu} is a trivial eigenvalue of B")
     v = np.asarray(v)
-    esum = _hyperedge_sums(H, v)
-    verts, ranks = index
-    w = mu * (esum[ranks] - v[verts]) - (k - 1) * v[verts]
+    w = mu * _partner_sums(v, index) - (k - 1) * v[tails]
     if np.linalg.norm(w) < ZERO_W_TOL:
         raise ZeroVectorError("lifted eigenvector vanished")
     return w
 
 
-def deterministic_deloc_bound(lam: float, mu: complex, d: int, k: "int | None", v_inf: float) -> float:
-    """Deterministic l_inf/l_2 bound for a lifted eigenvector of B.
-
-    Graph: v_inf (|mu|+1) / sqrt(d^2 - lambda^2).
-    Hypergraph: v_inf sqrt(k-1) (|mu|+1) / sqrt((d+lambda)(d(k-1)-lambda)).
+def deterministic_deloc_bound(lam: float, mu: complex, d: int, k: int, v_inf: float) -> float:
+    """Deterministic l_inf/l_2 bound for a lifted eigenvector of B:
+    v_inf sqrt(k-1) (|mu|+1) / sqrt((d+lambda)(d(k-1)-lambda)), k = 2 for a graph.
     """
-    am = abs(complex(mu))
-    if k is None or k == 2:
-        if abs(abs(lam) - d) < 1e-9:
-            raise DegenerateError(f"bound diverges at lambda = +-d (lambda={lam})")
-        den = d * d - lam * lam
-        if den <= 0:
-            raise DegenerateError(f"|lambda| = {abs(lam)} exceeds d = {d}")
-        return v_inf * (am + 1.0) / math.sqrt(den)
     if abs(lam - d * (k - 1)) < 1e-9 or abs(lam + d) < 1e-9:
         raise DegenerateError(f"bound diverges at lambda in {{d(k-1), -d}} (lambda={lam})")
     den = (d + lam) * (d * (k - 1) - lam)
     if den <= 0:
         raise DegenerateError(f"lambda = {lam} outside (-d, d(k-1))")
-    return v_inf * math.sqrt(k - 1) * (am + 1.0) / math.sqrt(den)
+    return v_inf * math.sqrt(k - 1) * (abs(complex(mu)) + 1.0) / math.sqrt(den)
 
 
-def nb_norm_sq_graph(lam, mu, d: int):
-    """Exact ||w||^2 of the graph lift for unit v: d(|mu|^2+1) - 2*lambda*Re(mu),
-    elementwise over arrays.
+def nb_norm_sq(lam, mu, d: int, k: int):
+    """Exact ||w||^2 of the lift for unit v, elementwise over arrays:
+    |mu|^2 ((k-2) lambda + (k-1) d) + (k-1)^2 d - 2 (k-1) lambda Re(mu).
 
-    Reduces to d^2 - lambda^2 when mu, mu' are complex conjugates.
-    """
-    return d * (np.abs(mu) ** 2 + 1.0) - 2.0 * lam * np.real(mu)
-
-
-def nb_norm_sq_hyper(lam, mu, d: int, k: int):
-    """Exact ||w||^2 of the hypergraph lift for unit v, elementwise over arrays.
-
-    Reduces to (k-1)(d+lambda)(d(k-1)-lambda) for conjugate pairs.
+    Reduces to (k-1)(d+lambda)(d(k-1)-lambda) for conjugate pairs, which is
+    d^2 - lambda^2 for a graph (k = 2).
     """
     s = (k - 2) * lam + (k - 1) * d
     return np.abs(mu) ** 2 * s + (k - 1) ** 2 * d - 2.0 * np.real(mu) * (k - 1) * lam
@@ -402,30 +375,28 @@ def _model_params(g) -> "tuple[str, int, int, int | None, int | None, int | None
 U_BLOCK = 64
 
 
-def _u_residuals(AV: np.ndarray, V: np.ndarray, vnorms: np.ndarray, mus: np.ndarray, d: int, k: "int | None"):
+def _u_residuals(AV: np.ndarray, V: np.ndarray, vnorms: np.ndarray, mus: np.ndarray, model: LiftModel):
     """||B~ u - mu u|| / ||u|| of u = [v; c v], c = mu/(d-1), against the block operator.
 
-    B~ u - mu u = [((d-1)c - mu) v; c Av - (k-2) c v - (k-1) v - mu c v]
-    (k = 2 for a graph). AV and V are real, so the bottom block is formed as
-    its real and imaginary parts, in row blocks, with no complex temporary.
+    B~ u - mu u = [((d-1)c - mu) v; c Av - (k-2) c v - (k-1) v - mu c v].
+    AV and V are real, so the bottom block is formed as its real and
+    imaginary parts, c = a + ib: a Av - ((k-2)a + (k-1)) v - Re(mu c) v and
+    b Av - ((k-2)b + Im(mu c)) v, in row blocks, with no complex temporary.
     """
+    d, shift = model.d, model.shift  # shift = k-2
     c = mus / (d - 1)
     a, b = c.real, c.imag
     mc = mus * c
+    coef_re = shift * a + (shift + 1.0)
+    coef_im = shift * b + mc.imag
     bottom_sq = np.zeros(len(mus))
     for r0 in range(0, len(V), U_BLOCK):
         av, v = AV[r0 : r0 + U_BLOCK], V[r0 : r0 + U_BLOCK]
         re = av * a
         im = av * b
-        if k is None:
-            re -= v
-        else:
-            s = (k - 2) * v
-            re -= s * a
-            im -= s * b
-            re -= (k - 1) * v
+        re -= v * coef_re
         re -= v * mc.real
-        im -= v * mc.imag
+        im -= v * coef_im
         bottom_sq += np.einsum("ij,ij->j", re, re)
         bottom_sq += np.einsum("ij,ij->j", im, im)
     top = np.abs((d - 1) * c - mus) * vnorms
@@ -441,20 +412,21 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     that produced it.
     """
     kind, n, d, k, d1, d2 = _model_params(g)
+    model = LiftModel(d, k)
     As = adjacency_csr(g).astype(np.float64)
     lams, V = _eigh(As.toarray())
     AV = As @ V
     _certify(AV, lams, V, _scale(lams))
-    mus, mups = LiftModel(d, k).roots(lams)
+    mus, mups = model.roots(lams)
 
     vnorms = np.linalg.norm(V, axis=0)
     vinfs = np.maximum(np.max(V, axis=0), -np.min(V, axis=0))
 
-    res_u = _u_residuals(AV, V, vnorms, mus, d, k)
+    res_u = _u_residuals(AV, V, vnorms, mus, model)
     # V and AV are real: where mu' = conj(mu) the residual is the conjugate one, same norm
     res_up = res_u.copy()
     own = np.flatnonzero(mups != np.conj(mus))
-    res_up[own] = _u_residuals(AV[:, own], V[:, own], vnorms[own], mups[own], d, k)
+    res_up[own] = _u_residuals(AV[:, own], V[:, own], vnorms[own], mups[own], model)
 
     def u_ratios(muvec: np.ndarray) -> np.ndarray:
         c = np.abs(muvec) / (d - 1)
@@ -561,12 +533,13 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     its eigenvectors (one read from a file does not).
     """
     h = underlying_graph(g)
-    kind, n, d, k, _, _ = _model_params(g)
+    kind, n, d, model_k, _, _ = _model_params(g)
+    k = edge_size(h)
     spec = spectrum if spectrum is not None else full_lifted_spectrum(g)
     if spec.V is None:
         raise ValueError("the audit needs the eigenvectors, which a spectrum read from a file lacks")
     lams, mus, mups, V = spec.lams, spec.mus, spec.mus_prime, spec.V
-    model = LiftModel(d, k)
+    model = LiftModel(d, model_k)
     shift, q = model.shift, model.q
 
     vieta_sum_err = float(
@@ -590,13 +563,12 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
 
     index = oriented_index(h)
     B = nonbacktracking_matrix(h, index)
-    tails, heads = index
-    # hypergraph rows of W need each eigenvector's per-hyperedge sums
-    EST = None if k is None else np.ascontiguousarray(_hyperedge_sums(h, V).T)
+    tails = index[0]
     vinfs = spec.ratio_v  # v is unit: ratio_v == ||v||_inf
 
     # w-lift statistics (wnorm, winf, resid) of every pair, for mu and for mu'.
-    # The factors G1, G2 (W = mu*G1 - G2) are real, so B is applied once per
+    # The factors G1 (partner sums) and G2 = (k-1) v(tails) of W = mu*G1 - G2,
+    # as in `lift_eigenvector_nb`, are real, so B is applied once per
     # block to them and the scalars enter after; and where mu' = conj(mu) the
     # W and residual of mu' are conjugates of those of mu, whose norms and
     # maxima are the same bits, so they are not computed again.
@@ -606,11 +578,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     for r0 in range(0, m, W_BLOCK):
         rows = slice(r0, min(r0 + W_BLOCK, m))
         vt = np.ascontiguousarray(V[:, rows].T)  # one eigenvector per row
-        if EST is None:
-            G1, G2 = vt[:, heads], vt[:, tails]
-        else:
-            G1 = EST[rows][:, heads] - vt[:, tails]
-            G2 = (k - 1) * vt[:, tails]
+        G1, G2 = _partner_sums(vt, index), (k - 1) * vt[:, tails]
         BG2 = (B @ G2.T).T
         P = (B @ G1.T).T + G2
         wstats[0, :, rows] = _w_row_stats(mus[rows], G1, G2, P, BG2)
@@ -627,10 +595,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     skipped_trivial = 0
     skipped_zero = 0
     records: list = []
-    if k is None:
-        paper = d * d - lams**2
-    else:
-        paper = (k - 1) * (d + lams) * (d * (k - 1) - lams)
+    paper = (k - 1) * (d + lams) * (d * (k - 1) - lams)
 
     for muvec, ratios_u, (wnorm, winf, resid) in (
         (mus, spec.ratio_u, wstats[0]),
@@ -647,7 +612,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
         skipped_zero += int(np.sum(zero))
         if np.any(ok):
             resid_w_max = max(resid_w_max, float(np.max(rel_resid[ok])))
-        general = nb_norm_sq_graph(lams, muvec, d) if k is None else nb_norm_sq_hyper(lams, muvec, d, k)
+        general = nb_norm_sq(lams, muvec, d, k)
         gerr = np.abs(wnorm**2 - general) / np.maximum(np.abs(general), 1.0)
         if np.any(ok):
             norm_general_err = max(norm_general_err, float(np.max(gerr[ok])))
@@ -688,10 +653,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     mu1 = model.perron[0]
     if abs(mu1 - 1.0) >= TRIVIAL_TOL:
         ones = np.full(n, 1.0 / math.sqrt(n))
-        if k is None:
-            w1 = lift_eigenvector_nb(ones, mu1, index)
-        else:
-            w1 = lift_eigenvector_nb_hyper(ones, mu1, h, index)
+        w1 = lift_eigenvector_nb(ones, mu1, index)
         ratio1 = float(np.max(np.abs(w1)) / np.linalg.norm(w1))
         perron_ratio_err = abs(ratio1 - 1.0 / math.sqrt(len(tails)))
 
@@ -699,7 +661,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
         kind=kind,
         n=n,
         d=d,
-        k=k,
+        k=model_k,
         vieta_sum_err=vieta_sum_err,
         vieta_prod_err=vieta_prod_err,
         n_bulk=n_bulk,

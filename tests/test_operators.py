@@ -9,7 +9,6 @@ from nbspectra.operators import (
     nonbacktracking_matrix,
     oriented_index,
     reduced_nb_matrix,
-    sparse_triplets,
 )
 
 from conftest import IHARA_CORPUS, named_graph
@@ -78,8 +77,10 @@ def test_oriented_index_sizes(c3, k4, hyper923):
 
 
 def test_oriented_index_bijection(k4):
-    # positions 0..11 are the 12 oriented edges, each once, in sorted order
-    items = list(zip(*(a.tolist() for a in oriented_index(k4))))
+    # positions 0..11 are the 12 oriented edges (tail, tail of the one partner), each once, in sorted order
+    tails, partners = oriented_index(k4)
+    assert partners.shape == (12, 1)
+    items = list(zip(tails.tolist(), tails[partners[:, 0]].tolist()))
     assert items == sorted({(u, v) for e in k4.edges.tolist() for u, v in (e, e[::-1])})
 
 
@@ -111,7 +112,9 @@ def test_nb_matrix_hyper_no_same_edge_transitions(hyper923):
     # B[(i,e),(j,e)] = 0 for all j: an incidence never stays on its hyperedge
     idx = oriented_index(hyper923)
     B = nonbacktracking_matrix(hyper923, idx).toarray()
-    ranks = idx[1]
+    # an incidence and its partners make up one hyperedge; label it by its first position
+    ranks = np.minimum(np.arange(len(idx[0])), idx[1].min(axis=1))
+    assert len(set(ranks.tolist())) == len(hyper923.hyperedges)
     for r, erank in enumerate(ranks):
         for c, frank in enumerate(ranks):
             if frank == erank:
@@ -169,14 +172,6 @@ def test_rsbm_operators_use_underlying_graph():
     assert reduced_nb_matrix(g).shape == (16, 16)
 
 
-def test_sparse_triplets_sorted(k4):
-    B = nonbacktracking_matrix(k4)
-    trips = sparse_triplets(B)
-    assert trips == sorted(trips)
-    assert all(v == 1.0 for _, _, v in trips)
-    assert len(trips) == B.nnz
-
-
 @pytest.mark.parametrize(
     "g",
     [named_graph(name) for name in IHARA_CORPUS]
@@ -189,9 +184,11 @@ def test_sparse_triplets_sorted(k4):
     ids=lambda g: f"{type(g).__name__}-{g.n}",
 )
 def test_index_and_nb_matrix_match_loop_oracle(g):
-    tails, heads = oriented_index(g)
-    assert tails.dtype == heads.dtype == np.int64
-    assert list(zip(tails.tolist(), heads.tolist())) == list(loop_oriented_index(g))
+    tails, partners = oriented_index(g)
+    assert tails.dtype == partners.dtype == np.int64
+    ref = loop_oriented_index(g)
+    assert partners.shape == (len(ref), len(ref[0][1]))
+    assert list(zip(tails.tolist(), map(tuple, partners.tolist()))) == list(ref)
     B, R = nonbacktracking_matrix(g), loop_nonbacktracking_matrix(g)
     assert B.shape == R.shape
     for field in ("indptr", "indices", "data"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -26,9 +27,7 @@ from nbspectra.spectral import (
     extreme_eigs,
     full_lifted_spectrum,
     lift_eigenvector_nb,
-    lift_eigenvector_nb_hyper,
-    nb_norm_sq_graph,
-    nb_norm_sq_hyper,
+    nb_norm_sq,
     outlier_eigs,
     spectrum_audit,
     symmetric_eigs,
@@ -319,9 +318,10 @@ def test_nb_lift_k4_norm_by_explicit_summation(k4):
     assert lam == pytest.approx(-1.0)
     mu, _ = lift_eigenvalue(lam, 3)
     idx = oriented_index(k4)
+    tails, partners = idx
     total = 0.0
-    for u_, v_ in zip(*idx):
-        total += abs(mu * v[v_] - v[u_]) ** 2
+    for u_, p in zip(tails, partners[:, 0]):
+        total += abs(mu * v[tails[p]] - v[u_]) ** 2
     assert total == pytest.approx(8.0, rel=1e-10)
     w = lift_eigenvector_nb(v, mu, idx)
     assert np.linalg.norm(w) ** 2 == pytest.approx(8.0, rel=1e-10)
@@ -369,11 +369,10 @@ def test_nb_lift_hyper_matches_graph_at_k2():
     lams, V, _ = symmetric_eigs(adjacency_matrix(g))
     mu, _ = lift_eigenvalue(lams[3], 3)
     wg = lift_eigenvector_nb(V[:, 3], mu, oriented_index(g))
-    idxh = oriented_index(h)
-    wh = lift_eigenvector_nb_hyper(V[:, 3], mu, h, idxh)
-    # same index ordering: (v, rank of edge) sorts like oriented (v, other) here
-    assert wh.shape == wg.shape
-    assert np.linalg.norm(wh) == pytest.approx(np.linalg.norm(wg), rel=1e-12)
+    # same index: (v, rank of edge) sorts like oriented (v, other) here, so the same bits
+    wh = lift_eigenvector_nb(V[:, 3], mu, oriented_index(h))
+    assert wh.shape == wg.shape and np.array_equal(wh, wg)
+    assert np.linalg.norm(wg) ** 2 == pytest.approx(nb_norm_sq(lams[3], mu, 3, 2), rel=1e-12)
 
 
 def test_nb_lift_hyper_residual(hyper923):
@@ -382,9 +381,9 @@ def test_nb_lift_hyper_residual(hyper923):
     B = nonbacktracking_matrix(h, idx)
     spec = full_lifted_spectrum(h)
     for lam, mu, v in zip(spec.lams[1:], spec.mus[1:], spec.V.T[1:]):
-        w = lift_eigenvector_nb_hyper(v, mu, h, idx)
+        w = lift_eigenvector_nb(v, mu, idx)
         assert np.linalg.norm(B @ w - mu * w) / np.linalg.norm(w) <= 1e-10
-        exp = nb_norm_sq_hyper(lam, mu, h.d, h.k)
+        exp = nb_norm_sq(lam, mu, h.d, h.k)
         assert np.linalg.norm(w) ** 2 == pytest.approx(exp, rel=1e-8)
 
 
@@ -392,31 +391,32 @@ def test_nb_lift_hyper_rejects_trivials(hyper923):
     idx = oriented_index(hyper923)
     v = np.ones(9) / 3.0
     with pytest.raises(TrivialEigenvalueError):
-        lift_eigenvector_nb_hyper(v, 1.0, hyper923, idx)
+        lift_eigenvector_nb(v, 1.0, idx)
     with pytest.raises(TrivialEigenvalueError):
-        lift_eigenvector_nb_hyper(v, -(hyper923.k - 1.0), hyper923, idx)
+        lift_eigenvector_nb(v, -(hyper923.k - 1.0), idx)
 
 
 # -------------------------------------------------------- deterministic bound
 
 
 def test_bound_arithmetic_example():
-    val = deterministic_deloc_bound(0.0, 1j * math.sqrt(2), 3, None, 1.0)
+    val = deterministic_deloc_bound(0.0, 1j * math.sqrt(2), 3, 2, 1.0)
     assert val == pytest.approx((math.sqrt(2) + 1) / 3, rel=1e-12)
 
 
 def test_bound_hyper_reduces_to_graph():
+    # at k = 2 the bound is the graph one, v_inf (|mu|+1) / sqrt(d^2 - lambda^2)
     for lam in (0.0, 1.3, -2.0):
-        g = deterministic_deloc_bound(lam, 1.5 + 0.5j, 5, None, 0.7)
+        g = 0.7 * (abs(1.5 + 0.5j) + 1.0) / math.sqrt(25 - lam * lam)
         h = deterministic_deloc_bound(lam, 1.5 + 0.5j, 5, 2, 0.7)
         assert h == pytest.approx(g, rel=1e-12)
 
 
 def test_bound_degenerate_cases():
     with pytest.raises(DegenerateError):
-        deterministic_deloc_bound(3.0, 2.0, 3, None, 1.0)
+        deterministic_deloc_bound(3.0, 2.0, 3, 2, 1.0)
     with pytest.raises(DegenerateError):
-        deterministic_deloc_bound(-3.0, 2.0, 3, None, 1.0)
+        deterministic_deloc_bound(-3.0, 2.0, 3, 2, 1.0)
     with pytest.raises(DegenerateError):
         deterministic_deloc_bound(6.0, 4.0, 3, 3, 1.0)  # lambda = d(k-1)
     with pytest.raises(DegenerateError):
@@ -432,7 +432,7 @@ def test_bound_dominates_measured_ratio_on_sample():
             continue
         w = lift_eigenvector_nb(v, mu, idx)
         ratio = np.max(np.abs(w)) / np.linalg.norm(w)
-        bound = deterministic_deloc_bound(lam, mu, g.d, None, float(np.max(np.abs(v))))
+        bound = deterministic_deloc_bound(lam, mu, g.d, 2, float(np.max(np.abs(v))))
         assert ratio <= bound + 1e-12
 
 
@@ -548,6 +548,33 @@ def test_vieta_holds_for_all_pairs(sampled_graphs):
 # ------------------------------------------------------------------- audit
 
 
+@pytest.mark.parametrize("n, d, seed", [(8, 3, 4), (60, 3, 1), (120, 4, 2)])
+def test_graph_is_the_k2_hypergraph_bit_for_bit(n, d, seed):
+    # one code path: the same edges as a graph and as a 2-uniform hypergraph give the same bits
+    from nbspectra.graphs import RegularGraph
+
+    h = sample_regular_hypergraph(n, d, 2, seed)
+    g = RegularGraph(n=n, d=d, edges=h.hyperedges)
+    for a, b in zip(oriented_index(g), oriented_index(h)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    Bg, Bh = nonbacktracking_matrix(g), nonbacktracking_matrix(h)
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(Bg, field), getattr(Bh, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    sg, sh = full_lifted_spectrum(g), full_lifted_spectrum(h)
+    assert (sg.kind, sg.k, sh.kind, sh.k) == ("regular", None, "hypergraph", 2)
+    for name in ("lams", "mus", "mus_prime", "degenerate", "residual_u", "residual_u_prime",
+                 "ratio_v", "ratio_u", "ratio_u_prime", "V"):
+        a, b = getattr(sg, name), getattr(sh, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    ag, ah = spectrum_audit(g, sg), spectrum_audit(h, sh)
+    assert ag.records and ag.perron_ratio_err is not None
+    for f in dataclasses.fields(ag):
+        if f.name not in ("kind", "k"):
+            # repr tells every float bit apart, -0.0 from 0.0 too
+            assert repr(getattr(ag, f.name)) == repr(getattr(ah, f.name)), f.name
+
+
 def test_spectrum_audit_clean_on_samples():
     for g in (sample_regular_graph(120, 3, 1), sample_regular_hypergraph(60, 2, 3, 1)):
         a = spectrum_audit(g)
@@ -575,5 +602,5 @@ def test_norm_identity_general_vs_conjugate_domain():
     assert lam == pytest.approx(7.0, abs=1e-9)
     w = lift_eigenvector_nb(spec.V[:, i], mu, idx)
     nsq = float(np.linalg.norm(w) ** 2)
-    assert nsq == pytest.approx(nb_norm_sq_graph(lam, mu, d), rel=1e-9)
+    assert nsq == pytest.approx(nb_norm_sq(lam, mu, d, 2), rel=1e-9)
     assert abs(nsq - (d * d - lam**2)) > 1.0  # paper form does not apply here
