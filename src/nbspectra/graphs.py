@@ -43,8 +43,12 @@ class _Arrays:
 
 def _frozen(values, dtype=np.int64, width: "int | None" = None) -> np.ndarray:
     """A read-only copy of `values` as a `dtype` array; the empty list becomes
-    (0, width) when a width is given."""
-    a = np.array(values, dtype=dtype)
+    (0, width) when a width is given. InvariantError when the cast would
+    change a value: a fraction dropped or an integer wrapped."""
+    given = np.asarray(values)
+    a = given.astype(dtype)
+    if a.dtype != given.dtype and not np.array_equal(a, given):
+        raise InvariantError(f"values do not convert to {a.dtype} exactly")
     if width is not None and a.shape == (0,):
         a = a.reshape(0, width)
     a.flags.writeable = False

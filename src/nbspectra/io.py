@@ -40,6 +40,8 @@ def _load_json(path) -> dict:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
+    if _require_int(obj, "format", path) != FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported format {obj['format']!r}")
     return obj
 
 
@@ -108,8 +110,9 @@ def _int_array(value, ndim: int, dtype=np.int64) -> np.ndarray:
 
 
 def read_graph(path):
-    """Load a graph/hypergraph/RSBM file; the full degree audit runs before
-    the object is returned (InvariantError on failure)."""
+    """Load a graph/hypergraph/RSBM file of format 1 (else ParseError); the
+    full degree audit runs before the object is returned (InvariantError on
+    failure)."""
     obj = _load_json(path)
     model = _require(obj, "model", path)
     try:
@@ -188,9 +191,11 @@ def read_spectrum(path) -> LiftedSpectrum:
     """Load a spectrum file; it carries values and diagnostics but no
     eigenvectors (u/w lifts need the original graph).
 
-    ParseError unless every pair record has every field; InvariantError
-    unless the model is known, k is given exactly for hypergraphs, there are
-    n pairs, every value is finite and lambda is descending.
+    ParseError unless the file is format 1, an RSBM's d1 and d2 are integers
+    and every pair record has every field; InvariantError unless the model is
+    known, k is given exactly for hypergraphs, d = d1 + d2 for an RSBM and d1
+    and d2 are null otherwise, there are n pairs, every value is finite and
+    lambda is descending.
     """
     obj = _load_json(path)
     params = _require(obj, "params", path)
@@ -202,6 +207,12 @@ def read_spectrum(path) -> LiftedSpectrum:
     k_ok = (isinstance(k, int) and k >= 2) if kind == "hypergraph" else k is None
     if not k_ok:
         raise InvariantError(f"{path}: k = {k!r} is inconsistent with model {kind!r}")
+    d1, d2 = params.get("d1"), params.get("d2")
+    if kind == "rsbm":
+        d1, d2 = _require_int(params, "d1", path), _require_int(params, "d2", path)
+    d_ok = d1 + d2 == d if kind == "rsbm" else d1 is None and d2 is None
+    if not d_ok:
+        raise InvariantError(f"{path}: d1 = {d1!r}, d2 = {d2!r} are inconsistent with model {kind!r}, d = {d}")
     records = _require(obj, "pairs", path)
     try:
         col = {
@@ -226,8 +237,8 @@ def read_spectrum(path) -> LiftedSpectrum:
         ratio_v=col["ratio_v"],
         ratio_u=col["ratio_u"],
         ratio_u_prime=col["ratio_u_prime"],
-        d1=params.get("d1"),
-        d2=params.get("d2"),
+        d1=d1,
+        d2=d2,
     )
     if len(spec.lams) != spec.n:
         raise InvariantError(f"{path}: {len(spec.lams)} pairs for n = {spec.n}")

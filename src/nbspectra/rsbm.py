@@ -6,10 +6,11 @@ of radius sqrt(d1+d2-1) whenever (d1-d2)^2 > 4(d1+d2-1), and the sign
 pattern of the corresponding eigenvector recovers the communities.
 
 In exactly that regime d1-d2 is an outlier of A, beyond the bulk edge
-2 sqrt(d1+d2-1). Recovery solves only for the extreme eigenpairs on its side
-(`extreme_eigs`), the insider report only for the outliers beyond +-2
-sqrt(d1+d2-1) (`outlier_eigs`): both are Lanczos solves certified by
-residuals, orthonormality and Sylvester-inertia counts.
+2 sqrt(d1+d2-1). So both recovery and the insider report need only the
+eigenpairs beyond that edge, from `outlier_eigs`: a Sylvester-inertia count
+fixes how many there are, and a Lanczos solve for exactly that many is
+certified by residuals, orthonormality and the count. Recovery takes the
+side of d1-d2, the insider report both sides.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .graphs import RsbmGraph
 from .operators import adjacency_csr
-from .spectral import INERTIA_GAP, LiftedSpectrum, LiftModel, extreme_eigs, outlier_eigs
+from .spectral import INERTIA_GAP, LiftedSpectrum, LiftModel, outlier_eigs
 
 #: tolerance for matching the four deterministic eigenvalues in a lifted spectrum
 MATCH_TOL = 1e-8
@@ -82,13 +83,17 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
     """Estimate sigma from the sign pattern of the eigenvector of A whose
     eigenvalue is nearest d1-d2 (the Perron eigenvalue d1+d2 excluded).
 
-    The eigenpairs come from `extreme_eigs(A, d1-d2)`: the extreme ones on
-    the side of d1-d2 (the largest when d1 >= d2, else the smallest), each
-    certified to the residual and orthonormality tolerances of
-    `symmetric_eigs`, with an inertia count proving that every eigenvalue
-    not returned is farther from d1-d2 than the two nearest candidates. So
-    the choice and the ambiguity test below are those over the whole
-    spectrum.
+    The eigenpairs come from `outlier_eigs` on the side of d1-d2: every
+    eigenpair of A beyond the shift s = 2 sqrt(d1+d2-1) - INERTIA_GAP (d1+d2)
+    (above s when d1 > d2, below -s when d1 < d2), each certified to the
+    residual and orthonormality tolerances of `symmetric_eigs`. The choice
+    and the ambiguity test below are still those over the whole spectrum.
+    d1-d2 is itself an exact eigenvalue (sigma), so the nearest candidate
+    lies at it. Every eigenvalue left out lies inside the shift, and the
+    shift lies more than 1/(2|d1-d2|), far above 1e-6, from d1-d2, because
+    |d1-d2| - 2 sqrt(d1+d2-1) = ((d1-d2)^2 - 4(d1+d2-1)) / (|d1-d2| + 2
+    sqrt(d1+d2-1)) and that numerator is a positive integer. So no
+    eigenvalue left out is nearer d1-d2, or within 1e-6 of the nearest.
 
     Raises AmbiguityError when the two nearest candidate eigenvalues are
     within 1e-6 of each other, and DetectabilityError below the threshold.
@@ -99,11 +104,11 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
             f"(d1-d2)^2 = {(g.d1 - g.d2) ** 2} <= 4(d1+d2-1) = {4 * (g.d1 + g.d2 - 1)}"
         )
     target = float(g.d1 - g.d2)
-    lams, V, _ = extreme_eigs(adjacency_csr(g), target)
+    edge = 2.0 * LiftModel(g.d1 + g.d2).radius
+    lams, V, _ = outlier_eigs(adjacency_csr(g), edge, 1.0 if target >= 0 else -1.0)
     cand = list(range(len(lams)))
-    # the Perron eigenvalue d1+d2 is the largest: returned on the d1 >= d2 side,
-    # or when the solve covered the whole spectrum
-    if target >= 0 or len(lams) == g.n:
+    # the Perron eigenvalue d1+d2 lies beyond the edge on the d1 > d2 side only
+    if target >= 0:
         cand.remove(int(np.argmin(np.abs(lams - (g.d1 + g.d2)))))
     cand.sort(key=lambda i: abs(lams[i] - target))
     best = cand[0]
@@ -157,7 +162,8 @@ def insider_gap_report(g: RsbmGraph, spectrum: LiftedSpectrum | None = None) -> 
     model = LiftModel(g.d1 + g.d2)
     radius = model.radius
     if spectrum is None:
-        lams = outlier_eigs(adjacency_csr(g), 2.0 * radius)[0]
+        A = adjacency_csr(g)
+        lams = np.concatenate([outlier_eigs(A, 2.0 * radius, side)[0] for side in (1.0, -1.0)])
     else:
         lams = spectrum.lams[np.abs(spectrum.lams) > 2.0 * radius - INERTIA_GAP * (g.d1 + g.d2)]
     mus = np.concatenate(model.roots(lams))

@@ -40,9 +40,10 @@ from .operators import adjacency_csr, edge_size, nonbacktracking_matrix, oriente
 TRIVIAL_TOL = 1e-9
 #: a lifted w below this norm counts as the zero vector
 ZERO_W_TOL = 1e-12
-#: the inertia shift sits this far (relative to ||A||) past the innermost Ritz
-#: value: 100 residual tolerances, so the eigenvalue that value certifies lies
-#: beyond it, and far above the backward error of the LDL^T factorization
+#: the inertia shift sits this far (relative to ||A||) inside the edge: 100
+#: residual tolerances, so an eigenvalue at the edge is counted and its Ritz
+#: value still lies beyond the shift, and far above the backward error of the
+#: LDL^T factorization
 INERTIA_GAP = 1e-7
 #: eigen-certificate: residuals <= CERT_TOL * ||A||, orthonormality to CERT_TOL
 CERT_TOL = 1e-9
@@ -122,86 +123,50 @@ def _count_beyond(As: sp.csr_matrix, s: float, side: float) -> int:
     return int(np.count_nonzero(np.diagonal(ldu)[one] > 0)) + int(np.count_nonzero(~one)) // 2
 
 
-def _lanczos_pairs(As, k: int, side: float, scale: float):
-    """The k extreme eigenpairs of sparse As on one side, descending, certified:
-    (vals, V, residuals)."""
-    # not the all-ones vector: that is the Perron vector of a regular graph,
-    # orthogonal to every other eigenvector
-    v0 = np.random.default_rng(0).standard_normal(As.shape[0])
-    vals, vecs = eigsh(As, k=k, which="LA" if side > 0 else "SA", v0=v0)
-    order = np.argsort(-vals, kind="stable")
-    vals, V = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
-    return vals, V, _certify(As @ V, vals, V, scale)
-
-
 def _row_sum_norm(As) -> float:
     """||A|| taken as the largest absolute row sum: equal for a regular graph,
     an upper bound otherwise."""
     return max(float(abs(As).sum(axis=1).max()), 1.0)
 
 
-def extreme_eigs(A, target: float):
-    """The extreme eigenpairs of symmetric A (dense or sparse) on the side of
-    `target`, certified.
+def outlier_eigs(A, edge: float, side: float):
+    """The eigenpairs of symmetric A (dense or sparse) beyond the shift
+    s = edge - INERTIA_GAP * ||A|| on one side, above s (side = 1) or below -s
+    (side = -1), as (vals, V, residuals), eigenvalues descending.
 
-    Returns (vals, V, residuals) as `symmetric_eigs`, eigenvalues descending:
-    the k largest eigenpairs when target >= 0, else the k smallest, for the
-    least k >= 3 whose innermost eigenvalue lies past target and no nearer it
-    than the one before. So the two eigenvalues nearest target, the extreme
-    one not counted, are among those returned, and every eigenvalue not
-    returned is farther from target than they are.
-
-    Lanczos (ARPACK `eigsh` on sparse A, from a fixed start vector, so runs
-    are reproducible) gives k Ritz pairs, certified as in `symmetric_eigs`
-    with ||A|| the largest absolute row sum. Then a Sylvester-inertia count
-    of A - sI, with s just past the innermost Ritz value, must be k: that
-    proves no eigenvalue beyond s was missed. A larger count, or an innermost
-    value short of target or nearer it than the one before, raises k to the
-    count plus one and solves again; a smaller count raises ConvergenceError.
-    Where k would reach n-1, where ARPACK cannot run, this is
-    `symmetric_eigs(A)`.
+    A Sylvester-inertia count fixes how many eigenvalues lie beyond the
+    shift, and Lanczos (ARPACK `eigsh` on sparse A, from a fixed start
+    vector, so runs are reproducible) solves for exactly that many. The
+    result is certified: Lanczos returned exactly `count` pairs, every
+    residual is <= CERT_TOL * ||A|| (||A|| the largest absolute row sum),
+    the vectors are orthonormal to CERT_TOL and every Ritz value lies beyond
+    the shift, else ConvergenceError. So the pairs are all the eigenpairs
+    beyond the shift, a multiple eigenvalue with all its copies. Where the
+    count reaches n-1, where ARPACK cannot run, `symmetric_eigs` solves.
     """
     As = _symmetric_csr(A)
     n = As.shape[0]
     scale = _row_sum_norm(As)
-    side = 1.0 if target >= 0 else -1.0
-    k = 3
-    while k < n - 1:
-        found = _lanczos_pairs(As, k, side, scale)
-        vals = found[0]
-        inner, before = (vals[-1], vals[-2]) if side > 0 else (vals[0], vals[1])
-        count = _count_beyond(As, inner - side * INERTIA_GAP * scale, side)
-        if count < k:
-            raise ConvergenceError(f"inertia count {count} below the {k} Ritz values it must certify")
-        if count == k and side * (inner + before) <= 2.0 * side * target:
-            return found
-        k = count + 1
-    return symmetric_eigs(As.toarray())
-
-
-def outlier_eigs(A, edge: float):
-    """The eigenpairs of symmetric A (dense or sparse) above s and below -s,
-    s = edge - INERTIA_GAP * ||A||, as (vals, V, residuals), eigenvalues
-    descending. An inertia count fixes how many lie on each side, Lanczos
-    solves for exactly that many, certified as in `extreme_eigs`, and each
-    Ritz value must lie beyond its shift, else ConvergenceError. Where a
-    count would reach n-1, `symmetric_eigs` solves."""
-    As = _symmetric_csr(A)
-    n = As.shape[0]
-    scale = _row_sum_norm(As)
     s = edge - INERTIA_GAP * scale
-    counts = [(side, _count_beyond(As, side * s, side)) for side in (1.0, -1.0)]
-    if max(count for _, count in counts) >= n - 1:
+    count = _count_beyond(As, side * s, side)
+    if count >= n - 1:
         vals, V, residuals = symmetric_eigs(As.toarray())
-        keep = np.abs(vals) > s
+        keep = side * vals > s
         return vals[keep], V[:, keep], residuals[keep]
-    parts = [(np.empty(0), np.empty((n, 0)), np.empty(0))]
-    for side, count in counts:
-        if count:
-            parts.append(_lanczos_pairs(As, count, side, scale))
-            if not np.min(side * parts[-1][0]) > s:
-                raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
-    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
+    if count == 0:
+        return np.empty(0), np.empty((n, 0)), np.empty(0)
+    # not the all-ones vector: that is the Perron vector of a regular graph,
+    # orthogonal to every other eigenvector
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = eigsh(As, k=count, which="LA" if side > 0 else "SA", v0=v0)
+    if len(vals) != count:
+        raise ConvergenceError(f"Lanczos returned {len(vals)} Ritz pairs for an inertia count of {count}")
+    order = np.argsort(-vals, kind="stable")
+    vals, V = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
+    residuals = _certify(As @ V, vals, V, scale)
+    if not np.min(side * vals) > s:
+        raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
+    return vals, V, residuals
 
 
 def _quad_roots(t, p: float) -> "tuple[np.ndarray, np.ndarray]":
@@ -308,8 +273,6 @@ def deterministic_deloc_bound(lam: float, mu: complex, d: int, k: int, v_inf: fl
     """Deterministic l_inf/l_2 bound for a lifted eigenvector of B:
     v_inf sqrt(k-1) (|mu|+1) / sqrt((d+lambda)(d(k-1)-lambda)), k = 2 for a graph.
     """
-    if abs(lam - d * (k - 1)) < 1e-9 or abs(lam + d) < 1e-9:
-        raise DegenerateError(f"bound diverges at lambda in {{d(k-1), -d}} (lambda={lam})")
     den = (d + lam) * (d * (k - 1) - lam)
     if den <= 0:
         raise DegenerateError(f"lambda = {lam} outside (-d, d(k-1))")

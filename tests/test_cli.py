@@ -3,17 +3,20 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbspectra.cli
 import nbspectra.graphs
 import nbspectra.measures
 import nbspectra.rsbm
 import nbspectra.spectral
 import nbspectra.verify
 from nbspectra.cli import main, parse_complex
+from nbspectra.seeds import Seed
 
 
 def run(args):
@@ -120,6 +123,23 @@ def test_deloc_command(tmp_path):
     assert len(rep["records"]) == 120
 
 
+def test_deloc_eigenvalue_next_to_minus_d(tmp_path, monkeypatch):
+    # an adjacency eigenvalue 9.2e-10 above -d: the bound there is large but
+    # finite, and the w-lift still meets its residual tolerance
+    g = tmp_path / "h.json"
+    r = tmp_path / "deloc.json"
+    run(["gen", "--model", "hypergraph", "--n", "900", "--d", "3", "--k", "3", "--seed", "907061070", "--out", str(g)])
+    audits = []
+    audit = nbspectra.cli.spectrum_audit
+    monkeypatch.setattr(nbspectra.cli, "spectrum_audit", lambda h: audits.append(audit(h)) or audits[-1])
+    assert run(["deloc", "--in", str(g), "--out", str(r)]) == 0
+    rep = json.loads(r.read_text())
+    assert rep["bound_violations"] == rep["ratio_monotonicity_violations"] == 0
+    lams = [rec["lambda"] for rec in rep["records"]]
+    assert min(lams) + 3.0 < 1e-9
+    assert audits[0].resid_w_max <= 1e-9
+
+
 def test_verify_command(tmp_path):
     g = tmp_path / "g.json"
     run(["gen", "--model", "regular", "--n", "10", "--d", "3", "--seed", "5", "--out", str(g)])
@@ -220,18 +240,33 @@ def test_rsbm_recover_command(tmp_path, capsys):
     assert rep["mu2"] == pytest.approx(5.561552812808830)
 
 
+def test_rsbm_recover_runs_trials_in_calling_thread_in_order(monkeypatch):
+    calls = []
+    sample = nbspectra.cli.sample_rsbm
+
+    def spy(n, d1, d2, seed):
+        calls.append((threading.get_ident(), seed))
+        return sample(n, d1, d2, seed)
+
+    monkeypatch.setattr(nbspectra.cli, "sample_rsbm", spy)
+    assert run(["rsbm-recover", "--n", "40", "--d1", "8", "--d2", "1", "--seed", "3", "--trials", "4"]) == 0
+    assert calls == [(threading.get_ident(), Seed(3).trial(i)) for i in range(4)]
+
+
 def test_rsbm_recover_non_detectable_exits_2():
     assert run(["rsbm-recover", "--n", "40", "--d1", "4", "--d2", "2", "--trials", "1"]) == 2
 
 
-# Declared internal errors, injected, each exit 3. eigsh returns the k = 3
-# Ritz values ascending: about 5, then 7 and the Perron 9 for (d1, d2) = (8, 1).
+# Declared internal errors, injected, each exit 3. eigsh returns the Ritz
+# values beyond the bulk edge 2 sqrt(8) ascending, as many as the inertia count
+# finds, at least d1-d2 = 7 and the Perron 9 for (d1, d2) = (8, 1). The
+# orthonormality case puts a copy of the second pair in the first's place.
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (lambda vals, vecs: (vals + 1e-6, vecs), "eigen-residual"),
-        (lambda vals, vecs: (vals[[1, 1, 2]], vecs[:, [1, 1, 2]]), "orthonormality defect"),
-        (lambda vals, vecs: (vals[1:], vecs[:, 1:]), "inertia count 2 below the 3"),
+        (lambda vals, vecs: (vals[np.r_[1, 1 : len(vals)]], vecs[:, np.r_[1, 1 : len(vals)]]), "orthonormality defect"),
+        (lambda vals, vecs: (vals[1:], vecs[:, 1:]), "Ritz pairs for an inertia count of"),
     ],
     ids=["residual", "orthonormality", "inertia"],
 )
@@ -244,13 +279,13 @@ def test_rsbm_recover_convergence_error_exits_3(tmp_path, capsys, monkeypatch, c
 
 
 def test_rsbm_recover_ambiguity_error_exits_3(tmp_path, capsys, monkeypatch):
-    extreme_eigs = nbspectra.rsbm.extreme_eigs
+    outlier_eigs = nbspectra.rsbm.outlier_eigs
 
-    def near_tie(A, target):
-        vals, V, residuals = extreme_eigs(A, target)  # [Perron, target, next, ...]
-        return np.append(vals[:2], vals[1] - 1e-7), V[:, :3], residuals[:3]
+    def near_tie(A, edge, side):
+        vals, V, residuals = outlier_eigs(A, edge, side)  # [Perron, target, ...]
+        return np.append(vals[:2], vals[1] - 1e-7), V[:, [0, 1, 1]], residuals[[0, 1, 1]]
 
-    monkeypatch.setattr(nbspectra.rsbm, "extreme_eigs", near_tie)
+    monkeypatch.setattr(nbspectra.rsbm, "outlier_eigs", near_tie)
     assert run(["rsbm-recover", "--n", "100", "--d1", "8", "--d2", "1", "--trials", "2", "--out", str(tmp_path / "r.json")]) == 3
     assert "AmbiguityError" in capsys.readouterr().err
 

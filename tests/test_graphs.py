@@ -248,3 +248,20 @@ def test_graph_arrays_are_read_only_copies():
     E[0] = (0, 0)  # the graph owns a copy
     assert g == r.graph
     g.validate()
+
+
+def test_rsbm_sigma_out_of_int8_range_rejected():
+    # 257 would wrap to 1 in int8
+    r = sample_rsbm(16, 2, 1, 0)
+    sigma = r.sigma.astype(np.int64)
+    sigma[sigma == 1] = 257
+    with pytest.raises(InvariantError, match="int8"):
+        RsbmGraph(n=16, d1=2, d2=1, sigma=sigma, graph=r.graph)
+
+
+def test_fractional_edges_rejected():
+    # the fractions would be dropped on the cast to int64
+    g = sample_regular_graph(16, 3, 0)
+    with pytest.raises(InvariantError, match="int64"):
+        RegularGraph(n=16, d=3, edges=g.edges + 0.4)
+    assert RegularGraph(n=16, d=3, edges=g.edges.astype(np.float64)) == g

@@ -71,14 +71,14 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_missing_field_rejected(tmp_path):
     p = tmp_path / "m.json"
-    p.write_text('{"model": "regular", "n": 4}')
+    p.write_text('{"format": 1, "model": "regular", "n": 4}')
     with pytest.raises(ParseError):
         read_graph(p)
 
 
 def test_unknown_model_rejected(tmp_path):
     p = tmp_path / "u.json"
-    p.write_text('{"model": "weighted", "n": 4, "d": 3, "edges": []}')
+    p.write_text('{"format": 1, "model": "weighted", "n": 4, "d": 3, "edges": []}')
     with pytest.raises(ParseError):
         read_graph(p)
 
@@ -102,6 +102,8 @@ def test_unknown_model_rejected(tmp_path):
         pytest.param("hypergraph", "hyperedges", lambda E: [[float(x) for x in e] for e in E], id="hypergraph-float"),
         pytest.param("rsbm", "sigma", lambda s: [1.2 * x for x in s], id="rsbm-sigma-float"),
         ("rsbm", "d1", True),
+        ("regular", "format", 2),
+        ("hypergraph", "format", "1"),
     ],
 )
 def test_malformed_graph_field_rejected(tmp_path, model, field, value):
@@ -167,6 +169,14 @@ def _bool_d(doc):
     doc["params"]["d"] = True
 
 
+def _d1_on_regular(doc):
+    doc["params"]["d1"] = 2
+
+
+def _format_2(doc):
+    doc["format"] = 2
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
     [
@@ -180,6 +190,8 @@ def _bool_d(doc):
             (_drop_diagnostic, ParseError),
             (_float_n, ParseError),
             (_bool_d, ParseError),
+            (_d1_on_regular, InvariantError),
+            (_format_2, ParseError),
         ]
     ],
 )
@@ -191,6 +203,43 @@ def test_spectrum_invariants_enforced(tmp_path, corrupt, error):
     p.write_text(json.dumps(doc))
     with pytest.raises(error):
         read_spectrum(p)
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        pytest.param(lambda doc: doc["params"].update(d1=12.5), ParseError, id="rsbm-d1-float"),
+        pytest.param(lambda doc: doc["params"].update(d2=None), ParseError, id="rsbm-d2-null"),
+        pytest.param(lambda doc: doc["params"].update(d1=11), InvariantError, id="rsbm-d-mismatch"),
+    ],
+)
+def test_rsbm_spectrum_fields_checked(tmp_path, corrupt, error):
+    p = tmp_path / "s.json"
+    write_spectrum(full_lifted_spectrum(sample_rsbm(16, 2, 1, 1)), p)
+    back = read_spectrum(p)
+    assert (back.d, back.d1, back.d2) == (3, 2, 1)
+    doc = json.loads(p.read_text())
+    corrupt(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        read_spectrum(p)
+
+
+def test_edited_rsbm_spectrum_exits_2(tmp_path, capsys):
+    # an RSBM spectrum file edited to d1 = 12.5 and format "junk" used to load
+    s = tmp_path / "s.json"
+    write_spectrum(full_lifted_spectrum(sample_rsbm(16, 2, 1, 1)), s)
+    doc = json.loads(s.read_text())
+    doc["params"]["d1"] = 12.5
+    doc["format"] = "junk"
+    s.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["project", "--in", str(s), "--out", str(tmp_path / "h.csv")]) == 2
+    assert "ParseError" in capsys.readouterr().err
+    doc["format"] = 1
+    s.write_text(json.dumps(doc))
+    assert cli_main(["project", "--in", str(s), "--out", str(tmp_path / "h.csv")]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_hypergraph_spectrum_requires_k(tmp_path):

@@ -19,12 +19,12 @@ from nbspectra.operators import (
     oriented_index,
     reduced_nb_matrix,
 )
+from nbspectra.rsbm import insider_gap_report, recover_communities
 from nbspectra.spectral import (
     INERTIA_GAP,
     _count_beyond,
     _quad_roots,
     deterministic_deloc_bound,
-    extreme_eigs,
     full_lifted_spectrum,
     lift_eigenvector_nb,
     nb_norm_sq,
@@ -72,32 +72,22 @@ def test_eigs_sorted_descending(sampled_graphs):
     assert lams == sorted(lams, reverse=True)
 
 
-@pytest.mark.parametrize(
-    "name, target, ks",
-    [
-        ("K4", 1.0, []),  # n = 4: k = 3 is already n - 1
-        ("cube", 0.0, [3, 5]),  # 1 and -1 are triple: the counts raise k to 5, then 8 = n
-    ],
-)
-def test_extreme_eigs_falls_back_to_full_solve(eigsh_calls, name, target, ks):
-    A = adjacency_matrix(named_graph(name))
-    part = extreme_eigs(A, target)
-    assert eigsh_calls == ks
-    assert np.array_equal(part[0], symmetric_eigs(A)[0])
-
-
 def test_outlier_eigs_falls_back_to_full_solve(eigsh_calls, k4):
-    # K4 has eigenvalues 3, -1, -1, -1: three below -0.5 is n - 1
+    # K4 has eigenvalues 3, -1, -1, -1: three below -0.5 is n - 1, one above is not
     A = adjacency_matrix(k4)
-    part = outlier_eigs(A, 0.5)
+    full = symmetric_eigs(A)[0]
+    below = outlier_eigs(A, 0.5, -1.0)
     assert eigsh_calls == []
-    assert np.array_equal(part[0], symmetric_eigs(A)[0])
+    assert np.array_equal(below[0], full[1:])
+    above = outlier_eigs(A, 0.5, 1.0)
+    assert eigsh_calls == [1]
+    assert above[0] == pytest.approx(full[:1], abs=1e-12)
 
 
 def test_outlier_eigs_both_sides_match_full_solve(eigsh_calls):
     # (60, 2, 9): Perron 11 above the bulk edge 2 sqrt(10), d1-d2 = -7 below
     A = adjacency_matrix(sample_rsbm(60, 2, 9, 0))
-    part = outlier_eigs(A, 2.0 * math.sqrt(10))[0]
+    part = np.concatenate([outlier_eigs(A, 2.0 * math.sqrt(10), side)[0] for side in (1.0, -1.0)])
     full = [lam for lam in symmetric_eigs(A)[0] if abs(lam) > 2.0 * math.sqrt(10)]
     assert len(eigsh_calls) == 2 and sum(eigsh_calls) == len(part)
     assert np.allclose(part, full, rtol=0, atol=1e-9)
@@ -137,9 +127,9 @@ def test_count_beyond_uses_blocked_workspace(monkeypatch):
         return dsytrf(a, **kw)
 
     monkeypatch.setattr(lapack, "dsytrf", spy)
-    A = adjacency_csr(sample_rsbm(400, 12, 4, 0))
-    extreme_eigs(A, 8.0)
-    outlier_eigs(A, 2.0 * math.sqrt(15))
+    g = sample_rsbm(400, 12, 4, 0)
+    recover_communities(g)  # one count, on the side of d1-d2
+    insider_gap_report(g)  # one count on each side
     assert len(lworks) == 3
     for n, lwork in lworks:
         assert lwork is not None and lwork >= lapack.dsytrf_lwork(n)[0] > n
