@@ -17,7 +17,7 @@ from nbspectra.errors import (
     StructureError,
 )
 from nbspectra.graphs import RsbmGraph, sample_rsbm
-from nbspectra.operators import adjacency_matrix, reduced_nb_matrix
+from nbspectra.operators import reduced_nb_matrix
 from nbspectra.rsbm import (
     deterministic_sigma_eigenpair,
     insider_gap_report,
@@ -25,9 +25,8 @@ from nbspectra.rsbm import (
     rsbm_mu2,
 )
 from nbspectra.seeds import Seed
-from nbspectra.spectral import full_lifted_spectrum, outlier_eigs, symmetric_eigs
+from nbspectra.spectral import full_lifted_spectrum
 
-from conftest import named_graph
 from oracles import full_insider_report, full_recovery, sigma_reduced_eigenvector
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -253,17 +252,12 @@ def test_recovery_matches_full_spectrum(n, d1, d2, seed):
     assert_matches_full_recovery(sample_rsbm(n, d1, d2, seed))
 
 
-def test_partial_solve_takes_multiplicity_from_count(eigsh_calls):
-    # the cube's eigenvalue 1 is triple: the count above 0.5 is 4, and the
-    # one solve for 4 pairs returns every copy, as the full solve does
-    A = adjacency_matrix(named_graph("cube"))
-    vals = outlier_eigs(A, 0.5, 1.0)[0]
-    assert eigsh_calls == [4]
-    assert vals == pytest.approx(symmetric_eigs(A)[0][:4], abs=1e-12)
+def test_recovery_raises_k_from_inertia_count(eigsh_calls):
     # eigenvalue -2 is double next to the target -5 but inside the bulk edge
-    # 2 sqrt(6): recovery solves for -5 alone and still matches the full solve
+    # 2 sqrt(6): the inertia count below the edge is 1, so the one Lanczos
+    # solve has k = 1, and recovery still matches the full solve
     assert_matches_full_recovery(sample_rsbm(16, 1, 6, 1))
-    assert eigsh_calls == [4, 1]
+    assert eigsh_calls == [1]
 
 
 def test_rsbm_recovery_demo_runs():

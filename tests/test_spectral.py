@@ -72,6 +72,25 @@ def test_eigs_sorted_descending(sampled_graphs):
     assert lams == sorted(lams, reverse=True)
 
 
+@pytest.mark.parametrize(
+    "name, edge, ks",
+    [
+        # 3 above; the triple -1 sits at the edge, so the count below it is n - 1
+        ("K4", 1.0, [1]),
+        # 3 and the triple 1 above, the triple -1 and -3 below: where the
+        # count is 4, one solve with k = 4 returns every copy
+        ("cube", 0.0, [4, 4]),
+    ],
+)
+def test_extreme_eigs_falls_back_to_full_solve(eigsh_calls, name, edge, ks):
+    # the two sides of the edge give the whole spectrum: a side whose count
+    # reaches n - 1 is the full solve, any other one Lanczos call for its count
+    A = adjacency_matrix(named_graph(name))
+    part = np.concatenate([outlier_eigs(A, edge, side)[0] for side in (1.0, -1.0)])
+    assert eigsh_calls == ks
+    assert part == pytest.approx(symmetric_eigs(A)[0], abs=1e-12)
+
+
 def test_outlier_eigs_falls_back_to_full_solve(eigsh_calls, k4):
     # K4 has eigenvalues 3, -1, -1, -1: three below -0.5 is n - 1, one above is not
     A = adjacency_matrix(k4)
