@@ -9,6 +9,8 @@ to stderr. Identical command lines produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 
 # not used here: perfbench/tracer.py patches `cli.ThreadPoolExecutor`, and
@@ -49,11 +51,14 @@ KS_RESCALE = {"km": "none", "sc": "graph", "hyperfixed": "hypergraph", "hyperalp
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' with optional signs, e.g. 0.3+0.4i, -2i, 1.5."""
+    """Parse a finite 'a+bi' with optional signs, e.g. 0.3+0.4i, -2i, 1.5."""
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        z = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}") from e
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"complex value {text!r} is not finite")
+    return z
 
 
 def positive_int(text: str) -> int:
@@ -61,6 +66,24 @@ def positive_int(text: str) -> int:
     value = int(text)  # argparse reports the ValueError as an invalid value
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def seed_int(text: str) -> int:
+    """argparse type of a master seed: an integer in [0, 2^64)."""
+    value = int(text)
+    try:
+        Seed(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+    return value
+
+
+def threshold_float(text: str) -> float:
+    """argparse type of a KS threshold: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -263,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int)
     g.add_argument("--d1", type=int)
     g.add_argument("--d2", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed_int, default=0)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 
@@ -284,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     ks.add_argument("--in", dest="infile", required=True, help="spectrum JSON")
     ks.add_argument("--law", required=True, choices=["km", "sc", "hyperfixed", "hyperalpha"])
     ks.add_argument("--alpha", type=float, help="alpha for --law hyperalpha")
-    ks.add_argument("--threshold", type=float, help="failure threshold (defaults per law)")
+    ks.add_argument("--threshold", type=threshold_float, help="failure threshold (defaults per law)")
     ks.add_argument("--out")
     ks.set_defaults(func=cmd_ks)
 
@@ -296,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="determinant-identity checks at random z points")
     vf.add_argument("--in", dest="infile", required=True)
     vf.add_argument("--trials", type=positive_int, default=8)
-    vf.add_argument("--seed", type=int, default=0)
+    vf.add_argument("--seed", type=seed_int, default=0)
     vf.add_argument(
         "--z",
         type=parse_complex,
@@ -310,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--n", type=int, required=True)
     rc.add_argument("--d1", type=int, required=True)
     rc.add_argument("--d2", type=int, required=True)
-    rc.add_argument("--seed", type=int, default=0)
+    rc.add_argument("--seed", type=seed_int, default=0)
     rc.add_argument("--trials", type=positive_int, default=1)
     rc.add_argument("--out")
     rc.set_defaults(func=cmd_rsbm_recover)

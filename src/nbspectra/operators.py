@@ -10,10 +10,14 @@ are indexed in CSR order, so serialized operators are reproducible.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import RegularHypergraph, RsbmGraph
+
+if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
+    import scipy.sparse as sp
 
 
 def underlying_graph(g):
@@ -38,6 +42,8 @@ def adjacency_csr(g) -> sp.csr_matrix:
     Graph entries are 0/1; hypergraph entries count the hyperedges containing
     both endpoints, so rows sum to d(k-1).
     """
+    import scipy.sparse as sp
+
     g = underlying_graph(g)
     E = _rows(g)
     a, b = np.triu_indices(E.shape[1], 1)
@@ -88,6 +94,8 @@ def nonbacktracking_matrix(g, index: "tuple[np.ndarray, np.ndarray] | None" = No
     without (j, e) itself. The index is sorted by vertex and the partners
     ascend, so each row's columns come out ascending.
     """
+    import scipy.sparse as sp
+
     g = underlying_graph(g)
     tails, partners = oriented_index(g) if index is None else index
     m, k = len(tails), partners.shape[1] + 1
@@ -109,6 +117,8 @@ def reduced_nb_operator(g, A: "sp.csr_matrix | None" = None) -> sp.csr_matrix:
     Hypergraph: [[0, (d-1)I], [-(k-1)I, A-(k-2)I]].
     A is the float64 `adjacency_csr` of g, built here unless given.
     """
+    import scipy.sparse as sp
+
     h = underlying_graph(g)
     if A is None:
         A = adjacency_csr(h).astype(np.float64)

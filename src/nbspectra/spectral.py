@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
-from scipy.sparse.linalg import eigsh
 
 from .errors import (
     ConvergenceError,
@@ -35,6 +33,9 @@ from .errors import (
 )
 from .graphs import RegularHypergraph, RsbmGraph
 from .operators import adjacency_csr, edge_size, nonbacktracking_matrix, oriented_index, underlying_graph
+
+if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
+    import scipy.sparse as sp
 
 #: lifted eigenvalues closer than this to a trivial value are rejected for w-lifts
 TRIVIAL_TOL = 1e-9
@@ -51,6 +52,8 @@ CERT_TOL = 1e-9
 
 def _symmetric_csr(A) -> sp.csr_matrix:
     """The float64 CSR copy of A, dense or sparse, once A is square and symmetric."""
+    import scipy.sparse as sp
+
     if np.ndim(A) != 2 or np.shape(A)[0] != np.shape(A)[1]:
         raise ValueError("A must be square")
     As = sp.csr_matrix(A, dtype=np.float64)
@@ -112,6 +115,8 @@ def _count_beyond(As: sp.csr_matrix, s: float, side: float) -> int:
     with the workspace LAPACK asks for: `dsytrf`'s default of n words would
     drop it to the unblocked, BLAS-2 `dsytf2`.
     """
+    from scipy.linalg import lapack
+
     n = As.shape[0]
     M = As.toarray(order="F")
     M.ravel(order="F")[:: n + 1] -= s
@@ -127,6 +132,13 @@ def _row_sum_norm(As) -> float:
     """||A|| taken as the largest absolute row sum: equal for a regular graph,
     an upper bound otherwise."""
     return max(float(abs(As).sum(axis=1).max()), 1.0)
+
+
+def eigsh(A, **kwargs):
+    """scipy's `eigsh`, imported on first call."""
+    from scipy.sparse.linalg import eigsh
+
+    return eigsh(A, **kwargs)
 
 
 def outlier_eigs(A, edge: float, side: float):

@@ -25,10 +25,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NearSingularError, SingularError
 from .graphs import RegularGraph, RegularHypergraph
@@ -41,6 +40,9 @@ from .operators import (
 )
 from .seeds import Seed, as_seed
 from .spectral import LiftedSpectrum, full_lifted_spectrum
+
+if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
+    import scipy.sparse as sp
 
 GUARD_RADIUS = 1e-6
 MAG_TOL = 1e-8
@@ -88,6 +90,9 @@ def logdet(M) -> LogDet:
     L has a unit diagonal, so det M = sign(Pr) sign(Pc) prod U_ii. An exactly
     zero pivot or a pivot underflow raises SingularError.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if not sp.issparse(M):
         M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -189,11 +194,15 @@ class IharaBassSystem:
 
     def lhs_matrix(self, z: complex) -> sp.csr_matrix:
         """B - zI, the left-hand side of the identity."""
+        import scipy.sparse as sp
+
         return self.B - z * sp.identity(self.B.shape[0])
 
     def rhs_matrices(self, z: complex) -> tuple:
         """reduced - zI and the quadratic polynomial in A, the two right-hand
         sides of the identity (each without the scalar factor)."""
+        import scipy.sparse as sp
+
         n, d, k = self.graph.n, self.graph.d, self.k
         poly = (z * z + (k - 2) * z + (k - 1) * (d - 1)) * sp.identity(n) - z * self.A
         return self.reduced - z * sp.identity(2 * n), poly
@@ -306,6 +315,10 @@ def ihara_bass_checks(system: IharaBassSystem, zs) -> list:
     for z in zs:
         # the zeros of the scalar factor are B's trivial eigenvalues 1 and -(k-1)
         _guard(z, mus, system.spectrum.model.trivial)
+    # SuperLU's OpenBLAS must be mapped before the pin, or it would load, and
+    # run threaded, inside it
+    import scipy.sparse.linalg  # noqa: F401
+
     records = []
     with single_blas_thread() as pinned, ThreadPoolExecutor(max_workers=1) as worker:
         for z in zs:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import nbspectra.spectral
@@ -6,6 +11,17 @@ from nbspectra.graphs import (
     sample_regular_graph,
     sample_regular_hypergraph,
 )
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``code``, run with ``args`` in a fresh interpreter that
+    imports nbspectra from this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return out.stdout
 
 
 def named_graph(name: str) -> RegularGraph:

@@ -1,10 +1,6 @@
 import json
-import os
 import re
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,8 @@ import nbspectra.spectral
 import nbspectra.verify
 from nbspectra.cli import main, parse_complex
 from nbspectra.seeds import Seed
+
+from conftest import fresh_python
 
 
 def run(args):
@@ -70,6 +68,32 @@ def test_count_below_one_rejected_by_parser(tmp_path, capsys, command, value):
     assert not (tmp_path / "h.csv").exists()
 
 
+#: each --seed option, with the rest of a valid command line before it
+SEED_OPTIONS = {
+    "gen": ["gen", "--model", "regular", "--n", "10", "--d", "3", "--out", "{o}", "--seed"],
+    "verify": ["verify", "--in", "{g}", "--trials", "2", "--out", "{o}", "--seed"],
+    "rsbm-recover": ["rsbm-recover", "--n", "40", "--d1", "8", "--d2", "1", "--out", "{o}", "--seed"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [("gen", "-1"), ("gen", str(2**64)), ("verify", "-2"), ("verify", str(2**64)), ("rsbm-recover", "-4")],
+)
+def test_seed_out_of_range_rejected_by_parser(tmp_path, capsys, command, value):
+    files = {"g": str(tmp_path / "g.json"), "o": str(tmp_path / "o.json")}
+    assert run(["gen", "--model", "regular", "--n", "10", "--d", "3", "--out", files["g"]]) == 0
+    capsys.readouterr()
+    assert run([a.format(**files) for a in SEED_OPTIONS[command]] + [value]) == 2
+    assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_seed_range_ends_accepted(capsys):
+    for seed in ("0", str(2**64 - 1)):
+        assert run(["gen", "--model", "regular", "--n", "10", "--d", "3", "--seed", seed]) == 0
+
+
 def test_gen_writes_stdout_without_out(capsys):
     assert run(["gen", "--model", "regular", "--n", "10", "--d", "3", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -101,6 +125,18 @@ def test_ks_threshold_failure_exits_1(tmp_path):
     run(["gen", "--model", "regular", "--n", "100", "--d", "5", "--seed", "3", "--out", str(g)])
     run(["spectrum", "--in", str(g), "--out", str(s)])
     assert run(["ks", "--in", str(s), "--law", "km", "--threshold", "0.0001"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-0.5"])
+def test_ks_threshold_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    run(["gen", "--model", "regular", "--n", "30", "--d", "3", "--seed", "3", "--out", str(g)])
+    run(["spectrum", "--in", str(g), "--out", str(s)])
+    capsys.readouterr()
+    assert run(["ks", "--in", str(s), "--law", "km", "--threshold", value, "--out", str(tmp_path / "k.json")]) == 2
+    assert "must be a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "k.json").exists()
 
 
 def test_ks_hyperalpha_requires_alpha(tmp_path):
@@ -170,12 +206,43 @@ def test_verify_guards_every_z_before_factoring(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("z", ["nan+0i", "-nan-2i", "1e400", "1-1e400i"])
+def test_verify_non_finite_z_rejected_by_parser(tmp_path, capsys, monkeypatch, z):
+    g = tmp_path / "g.json"
+    run(["gen", "--model", "regular", "--n", "4", "--d", "3", "--out", str(g)])
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(nbspectra.verify, "logdet", lambda M: calls.append(1))
+    assert run(["verify", "--in", str(g), f"--z={z}"]) == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_import_leaves_out_scipy_optimize():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, nbspectra.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert fresh_python(code).strip() == "False"
+
+
+def test_gen_project_ks_leave_out_scipy(tmp_path):
+    # the spectrum is written here, as `spectrum` factors with scipy
+    s = tmp_path / "s.json"
+    run(["gen", "--model", "hypergraph", "--n", "30", "--d", "2", "--k", "3", "--seed", "1", "--out", str(tmp_path / "h.json")])
+    assert run(["spectrum", "--in", str(tmp_path / "h.json"), "--out", str(s)]) == 0
+    code = """
+import sys, nbspectra, nbspectra.cli
+out, s = sys.argv[1:]
+main = nbspectra.cli.main
+codes = [
+    main(["gen", "--model", "regular", "--n", "30", "--d", "3", "--out", out + "/g.json"]),
+    main(["gen", "--model", "hypergraph", "--n", "30", "--d", "2", "--k", "3", "--out", out + "/h.json"]),
+    main(["gen", "--model", "rsbm", "--n", "40", "--d1", "8", "--d2", "1", "--out", out + "/r.json"]),
+    main(["project", "--in", s, "--exclude-trivial", "--out", out + "/p.csv"]),
+    main(["ks", "--in", s, "--law", "hyperfixed", "--threshold", "1", "--out", out + "/k.json"]),
+]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert fresh_python(code, str(tmp_path), str(s)).strip() == "[0, 0, 0, 0, 0] []"
+    assert all((tmp_path / f).exists() for f in ("g.json", "r.json", "p.csv", "k.json"))
 
 
 def test_verify_computes_spectrum_once(tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ from nbspectra.verify import (
     single_blas_thread,
 )
 
-from conftest import IHARA_CORPUS, named_graph
+from conftest import IHARA_CORPUS, fresh_python, named_graph
 from oracles import dense_logdet, eigen_residual, lift_eigenvalue, serial_ihara_bass_checks
 
 
@@ -257,6 +257,25 @@ def _graph_file(tmp_path) -> str:
 def test_openblas_found():
     counts = _blas_counts()
     assert counts and all(c >= 1 for c in counts)
+
+
+def test_pin_covers_every_openblas_of_a_fresh_process():
+    # scipy loads on first use; SuperLU's OpenBLAS must already be mapped when
+    # the pin is taken, however many OpenBLAS builds the process ends up with
+    code = """
+import ctypes, sys
+import nbspectra.verify as v
+from nbspectra.graphs import sample_regular_graph
+
+controls = v._openblas_controls
+pinned = []
+v._openblas_controls = lambda: pinned.append(controls()) or pinned[-1]
+v.ihara_bass_report(sample_regular_graph(12, 3, 4), trials=2, seed=1)
+def libs(found):
+    return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _ in found)
+print(len(pinned), libs(pinned[0]) == libs(controls()), "scipy.sparse.linalg" in sys.modules)
+"""
+    assert fresh_python(code).split() == ["1", "True", "True"]
 
 
 @pytest.mark.parametrize("name", ["petersen", "hyper923"])
