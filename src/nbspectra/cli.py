@@ -87,6 +87,14 @@ def threshold_float(text: str) -> float:
     return value
 
 
+def alpha_float(text: str) -> float:
+    """argparse type of the hyperalpha law's alpha: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _format_z(z: complex) -> str:
     """z in the a+bi form that --z accepts, at full precision."""
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
@@ -135,6 +143,9 @@ def cmd_spectrum(args) -> int:
 def cmd_project(args) -> int:
     spec = nbio.read_spectrum(args.infile)
     m = project_real_parts(spec, rescale=args.rescale, exclude_trivial=args.exclude_trivial)
+    # more bins than samples shows nothing, and a huge count costs time and memory in proportion
+    if args.bins is not None and args.bins > len(m):
+        raise DomainError(f"--bins {args.bins} exceeds the {len(m)} projected samples")
     nbio.write_histogram(m, args.out, bins=args.bins)
     _say(f"wrote histogram of {len(m)} samples to {args.out}")
     return 0
@@ -299,14 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--in", dest="infile", required=True, help="spectrum JSON from 'spectrum'")
     pr.add_argument("--rescale", choices=["none", "graph", "hypergraph"], default="none")
     pr.add_argument("--exclude-trivial", action="store_true")
-    pr.add_argument("--bins", type=positive_int, default=None, help="bin count (default Freedman-Diaconis)")
+    pr.add_argument(
+        "--bins", type=positive_int, default=None, help="bin count, at most the sample count (default Freedman-Diaconis)"
+    )
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_project)
 
     ks = sub.add_parser("ks", help="Kolmogorov-Smirnov distance to a limit law")
     ks.add_argument("--in", dest="infile", required=True, help="spectrum JSON")
     ks.add_argument("--law", required=True, choices=["km", "sc", "hyperfixed", "hyperalpha"])
-    ks.add_argument("--alpha", type=float, help="alpha for --law hyperalpha")
+    ks.add_argument("--alpha", type=alpha_float, help="alpha for --law hyperalpha")
     ks.add_argument("--threshold", type=threshold_float, help="failure threshold (defaults per law)")
     ks.add_argument("--out")
     ks.set_defaults(func=cmd_ks)

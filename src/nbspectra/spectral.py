@@ -15,6 +15,16 @@ comparable.
 A spectrum is arrays, one entry per adjacency eigenpair, lambda descending:
 the lift is a few vectorized maps over the eigenvalues and the eigenvector
 matrix V, and `LiftModel` holds the (d, k) constants every map uses.
+
+The full eigensolve and its certificate run in one BLAS library, scipy's
+OpenBLAS: `dsyevd` through `scipy.linalg.eigh` and V^T V through
+`scipy.linalg.blas.dsyrk`. numpy links an OpenBLAS of its own, and each
+library keeps a pool of threads that spin for a while after a call; with
+both pools busy on the same cores a numpy V^T V after scipy's eigensolve
+made the identity audit about 23% slower on a 2-core machine. The dense
+matrix is the solver's own buffer, filled from the CSR and factored in
+place, so the eigensolve peaks at about 3 n^2 doubles: the matrix and
+dsyevd's workspace.
 """
 
 from __future__ import annotations
@@ -62,28 +72,53 @@ def _symmetric_csr(A) -> sp.csr_matrix:
     return As
 
 
-def _certify(AV: np.ndarray, vals: np.ndarray, V: np.ndarray, scale: float) -> np.ndarray:
-    """The residuals ||A v_i - lambda_i v_i|| (AV = A V), once every one is
-    <= CERT_TOL * scale and the v_i are orthonormal to CERT_TOL, else
-    ConvergenceError."""
-    R = V * vals
-    np.subtract(AV, R, out=R)
-    residuals = np.sqrt(np.einsum("ij,ij->j", R, R))
-    # "not max <= tol" also rejects a NaN
-    if not np.max(residuals) <= CERT_TOL * scale:
-        raise ConvergenceError(f"eigen-residual {np.max(residuals):.3e} exceeds certificate")
-    G = np.dot(V.T, V)  # np.dot spots the transposed pair and calls syrk
-    G.flat[:: len(vals) + 1] -= 1.0
+#: eigenvector columns per block of the eigen-residuals R = AV - V diag(vals)
+R_BLOCK = 256
+
+
+def _certify(
+    As: sp.csr_matrix, vals: np.ndarray, V: np.ndarray, scale: float
+) -> "tuple[np.ndarray, np.ndarray]":
+    """(residuals, AV): the residuals ||A v_i - lambda_i v_i|| and the product
+    AV = A V, once the v_i are orthonormal to CERT_TOL and every residual is
+    <= CERT_TOL * scale, else ConvergenceError.
+
+    V^T V is formed (by scipy's `dsyrk`, one triangle) and checked before AV
+    is built, and R a block of R_BLOCK columns at a time, so besides V at
+    most one more n x n array is alive.
+    """
+    from scipy.linalg.blas import dsyrk
+
+    G = dsyrk(1.0, V.T)  # the upper triangle of V^T V; the lower one stays 0
+    G.ravel(order="F")[:: len(vals) + 1] -= 1.0
     defect = max(np.max(G), -np.min(G))
+    del G  # freed before AV is built
+    # "not defect <= tol" also rejects a NaN
     if not defect <= CERT_TOL:
         raise ConvergenceError(f"orthonormality defect {defect:.3e}")
-    return residuals
+    AV = As @ V
+    residuals = np.empty(len(vals))
+    for c0 in range(0, len(vals), R_BLOCK):
+        cols = slice(c0, c0 + R_BLOCK)
+        R = V[:, cols] * vals[cols]
+        np.subtract(AV[:, cols], R, out=R)
+        residuals[cols] = np.sqrt(np.einsum("ij,ij->j", R, R))
+    if not np.max(residuals) <= CERT_TOL * scale:
+        raise ConvergenceError(f"eigen-residual {np.max(residuals):.3e} exceeds certificate")
+    return residuals, AV
 
 
-def _eigh(A: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Eigenvalues of symmetric A descending, and the C-ordered eigenvector matrix."""
-    vals, vecs = np.linalg.eigh(A)
-    # contiguous copies: negative-stride views force matmul off the BLAS path
+def _eigh(As: sp.csr_matrix) -> "tuple[np.ndarray, np.ndarray]":
+    """Eigenvalues of symmetric CSR As descending, and the C-ordered eigenvector matrix.
+
+    The one dense n x n buffer is filled from the CSR and factored in place
+    by LAPACK's divide-and-conquer `dsyevd` (its workspace adds about 2 n^2
+    doubles), so no array of the caller's is ever overwritten.
+    """
+    from scipy.linalg import eigh
+
+    vals, vecs = eigh(As.toarray(order="F"), overwrite_a=True, check_finite=False, driver="evd")
+    # C-ordered copies: `dsyrk` then takes V^T and A @ V takes V without a copy
     return np.ascontiguousarray(vals[::-1]), np.ascontiguousarray(vecs[:, ::-1])
 
 
@@ -100,8 +135,8 @@ def symmetric_eigs(A: np.ndarray):
     orthonormal to CERT_TOL, else ConvergenceError.
     """
     As = _symmetric_csr(A)
-    vals, V = _eigh(np.asarray(A))
-    return vals, V, _certify(As @ V, vals, V, _scale(vals))
+    vals, V = _eigh(As)
+    return vals, V, _certify(As, vals, V, _scale(vals))[0]
 
 
 def _count_beyond(As: sp.csr_matrix, s: float, side: float) -> int:
@@ -162,7 +197,7 @@ def outlier_eigs(A, edge: float, side: float):
     s = edge - INERTIA_GAP * scale
     count = _count_beyond(As, side * s, side)
     if count >= n - 1:
-        vals, V, residuals = symmetric_eigs(As.toarray())
+        vals, V, residuals = symmetric_eigs(As)
         keep = side * vals > s
         return vals[keep], V[:, keep], residuals[keep]
     if count == 0:
@@ -175,7 +210,7 @@ def outlier_eigs(A, edge: float, side: float):
         raise ConvergenceError(f"Lanczos returned {len(vals)} Ritz pairs for an inertia count of {count}")
     order = np.argsort(-vals, kind="stable")
     vals, V = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
-    residuals = _certify(As @ V, vals, V, scale)
+    residuals = _certify(As, vals, V, scale)[0]
     if not np.min(side * vals) > s:
         raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
     return vals, V, residuals
@@ -389,9 +424,8 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     kind, n, d, k, d1, d2 = _model_params(g)
     model = LiftModel(d, k)
     As = adjacency_csr(g).astype(np.float64)
-    lams, V = _eigh(As.toarray())
-    AV = As @ V
-    _certify(AV, lams, V, _scale(lams))
+    lams, V = _eigh(As)
+    AV = _certify(As, lams, V, _scale(lams))[1]
     mus, mups = model.roots(lams)
 
     vnorms = np.linalg.norm(V, axis=0)

@@ -7,6 +7,7 @@ import pytest
 
 import nbspectra.cli
 import nbspectra.graphs
+import nbspectra.io
 import nbspectra.measures
 import nbspectra.rsbm
 import nbspectra.spectral
@@ -137,6 +138,41 @@ def test_ks_threshold_must_be_finite_and_nonnegative(tmp_path, capsys, value):
     assert run(["ks", "--in", str(s), "--law", "km", "--threshold", value, "--out", str(tmp_path / "k.json")]) == 2
     assert "must be a finite number >= 0" in capsys.readouterr().err
     assert not (tmp_path / "k.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+def test_ks_alpha_must_be_finite_and_positive(tmp_path, capsys, value):
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    run(["gen", "--model", "hypergraph", "--n", "30", "--d", "3", "--k", "3", "--seed", "1", "--out", str(g)])
+    run(["spectrum", "--in", str(g), "--out", str(s)])
+    capsys.readouterr()
+    k = tmp_path / "k.json"
+    assert run(["ks", "--in", str(s), "--law", "hyperalpha", f"--alpha={value}", "--out", str(k)]) == 2
+    assert "must be a finite number > 0" in capsys.readouterr().err
+    assert not k.exists()
+
+
+def test_project_bins_above_sample_count_exits_2(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    h = tmp_path / "h.csv"
+    run(["gen", "--model", "regular", "--n", "30", "--d", "3", "--seed", "3", "--out", str(g)])
+    run(["spectrum", "--in", str(g), "--out", str(s)])
+    # 2n = 60 samples, 58 once the trivial pair is left out
+    assert run(["project", "--in", str(s), "--exclude-trivial", "--bins", "58", "--out", str(h)]) == 0
+    assert len(h.read_text().splitlines()) == 1 + 58
+    h.unlink()
+
+    def no_histogram(*args, **kw):
+        raise AssertionError("histogram ran")
+
+    monkeypatch.setattr(nbspectra.io, "histogram", no_histogram)
+    capsys.readouterr()
+    for bins in ("59", "100000000"):
+        assert run(["project", "--in", str(s), "--exclude-trivial", "--bins", bins, "--out", str(h)]) == 2
+        assert f"--bins {bins} exceeds the 58 projected samples" in capsys.readouterr().err
+        assert not h.exists()
 
 
 def test_ks_hyperalpha_requires_alpha(tmp_path):

@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
+import nbspectra.spectral
 from nbspectra.cli import main as cli_main
-from nbspectra.errors import DegenerateError, TrivialEigenvalueError, ZeroVectorError
+from nbspectra.errors import ConvergenceError, DegenerateError, TrivialEigenvalueError, ZeroVectorError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.io import write_graph
 from nbspectra.operators import (
@@ -22,6 +25,7 @@ from nbspectra.operators import (
 from nbspectra.rsbm import insider_gap_report, recover_communities
 from nbspectra.spectral import (
     INERTIA_GAP,
+    R_BLOCK,
     _count_beyond,
     _quad_roots,
     deterministic_deloc_bound,
@@ -33,7 +37,7 @@ from nbspectra.spectral import (
     symmetric_eigs,
 )
 
-from conftest import ORACLE_CORPUS, named_graph
+from conftest import ORACLE_CORPUS, fresh_python, named_graph
 from oracles import (
     charpoly_roots,
     lift_eigenvalue,
@@ -152,6 +156,85 @@ def test_count_beyond_uses_blocked_workspace(monkeypatch):
     assert len(lworks) == 3
     for n, lwork in lworks:
         assert lwork is not None and lwork >= lapack.dsytrf_lwork(n)[0] > n
+
+
+def _corrupt_eigh(monkeypatch, corrupt):
+    """Patch `_eigh` so that it hands (vals, V) through `corrupt` first."""
+    eigh = nbspectra.spectral._eigh
+
+    def corrupted(As):
+        vals, V = eigh(As)
+        corrupt(vals, V)
+        return vals, V
+
+    monkeypatch.setattr(nbspectra.spectral, "_eigh", corrupted)
+
+
+def test_certificate_catches_residual_in_last_block(monkeypatch):
+    # swapping two eigenvectors keeps V orthonormal; only the last R block's
+    # residuals grow, so a block loop that stopped short would pass them
+    A = adjacency_matrix(sample_regular_graph(R_BLOCK + 40, 3, 2))
+    vals = symmetric_eigs(A)[0]
+    assert vals[-2] - vals[-1] > 1e-3
+
+    def swap_last_two(vals, V):
+        V[:, [-2, -1]] = V[:, [-1, -2]]
+
+    _corrupt_eigh(monkeypatch, swap_last_two)
+    with pytest.raises(ConvergenceError, match="eigen-residual"):
+        symmetric_eigs(A)
+
+
+def test_certificate_catches_non_orthonormal_vectors(monkeypatch):
+    def stretch_one(vals, V):
+        V[:, 3] *= 1.0 + 1e-6  # residual 1e-6 |lambda|, defect 2e-6
+
+    _corrupt_eigh(monkeypatch, stretch_one)
+    with pytest.raises(ConvergenceError, match="orthonormality defect"):
+        symmetric_eigs(adjacency_matrix(sample_regular_graph(30, 3, 1)))
+
+
+def test_symmetric_eigs_leaves_callers_array_alone(monkeypatch):
+    # an F-ordered float64 array is the one layout LAPACK could overwrite
+    # without a copy; the eigensolve may overwrite only its own buffer
+    A = np.asfortranarray(adjacency_matrix(sample_regular_graph(30, 3, 1)), dtype=np.float64)
+    before = A.copy()
+    buffers = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, **kw):
+        buffers.append((a, kw.get("overwrite_a")))
+        return eigh(a, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    symmetric_eigs(A)
+    assert np.array_equal(A, before)
+    [(a, overwrite)] = buffers
+    assert overwrite and not np.shares_memory(a, A)
+
+
+# Peak RSS of one fresh process per size. VmHWM, not ru_maxrss: a spawned
+# child's ru_maxrss starts at its parent's peak, which exec carries over.
+PEAK_RSS = """
+import sys
+import scipy.linalg, scipy.linalg.blas, scipy.sparse
+from nbspectra.graphs import sample_regular_graph
+from nbspectra.spectral import full_lifted_spectrum
+full_lifted_spectrum(sample_regular_graph(int(sys.argv[1]), 5, 7))
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))  # kB
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_full_lifted_spectrum_peak_grows_under_4_n_squared():
+    # Growth of the peak from n = 1000 to 2000 in doubles per n^2, which
+    # cancels the process base: measured 3.13-3.15 (92.5 and 166.4 MB, one
+    # or two OpenBLAS threads, 2-core Xeon VM), 5.13 when np.linalg.eigh
+    # copied the dense A. It is the in-place dsyevd (A and about 2 n^2 of
+    # workspace); 4.0 leaves a 27% margin and still fails the copying solve.
+    peak = {n: int(fresh_python(PEAK_RSS, str(n))) * 1024 for n in (1000, 2000)}
+    growth = (peak[2000] - peak[1000]) / (8 * (2000**2 - 1000**2))
+    assert growth <= 4.0
 
 
 # ------------------------------------------------------------ eigenvalue lift
