@@ -176,16 +176,28 @@ def _permuted(items: list, rng: np.random.Generator) -> list:
     return [items[i] for i in rng.permutation(len(items))]
 
 
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in the ascending array `sorted_keys`."""
+    return np.searchsorted(sorted_keys, keys, "right") > np.searchsorted(sorted_keys, keys)
+
+
 def _first_new(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
     """Which pairs of one pass are accepted: the first occurrence of each
-    pair key (a flat index into `taken`) that no earlier pass took."""
-    m = len(keys)
-    # sorting key * m + position puts each key's first position at the head of its run
-    s = np.sort(keys * m + np.arange(m))
-    run = s // m
-    first = np.zeros(m, dtype=bool)
-    first[s[np.r_[True, run[1:] != run[:-1]]] % m] = True
-    return first & ~taken.ravel()[keys]
+    pair key that is not among `taken`, the sorted keys of earlier passes."""
+    s = np.sort(keys)
+    new = ~_member(keys, taken)
+    # the few positions whose key repeats, in key order and, within a key, position order
+    dup = np.flatnonzero(_member(keys, s[1:][s[1:] == s[:-1]]))
+    dup = dup[np.argsort(keys[dup], kind="stable")]
+    new[dup[1:][keys[dup[1:]] == keys[dup[:-1]]]] = False
+    return new
+
+
+def _pairs_within(taken: np.ndarray, size: int, rows: np.ndarray, cols: np.ndarray) -> int:
+    """How many of the pair keys `taken` (row * size + col) fall in rows x cols."""
+    in_rows, in_cols = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    in_rows[rows] = in_cols[cols] = True
+    return int(np.count_nonzero(in_rows[taken // size] & in_cols[taken % size]))
 
 
 def _sorted_edges(E: np.ndarray, n: int) -> np.ndarray:
@@ -200,24 +212,26 @@ def _try_pairing(n: int, d: int, rng: np.random.Generator) -> "np.ndarray | None
     every pair that is no self-loop and no edge yet, and passes the stubs of
     the rest on, vertices in first-seen order. Returns the edges (u < v) in
     acceptance order, or None if the remaining stubs cannot be completed
-    (full restart required). `taken` is an n x n mask, diagonal included.
+    (full restart required). `taken` holds the sorted keys u * n + v of the
+    accepted edges, so memory stays O(nd).
     """
-    taken = np.eye(n, dtype=bool)
+    taken = np.empty(0, dtype=np.int64)
     accepted = []
     stubs = np.tile(np.arange(n), d)
     while len(stubs):
         a, b = stubs[rng.permutation(len(stubs))].reshape(-1, 2).T
         pairs = np.column_stack([np.minimum(a, b), np.maximum(a, b)])
-        new = _first_new(pairs[:, 0] * n + pairs[:, 1], taken)
-        u, v = pairs[new].T
-        taken[u, v] = taken[v, u] = True
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        new = _first_new(keys, taken) & (a != b)
+        taken = np.sort(np.concatenate([taken, keys[new]]))
         accepted.append(pairs[new])
         rest = pairs[~new].ravel()
         if not len(rest):
             break
         verts, first, counts = np.unique(rest, return_index=True, return_counts=True)
         # no pair of distinct leftover vertices can still form a new edge
-        if taken[np.ix_(verts, verts)].all():
+        r = len(verts)
+        if _pairs_within(taken, n, verts, verts) == r * (r - 1) // 2:
             return None
         order = np.argsort(first)
         stubs = np.repeat(verts[order], counts[order])
@@ -318,18 +332,21 @@ def _try_bipartite(size: int, deg: int, rng: np.random.Generator) -> "np.ndarray
     new pair and passes the rest on in order; None if no leftover pair can
     still be new (full restart required).
     """
-    taken = np.zeros((size, size), dtype=bool)
+    taken = np.empty(0, dtype=np.int64)  # sorted keys i * size + j of the accepted pairs
     accepted = []
     left = right = np.repeat(np.arange(size), deg)
     while len(left):
         left = left[rng.permutation(len(left))]
         right = right[rng.permutation(len(right))]
-        new = _first_new(left * size + right, taken)
-        taken[left[new], right[new]] = True
+        keys = left * size + right
+        new = _first_new(keys, taken)
+        taken = np.sort(np.concatenate([taken, keys[new]]))
         accepted.append(np.column_stack([left[new], right[new]]))
         left, right = left[~new], right[~new]
-        if len(left) and taken[np.ix_(np.unique(left), np.unique(right))].all():
-            return None
+        if len(left):
+            rows, cols = np.unique(left), np.unique(right)
+            if _pairs_within(taken, size, rows, cols) == len(rows) * len(cols):
+                return None
     return np.concatenate(accepted)
 
 

@@ -24,6 +24,7 @@ density 1/sqrt-singular there; the closed forms need no special case.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -228,6 +229,18 @@ class HyperFixed(_PoleLaw):
         return ((w, c1), (-w, c2))
 
 
+#: tolerance of the CDF certificate: monotonicity and total mass
+CDF_CERT_TOL = 1e-12
+
+#: the largest alpha of the hyperalpha law, (CDF_CERT_TOL / eps)^2, about 2.03e7.
+#: Its CDF subtracts terms of size up to 2 that agree to O(1/sqrt(alpha)), and
+#: the weight sqrt(alpha)/(2 pi) scales their rounding back up, so the CDF
+#: carries a rounding error that grows as sqrt(alpha) eps: its largest decrease
+#: between clustered samples measured 0.80 sqrt(alpha) eps, which at this bound
+#: is 8.0e-13, inside the certificate's monotonicity tolerance.
+ALPHA_MAX = (CDF_CERT_TOL / sys.float_info.epsilon) ** 2
+
+
 @dataclass(frozen=True)
 class HyperAlpha(_PoleLaw):
     alpha: float
@@ -237,6 +250,11 @@ class HyperAlpha(_PoleLaw):
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise DomainError("alpha must be positive")
+        if self.alpha > ALPHA_MAX:
+            raise DomainError(
+                f"alpha = {self.alpha} exceeds {ALPHA_MAX:.4g}, beyond which the closed-form CDF "
+                "cannot be certified to its tolerance"
+            )
         if self.alpha < 1:
             warnings.warn(
                 f"alpha = {self.alpha} < 1 is outside the stated d/k -> alpha >= 1 regime",
@@ -254,10 +272,6 @@ class HyperAlpha(_PoleLaw):
         # = -(sqrt(alpha)/(2 pi)) sqrt(4 - x^2) / (c - x), c = -(sqrt(alpha) + 1/sqrt(alpha))
         sa = math.sqrt(self.alpha)
         return ((-sa / (2.0 * math.pi), -(sa + 1.0 / sa)),)
-
-
-#: tolerance of the CDF certificate: monotonicity and total mass
-CDF_CERT_TOL = 1e-12
 
 
 def _segment_integral(model, lo: float, hi):

@@ -297,6 +297,19 @@ def _partner_sums(X: np.ndarray, index: "tuple[np.ndarray, np.ndarray]") -> np.n
     return S
 
 
+def _modulus(z):
+    """|z| elementwise through hypot, the same bits as Python's abs(complex);
+    numpy's complex abs differs from it in the last bit for about a third of values."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.hypot(z.real, z.imag)
+
+
+def _trivial_mu(mu, k: int):
+    """Whether each mu (elementwise) lies within TRIVIAL_TOL of B's trivial
+    eigenvalues 1 and -(k-1), where no w-lift is taken."""
+    return (_modulus(mu - 1.0) < TRIVIAL_TOL) | (_modulus(mu + (k - 1)) < TRIVIAL_TOL)
+
+
 def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: "tuple[np.ndarray, np.ndarray]") -> np.ndarray:
     """Eigenvector of B on the incidences: w(x, e) = mu * sum_{y in e, y != x} v(y) - (k-1) v(x).
 
@@ -307,7 +320,7 @@ def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: "tuple[np.ndarray, np
     mu = complex(mu)
     tails, partners = index
     k = partners.shape[1] + 1
-    if abs(mu - 1.0) < TRIVIAL_TOL or abs(mu + (k - 1)) < TRIVIAL_TOL:
+    if _trivial_mu(mu, k):
         raise TrivialEigenvalueError(f"mu = {mu} is a trivial eigenvalue of B")
     v = np.asarray(v)
     w = mu * _partner_sums(v, index) - (k - 1) * v[tails]
@@ -316,14 +329,19 @@ def lift_eigenvector_nb(v: np.ndarray, mu: complex, index: "tuple[np.ndarray, np
     return w
 
 
-def deterministic_deloc_bound(lam: float, mu: complex, d: int, k: int, v_inf: float) -> float:
-    """Deterministic l_inf/l_2 bound for a lifted eigenvector of B:
+def deterministic_deloc_bound(lam, mu, d: int, k: int, v_inf):
+    """Deterministic l_inf/l_2 bound for a lifted eigenvector of B, elementwise over arrays:
     v_inf sqrt(k-1) (|mu|+1) / sqrt((d+lambda)(d(k-1)-lambda)), k = 2 for a graph.
+
+    DegenerateError, naming the first such lambda, when any lambda lies
+    outside (-d, d(k-1)).
     """
+    lam = np.asarray(lam, dtype=np.float64)
     den = (d + lam) * (d * (k - 1) - lam)
-    if den <= 0:
-        raise DegenerateError(f"lambda = {lam} outside (-d, d(k-1))")
-    return v_inf * math.sqrt(k - 1) * (abs(complex(mu)) + 1.0) / math.sqrt(den)
+    bad = den <= 0
+    if np.any(bad):
+        raise DegenerateError(f"lambda = {float(lam[bad][0])} outside (-d, d(k-1))")
+    return v_inf * math.sqrt(k - 1) * (_modulus(mu) + 1.0) / np.sqrt(den)
 
 
 def nb_norm_sq(lam, mu, d: int, k: int):
@@ -461,29 +479,33 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     )
 
 
-@dataclass(frozen=True)
-class DelocRecord:
-    """Per-lifted-eigenvector delocalization record.
-
-    ratio_w and bound are None when the w-lift is trivial/zero or the
-    deterministic bound does not apply (real non-conjugate root).
-    """
-
-    lam: float
-    mu: complex
-    ratio_v: float
-    ratio_u: float
-    ratio_w: "float | None"
-    bound: "float | None"
-    bound_ok: "bool | None"
+#: the audit's tolerances on its worst-case errors; `deloc` exits 1 when one is exceeded
+AUDIT_TOLS = {
+    "vieta_sum_err": 1e-10,
+    "vieta_prod_err": 1e-10,
+    "circle_err": 1e-10,
+    "resid_u_max": 1e-9,
+    "resid_w_max": 1e-9,
+    "norm_paper_err": 1e-8,
+    "perron_ratio_err": 1e-12,
+}
 
 
-@dataclass(frozen=True)
+def _bound_ok(ratio_w, bound):
+    """The deterministic bound holds, elementwise, up to 1e-12 (False where either is NaN)."""
+    return ratio_w <= bound + 1e-12
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumAudit:
-    """Aggregated exact-identity and delocalization audit of one instance.
+    """Aggregated exact-identity and delocalization audit of one instance,
+    with the per-eigenvector values behind it.
 
     All *_err fields are worst-case deviations over the instance; violation
-    counters must be zero for a healthy instance.
+    counters must be zero for a healthy instance. The arrays hold one entry
+    per lifted eigenvector of B, every mu and then every mu': ratio_w is NaN
+    where the w-lift is trivial or zero, and bound is NaN where, besides,
+    the deterministic bound does not apply (a real root off the bulk circle).
     """
 
     kind: str
@@ -503,7 +525,23 @@ class SpectrumAudit:
     perron_ratio_err: "float | None"
     skipped_trivial: int
     skipped_zero: int
-    records: tuple
+    lams: np.ndarray
+    mus: np.ndarray
+    ratio_v: np.ndarray
+    ratio_u: np.ndarray
+    ratio_w: np.ndarray
+    bound: np.ndarray
+
+    @property
+    def bound_ok(self) -> np.ndarray:
+        """Whether each ratio_w meets its bound; False where bound is NaN."""
+        return _bound_ok(self.ratio_w, self.bound)
+
+    def worst_certificate(self) -> "tuple[str, float, float]":
+        """(name, value, value / tolerance) of the AUDIT_TOLS entry nearest to
+        or furthest past its tolerance; a NaN value counts as infinitely far."""
+        rows = [(name, getattr(self, name), tol) for name, tol in AUDIT_TOLS.items() if getattr(self, name) is not None]
+        return max(((name, v, v / tol if v == v else math.inf) for name, v, tol in rows), key=lambda row: row[2])
 
 
 #: eigenvectors per block of the w-lift statistics; keeps each (rows x nd) temporary in cache
@@ -537,9 +575,11 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     reduced and edge-level eigen-residuals (the latter via the assembled
     sparse B), the closed-form w norms, ratio monotonicity of u against v,
     the deterministic l_inf bound for conjugate-pair w's, and the Perron w
-    ratio 1/sqrt(nd). keep_records=False drops the per-eigenvector records
-    (large corpora keep only the aggregates). A given spectrum must carry
-    its eigenvectors (one read from a file does not).
+    ratio 1/sqrt(nd). The per-eigenvector values are a few arrays of length
+    2n, computed in one vectorized pass after the blocked w-lift statistics,
+    so they are always kept; keep_records is accepted for older callers and
+    changes nothing. A given spectrum must carry its eigenvectors (one read
+    from a file does not).
     """
     h = underlying_graph(g)
     kind, n, d, model_k, _, _ = _model_params(g)
@@ -582,7 +622,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     # W and residual of mu' are conjugates of those of mu, whose norms and
     # maxima are the same bits, so they are not computed again.
     m = len(lams)
-    wstats = np.empty((2, 3, m))
+    wstats = np.empty((3, 2 * m))  # wnorm, winf, resid of every mu, then of every mu'
     own = np.flatnonzero(mups != np.conj(mus))
     for r0 in range(0, m, W_BLOCK):
         rows = slice(r0, min(r0 + W_BLOCK, m))
@@ -590,77 +630,33 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
         G1, G2 = _partner_sums(vt, index), (k - 1) * vt[:, tails]
         BG2 = (B @ G2.T).T
         P = (B @ G1.T).T + G2
-        wstats[0, :, rows] = _w_row_stats(mus[rows], G1, G2, P, BG2)
-        wstats[1, :, rows] = wstats[0, :, rows]
+        wstats[:, rows] = wstats[:, m + r0 : m + rows.stop] = _w_row_stats(mus[rows], G1, G2, P, BG2)
         mine = own[(own >= r0) & (own < rows.stop)]
         if len(mine):
             j = mine - r0
-            wstats[1][:, mine] = _w_row_stats(mups[mine], G1[j], G2[j], P[j], BG2[j])
+            wstats[:, m + mine] = _w_row_stats(mups[mine], G1[j], G2[j], P[j], BG2[j])
 
-    resid_w_max = 0.0
-    norm_paper_err = 0.0
-    norm_general_err = 0.0
-    bound_violations = 0
-    skipped_trivial = 0
-    skipped_zero = 0
-    records: list = []
-    paper = (k - 1) * (d + lams) * (d * (k - 1) - lams)
+    # the 2n lifted eigenvectors, every mu and then every mu'
+    lams2, mus2, vinfs2 = np.concatenate([lams, lams]), spec.eigenvalues(), np.concatenate([vinfs, vinfs])
+    ratios_u = np.concatenate([spec.ratio_u, spec.ratio_u_prime])
+    wnorm, winf, resid = wstats
+    trivial = _trivial_mu(mus2, k)
+    zero = ~trivial & (wnorm < ZERO_W_TOL)
+    ok = ~(trivial | zero)
+    conj = ok & np.concatenate([bulk, bulk])
+    general = nb_norm_sq(lams2, mus2, d, k)
+    paper = (k - 1) * (d + lams2) * (d * (k - 1) - lams2)
+    ratio_w = np.divide(winf, wnorm, out=np.full(2 * m, np.nan), where=ok)
+    bound = np.full(2 * m, np.nan)
+    bound[conj] = deterministic_deloc_bound(lams2[conj], mus2[conj], d, k, vinfs2[conj])
 
-    for muvec, ratios_u, (wnorm, winf, resid) in (
-        (mus, spec.ratio_u, wstats[0]),
-        (mups, spec.ratio_u_prime, wstats[1]),
-    ):
-        trivial = np.zeros(m, dtype=bool)
-        for t in model.trivial:
-            trivial |= np.abs(muvec - t) < TRIVIAL_TOL
-        zero = (~trivial) & (wnorm < ZERO_W_TOL)
-        ok = ~(trivial | zero)
-        rel_resid = np.zeros(m)
-        rel_resid[ok] = resid[ok] / wnorm[ok]
-        skipped_trivial += int(np.sum(trivial))
-        skipped_zero += int(np.sum(zero))
-        if np.any(ok):
-            resid_w_max = max(resid_w_max, float(np.max(rel_resid[ok])))
-        general = nb_norm_sq(lams, muvec, d, k)
-        gerr = np.abs(wnorm**2 - general) / np.maximum(np.abs(general), 1.0)
-        if np.any(ok):
-            norm_general_err = max(norm_general_err, float(np.max(gerr[ok])))
-        conj = ok & bulk
-        if np.any(conj):
-            perr = np.abs(wnorm[conj] ** 2 - paper[conj]) / np.maximum(np.abs(paper[conj]), 1.0)
-            norm_paper_err = max(norm_paper_err, float(np.max(perr)))
-        for i in range(len(muvec)):
-            ratio_w = float(winf[i] / wnorm[i]) if ok[i] else None
-            bound = None
-            bound_ok = None
-            if ok[i] and bulk[i]:
-                bound = deterministic_deloc_bound(
-                    float(lams[i]), complex(muvec[i]), d, k, float(vinfs[i])
-                )
-                bound_ok = ratio_w <= bound + 1e-12
-                if not bound_ok:
-                    bound_violations += 1
-            if keep_records:
-                records.append(
-                    DelocRecord(
-                        lam=float(lams[i]),
-                        mu=complex(muvec[i]),
-                        ratio_v=float(vinfs[i]),
-                        ratio_u=float(ratios_u[i]),
-                        ratio_w=ratio_w,
-                        bound=bound,
-                        bound_ok=bound_ok,
-                    )
-                )
-
-    ratio_mono_violations = int(
-        np.sum(spec.ratio_u > spec.ratio_v + 1e-12) + np.sum(spec.ratio_u_prime > spec.ratio_v + 1e-12)
-    )
+    def worst(err: np.ndarray, where: np.ndarray) -> float:
+        return float(np.max(err[where], initial=0.0))
 
     # Perron lift from the exact all-ones eigenvector; ratio must be 1/sqrt(nd)
     perron_ratio_err = None
     mu1 = model.perron[0]
-    if abs(mu1 - 1.0) >= TRIVIAL_TOL:
+    if not _trivial_mu(mu1, k):
         ones = np.full(n, 1.0 / math.sqrt(n))
         w1 = lift_eigenvector_nb(ones, mu1, index)
         ratio1 = float(np.max(np.abs(w1)) / np.linalg.norm(w1))
@@ -676,13 +672,18 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
         n_bulk=n_bulk,
         circle_err=circle_err,
         resid_u_max=resid_u_max,
-        resid_w_max=resid_w_max,
-        norm_paper_err=norm_paper_err,
-        norm_general_err=norm_general_err,
-        ratio_mono_violations=ratio_mono_violations,
-        bound_violations=bound_violations,
+        resid_w_max=worst(np.divide(resid, wnorm, out=np.zeros(2 * m), where=ok), ok),
+        norm_paper_err=worst(np.abs(wnorm**2 - paper) / np.maximum(np.abs(paper), 1.0), conj),
+        norm_general_err=worst(np.abs(wnorm**2 - general) / np.maximum(np.abs(general), 1.0), ok),
+        ratio_mono_violations=int(np.count_nonzero(ratios_u > vinfs2 + 1e-12)),
+        bound_violations=int(np.count_nonzero(conj & ~_bound_ok(ratio_w, bound))),
         perron_ratio_err=perron_ratio_err,
-        skipped_trivial=skipped_trivial,
-        skipped_zero=skipped_zero,
-        records=tuple(records),
+        skipped_trivial=int(np.count_nonzero(trivial)),
+        skipped_zero=int(np.count_nonzero(zero)),
+        lams=lams2,
+        mus=mus2,
+        ratio_v=vinfs2,
+        ratio_u=ratios_u,
+        ratio_w=ratio_w,
+        bound=bound,
     )

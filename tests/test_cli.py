@@ -1,14 +1,18 @@
 import json
+import math
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nbspectra.cli
+import nbspectra.errors
 import nbspectra.graphs
 import nbspectra.io
 import nbspectra.measures
+import nbspectra.operators
 import nbspectra.rsbm
 import nbspectra.spectral
 import nbspectra.verify
@@ -181,7 +185,23 @@ def test_ks_hyperalpha_requires_alpha(tmp_path):
     run(["gen", "--model", "hypergraph", "--n", "30", "--d", "2", "--k", "3", "--seed", "1", "--out", str(g)])
     run(["spectrum", "--in", str(g), "--out", str(s)])
     assert run(["ks", "--in", str(s), "--law", "hyperalpha"]) == 2
-    assert run(["ks", "--in", str(s), "--law", "hyperalpha", "--alpha", "0.67", "--threshold", "0.9"]) == 0
+    with pytest.warns(UserWarning, match="outside the stated"):
+        assert run(["ks", "--in", str(s), "--law", "hyperalpha", "--alpha", "0.67", "--threshold", "0.9"]) == 0
+
+
+def test_ks_alpha_at_and_above_its_bound(tmp_path, capsys):
+    # the closed form is certified up to ALPHA_MAX; 1e30 and 1e300 exited 3 (IntegrationError) before
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    run(["gen", "--model", "hypergraph", "--n", "30", "--d", "3", "--k", "3", "--seed", "1", "--out", str(g)])
+    run(["spectrum", "--in", str(g), "--out", str(s)])
+    top = repr(nbspectra.measures.ALPHA_MAX)
+    assert run(["ks", "--in", str(s), "--law", "hyperalpha", "--alpha", top, "--threshold", "1"]) == 0
+    for value in (repr(math.nextafter(nbspectra.measures.ALPHA_MAX, math.inf)), "1e30", "1e300"):
+        capsys.readouterr()
+        k = tmp_path / "k.json"
+        assert run(["ks", "--in", str(s), "--law", "hyperalpha", "--alpha", value, "--out", str(k)]) == 2
+        assert "DomainError" in capsys.readouterr().err and not k.exists()
 
 
 def test_deloc_command(tmp_path):
@@ -210,6 +230,81 @@ def test_deloc_eigenvalue_next_to_minus_d(tmp_path, monkeypatch):
     lams = [rec["lambda"] for rec in rep["records"]]
     assert min(lams) + 3.0 < 1e-9
     assert audits[0].resid_w_max <= 1e-9
+
+
+def test_deloc_records_match_per_eigenvector_lifts(tmp_path):
+    # the per-eigenvector loop the audit's arrays replaced: each w lifted on
+    # its own. (60,2,3) has d < k, so lambda = -d lifts to the trivial
+    # mu' = -(k-1); the RSBM's outliers lift to real roots off the bulk circle.
+    # null falls exactly on trivial or zero lifts (ratio_w) and, besides, on
+    # off-bulk lifts (bound, bound_ok)
+    cases = [
+        (["--model", "hypergraph", "--n", "60", "--d", "2", "--k", "3", "--seed", "1"], 3),
+        (["--model", "rsbm", "--n", "40", "--d1", "4", "--d2", "2", "--seed", "2"], 2),
+    ]
+    for args, k in cases:
+        g, r = tmp_path / "g.json", tmp_path / "deloc.json"
+        run(["gen", *args, "--out", str(g)])
+        assert run(["deloc", "--in", str(g), "--out", str(r)]) == 0
+        doc = json.loads(r.read_text())
+        graph = nbspectra.io.read_graph(g)
+        index = nbspectra.operators.oriented_index(nbspectra.operators.underlying_graph(graph))
+        spec = nbspectra.spectral.full_lifted_spectrum(graph)
+        d, q = doc["d"], (doc["d"] - 1) * (k - 1)
+        nulls = {"ratio_w": 0, "bound": 0}
+        for rec, v in zip(doc["records"], np.concatenate([spec.V, spec.V], axis=1).T):
+            lam, mu = rec["lambda"], complex(rec["mu_re"], rec["mu_im"])
+            try:
+                w = nbspectra.spectral.lift_eigenvector_nb(v, mu, index)
+            except (nbspectra.errors.TrivialEigenvalueError, nbspectra.errors.ZeroVectorError):
+                w = None
+            off_bulk = (lam - (k - 2)) ** 2 > 4 * q
+            assert (rec["ratio_w"] is None) == (w is None)
+            assert (rec["bound"] is None) == (rec["bound_ok"] is None) == (w is None or off_bulk)
+            if w is not None:
+                assert rec["ratio_w"] == pytest.approx(np.max(np.abs(w)) / np.linalg.norm(w), rel=1e-12)
+            if rec["bound"] is not None:
+                assert rec["bound"] == nbspectra.spectral.deterministic_deloc_bound(lam, mu, d, k, rec["ratio_v"])
+                assert rec["bound_ok"] is (rec["ratio_w"] <= rec["bound"] + 1e-12) is True
+            nulls["ratio_w"] += rec["ratio_w"] is None
+            nulls["bound"] += rec["bound"] is None
+        assert 0 < nulls["ratio_w"] < nulls["bound"] < len(doc["records"])
+
+
+def _acceptance_literals() -> dict:
+    """{audit field: tolerance} as the acceptance suite states them."""
+    text = (Path(__file__).parent / "test_acceptance.py").read_text()
+    fields = dict(re.findall(r'"(\w+)": max\(a\.(\w+) for a in audits\)', text))
+    limits = {fields[key]: float(tol) for key, tol in re.findall(r'worst\["(\w+)"\] <= ([\de.-]+)', text)}
+    limits["perron_ratio_err"] = float(re.search(r"perron <= ([\de.-]+)", text).group(1))
+    return limits
+
+
+def test_audit_tolerances_no_looser_than_acceptance():
+    literals = _acceptance_literals()
+    assert len(literals) == 7 and set(literals) == set(nbspectra.spectral.AUDIT_TOLS)
+    for name, tol in nbspectra.spectral.AUDIT_TOLS.items():
+        assert tol <= literals[name], name
+
+
+def test_deloc_exits_1_on_w_residual_over_tolerance(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    r = tmp_path / "deloc.json"
+    run(["gen", "--model", "regular", "--n", "60", "--d", "4", "--seed", "5", "--out", str(g)])
+    assert run(["deloc", "--in", str(g), "--out", str(r)]) == 0
+    clean = r.read_bytes()
+    assert "worst certificate" in capsys.readouterr().err
+    stats = nbspectra.spectral._w_row_stats
+
+    def inflated(*args):
+        wnorm, winf, resid = stats(*args)
+        return wnorm, winf, resid + 3e-9 * wnorm  # a relative w-residual of 3e-9, over 1e-9
+
+    monkeypatch.setattr(nbspectra.spectral, "_w_row_stats", inflated)
+    assert run(["deloc", "--in", str(g), "--out", str(r)]) == 1
+    err = capsys.readouterr().err
+    assert "0 violation(s)" in err and re.search(r"worst certificate resid_w_max = 3\.00e-09, 3\.00e\+00 of tolerance", err)
+    assert r.read_bytes() == clean  # the headroom goes to stderr, never into --out
 
 
 def test_verify_command(tmp_path):

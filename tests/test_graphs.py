@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from nbspectra.graphs import (
 )
 from nbspectra.io import graph_document
 from nbspectra.seeds import Seed
+from conftest import fresh_python
 from oracles import loop_sample_regular_graph, loop_sample_rsbm, loop_validate
 
 
@@ -178,6 +180,37 @@ def test_rsbm_sampler_matches_loop_oracle(n, d1, d2, restarts):
         assert g.graph.edges.tolist() == [list(e) for e in edges], seed
         loop_validate(g)
     assert restarts["_try_pairing"] + restarts["_try_bipartite"] > 0
+
+
+def test_first_new_takes_first_occurrences_of_keys_of_any_size():
+    # keys up to 1e16, the pair keys of a graph on 1e8 vertices: a composite
+    # key * m + position would overflow int64 here
+    keys = np.repeat(np.random.default_rng(0).integers(0, 10**16, 1000), 2)
+    expected = np.zeros(2000, dtype=bool)
+    expected[20::2] = True  # the first of each repeated pair, past the 10 keys already taken
+    assert np.array_equal(graphs._first_new(keys, np.sort(keys[:20:2])), expected)
+
+
+# Growth of a fresh process's peak RSS (VmHWM) over its peak after imports, in kB.
+GEN_PEAK = """
+import sys
+from nbspectra.cli import main
+def peak():
+    return int(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+base = peak()
+assert main(["gen", *sys.argv[2:], "--n", "20000", "--seed", "1", "--out", sys.argv[1]]) == 0
+print(peak() - base)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("model", [["--model", "regular", "--d", "3"], ["--model", "rsbm", "--d1", "3", "--d2", "2"]])
+def test_gen_peak_stays_linear_at_n_20000(tmp_path, model):
+    # measured 12.9 MB (regular) and 17.2 MB (rsbm) on a 2-core Xeon VM; the
+    # n x n and (n/2) x (n/2) masks the samplers kept before made it 387 and
+    # 100 MB. 40 MB leaves a 2.3x margin and still fails either mask.
+    growth_mb = int(fresh_python(GEN_PEAK, str(tmp_path / "g.json"), *model)) / 1024
+    assert growth_mb <= 40
 
 
 _G = sample_regular_graph(10, 3, 0)

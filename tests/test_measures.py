@@ -12,6 +12,8 @@ from scipy import integrate
 from nbspectra.errors import DomainError, IntegrationError, InvariantError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph
 from nbspectra.measures import (
+    ALPHA_MAX,
+    CDF_CERT_TOL,
     EmpiricalMeasure,
     HyperAlpha,
     HyperFixed,
@@ -167,6 +169,21 @@ def test_hypergraph_demo_runs():
 def test_km_requires_d3():
     with pytest.raises(DomainError):
         KestenMcKay(2)
+
+
+def test_hyperalpha_certified_at_its_bound_and_rejected_above():
+    assert ALPHA_MAX == pytest.approx(2.03e7, rel=1e-3)
+    # clustered samples: the closed form's rounding shows as decreases between near neighbours
+    base = np.random.default_rng(3).uniform(-2.0, 2.0, 2000)
+    xs = np.sort(np.concatenate([base + delta for delta in (0.0, 1e-15, 1e-14, 1e-13, 1e-12)]))
+    ks_distance(EmpiricalMeasure(xs), HyperAlpha(ALPHA_MAX))  # certified, else IntegrationError
+    # the same samples break the certificate at alpha = 1e10, built past the check
+    law = object.__new__(HyperAlpha)
+    object.__setattr__(law, "alpha", 1e10)
+    assert -np.min(np.diff(law.cdf(xs))) > CDF_CERT_TOL
+    for alpha in (np.nextafter(ALPHA_MAX, np.inf), 1e25, 1e300, math.inf):
+        with pytest.raises(DomainError, match="exceeds"):
+            HyperAlpha(alpha)
 
 
 def test_hyperalpha_warns_below_one():

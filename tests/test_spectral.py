@@ -504,6 +504,33 @@ def test_bound_hyper_reduces_to_graph():
         assert h == pytest.approx(g, rel=1e-12)
 
 
+def test_bound_elementwise_matches_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for d, k in ((3, 2), (4, 3)):
+        lam = rng.uniform(-d + 0.01, d * (k - 1) - 0.01, 200)
+        mu = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        v_inf = rng.uniform(0.01, 1.0, 200)
+        bounds = deterministic_deloc_bound(lam, mu, d, k, v_inf)
+        assert bounds.dtype == np.float64 and bounds.shape == (200,)
+        for i in range(200):
+            scalar = deterministic_deloc_bound(float(lam[i]), complex(mu[i]), d, k, float(v_inf[i]))
+            # and the Python-float formula, whose |mu| is abs(complex)
+            plain = v_inf[i] * math.sqrt(k - 1) * (abs(complex(mu[i])) + 1.0) / math.sqrt(
+                (d + lam[i]) * (d * (k - 1) - lam[i])
+            )
+            assert bounds[i].tobytes() == np.float64(scalar).tobytes() == np.float64(plain).tobytes()
+
+
+def test_bound_elementwise_raises_on_any_degenerate_entry():
+    lam = np.array([0.0, 1.0, -3.0, 2.0, 3.5])
+    mu = np.full(5, 1.0 + 1.0j)
+    with pytest.raises(DegenerateError, match=r"lambda = -3\.0 outside"):
+        deterministic_deloc_bound(lam, mu, 3, 2, 1.0)
+    with pytest.raises(DegenerateError, match=r"lambda = 3\.5 outside"):
+        deterministic_deloc_bound(lam[3:], mu[3:], 3, 2, 1.0)
+    assert np.all(np.isfinite(deterministic_deloc_bound(lam[:2], mu[:2], 3, 2, 1.0)))
+
+
 def test_bound_degenerate_cases():
     with pytest.raises(DegenerateError):
         deterministic_deloc_bound(3.0, 2.0, 3, 2, 1.0)
@@ -660,11 +687,17 @@ def test_graph_is_the_k2_hypergraph_bit_for_bit(n, d, seed):
         a, b = getattr(sg, name), getattr(sh, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     ag, ah = spectrum_audit(g, sg), spectrum_audit(h, sh)
-    assert ag.records and ag.perron_ratio_err is not None
+    assert len(ag.lams) == 2 * n and ag.perron_ratio_err is not None
     for f in dataclasses.fields(ag):
-        if f.name not in ("kind", "k"):
+        a, b = getattr(ag, f.name), getattr(ah, f.name)
+        if isinstance(a, np.ndarray):
+            # repr prints 8 digits of an array: compare values, NaNs and sign bits
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), f.name
+            fa, fb = (x.view(np.float64) if x.dtype.kind == "c" else x for x in (a, b))
+            assert np.array_equal(np.signbit(fa), np.signbit(fb)), f.name
+        elif f.name not in ("kind", "k"):
             # repr tells every float bit apart, -0.0 from 0.0 too
-            assert repr(getattr(ag, f.name)) == repr(getattr(ah, f.name)), f.name
+            assert repr(a) == repr(b), f.name
 
 
 def test_spectrum_audit_clean_on_samples():
