@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError, InvariantError
-from .spectral import LiftModel
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,11 @@ class EmpiricalMeasure:
 def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = False) -> EmpiricalMeasure:
     """Empirical measure of the real parts of the 2n lifted eigenvalues.
 
-    rescale: "none" keeps raw Re(mu); "graph" maps x -> 2x/sqrt(d-1);
-    "hypergraph" maps x -> (2x-(k-2))/sqrt((d-1)(k-1)).
+    rescale: "none" keeps raw Re(mu); "graph" and "hypergraph" map
+    x -> 2x/sqrt(q), q = (d-1)(k-1) with k = 2 for a graph, and "hypergraph"
+    takes only a hypergraph spectrum. For a conjugate pair 2 Re(mu) =
+    lambda - (k-2), so 2x/sqrt(q) is the normalized adjacency value with its
+    shift already taken out.
 
     With exclude_trivial, the deterministic pair lifted from lambda_1 is
     removed (exactly two samples); only that pair is ever matched, bulk
@@ -72,17 +74,11 @@ def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = 
             )
         keep[top] = False
     x = np.concatenate([spectrum.mus.real[keep], spectrum.mus_prime.real[keep]])
-    if rescale == "none":
-        pass
-    elif rescale == "graph":
-        x = 2.0 * x / LiftModel(spectrum.d).radius
-    elif rescale == "hypergraph":
-        if spectrum.k is None:
-            raise DomainError("hypergraph rescale needs a hypergraph spectrum")
-        # 2x/sqrt(q) recovers the normalized adjacency value: for a conjugate
-        # pair, 2*Re(mu) = lambda - (k-2) already carries the shift
+    if rescale == "hypergraph" and spectrum.k is None:
+        raise DomainError("hypergraph rescale needs a hypergraph spectrum")
+    if rescale in ("graph", "hypergraph"):
         x = 2.0 * x / spectrum.model.radius
-    else:
+    elif rescale != "none":
         raise DomainError(f"unknown rescale mode {rescale!r}")
     return EmpiricalMeasure(samples=x, excluded_trivial=2 if exclude_trivial else 0)
 

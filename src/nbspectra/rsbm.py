@@ -28,7 +28,7 @@ from .errors import (
 )
 from .graphs import RsbmGraph
 from .operators import adjacency_csr
-from .spectral import INERTIA_GAP, LiftedSpectrum, LiftModel, outlier_eigs
+from .spectral import LiftModel, outlier_eigs
 
 #: tolerance for matching the four deterministic eigenvalues in a lifted spectrum
 MATCH_TOL = 1e-8
@@ -143,16 +143,16 @@ class InsiderGapReport:
     radius: float
 
 
-def insider_gap_report(g: RsbmGraph, spectrum: LiftedSpectrum | None = None) -> InsiderGapReport:
+def insider_gap_report(g: RsbmGraph) -> InsiderGapReport:
     """Locate {d1+d2-1, 1, mu2, mu2'} in the lifted spectrum (each simple)
     and report how far the remaining eigenvalues sit from the bulk circle.
 
     A bulk eigenvalue of A, in [-2 sqrt(q), 2 sqrt(q)] with q = d1+d2-1, lifts
-    onto the circle |mu| = sqrt(q), so only the outliers enter: certified by
-    `outlier_eigs`, or from `spectrum` beyond the same edges. Each special must
-    match one lifted outlier within MATCH_TOL, ISOLATION_TOL clear of the
-    others and of the circle; the deviation is over the other lifted outliers
-    (0.0 if none). n=2000, (12,4): 0.14–0.19 s, 1.1–1.3 s with `eigh` (2-core Xeon VM).
+    onto the circle |mu| = sqrt(q), so only the outliers enter, certified by
+    `outlier_eigs` on both sides of the bulk. Each special must match one
+    lifted outlier within MATCH_TOL, ISOLATION_TOL clear of the others and of
+    the circle; the deviation is over the other lifted outliers (0.0 if none).
+    n=2000, (12,4): 0.14–0.19 s, 1.1–1.3 s with `eigh` (2-core Xeon VM).
     """
     pair = rsbm_mu2(g.d1, g.d2)
     if not pair.detectable:
@@ -161,11 +161,8 @@ def insider_gap_report(g: RsbmGraph, spectrum: LiftedSpectrum | None = None) -> 
         raise DomainError("insider gap report requires even d1")
     model = LiftModel(g.d1 + g.d2)
     radius = model.radius
-    if spectrum is None:
-        A = adjacency_csr(g)
-        lams = np.concatenate([outlier_eigs(A, 2.0 * radius, side)[0] for side in (1.0, -1.0)])
-    else:
-        lams = spectrum.lams[np.abs(spectrum.lams) > 2.0 * radius - INERTIA_GAP * (g.d1 + g.d2)]
+    A = adjacency_csr(g)
+    lams = np.concatenate([outlier_eigs(A, 2.0 * radius, side)[0] for side in (1.0, -1.0)])
     mus = np.concatenate(model.roots(lams))
     specials = (*model.perron, float(pair.mu2.real), float(pair.mu2_prime.real))
     taken = np.zeros(len(mus), dtype=bool)

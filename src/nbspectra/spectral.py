@@ -42,7 +42,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .graphs import RegularHypergraph, RsbmGraph
-from .operators import adjacency_csr, edge_size, nonbacktracking_matrix, oriented_index, underlying_graph
+from .operators import adjacency_csr, nonbacktracking_matrix, oriented_index, underlying_graph
 
 if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
     import scipy.sparse as sp
@@ -245,7 +245,7 @@ def _quad_roots(t, p: float) -> "tuple[np.ndarray, np.ndarray]":
 
 @dataclass(frozen=True)
 class LiftModel:
-    """The (d, k) constants of the lift; k = None (or 2) for a graph.
+    """The (d, k) constants of the lift; k = 2 for a graph.
 
     The lift quadratic is mu^2 - (lambda - shift) mu + q = 0 with shift = k-2
     and q = (d-1)(k-1). B's trivial eigenvalues 1 and -(k-1) are also the
@@ -253,19 +253,15 @@ class LiftModel:
     """
 
     d: int
-    k: "int | None" = None
-
-    @property
-    def _k(self) -> int:
-        return 2 if self.k is None else self.k
+    k: int = 2
 
     @property
     def shift(self) -> float:
-        return float(self._k - 2)
+        return float(self.k - 2)
 
     @property
     def q(self) -> float:
-        return float((self.d - 1) * (self._k - 1))
+        return float((self.d - 1) * (self.k - 1))
 
     @property
     def radius(self) -> float:
@@ -274,7 +270,7 @@ class LiftModel:
 
     @property
     def trivial(self) -> "tuple[float, float]":
-        return (1.0, -(self._k - 1.0))
+        return (1.0, -(self.k - 1.0))
 
     @property
     def perron(self) -> "tuple[float, float]":
@@ -383,11 +379,16 @@ class LiftedSpectrum:
 
     @property
     def model(self) -> LiftModel:
-        return LiftModel(self.d, self.k)
+        return _lift_model(self.d, self.k)
 
     def eigenvalues(self) -> np.ndarray:
         """The 2n lifted eigenvalues: mu of each pair, then mu' of each pair."""
         return np.concatenate([self.mus, self.mus_prime])
+
+
+def _lift_model(d: int, k: "int | None") -> LiftModel:
+    """The model of a spectrum's (d, k): the null k of a graph or RSBM spectrum is 2."""
+    return LiftModel(d, 2 if k is None else k)
 
 
 def _model_params(g) -> "tuple[str, int, int, int | None, int | None, int | None]":
@@ -440,7 +441,7 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     that produced it.
     """
     kind, n, d, k, d1, d2 = _model_params(g)
-    model = LiftModel(d, k)
+    model = _lift_model(d, k)
     As = adjacency_csr(g).astype(np.float64)
     lams, V = _eigh(As)
     AV = _certify(As, lams, V, _scale(lams))[1]
@@ -568,7 +569,7 @@ def _w_row_stats(muvec: np.ndarray, G1: np.ndarray, G2: np.ndarray, P: np.ndarra
     return wnorm, winf, resid
 
 
-def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool = True) -> SpectrumAudit:
+def spectrum_audit(g, *, keep_records: bool = True) -> SpectrumAudit:
     """Verify every lift identity of one instance against the real operators.
 
     Covers: Vieta sum/product (relative errors), the bulk circle law,
@@ -578,26 +579,20 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     ratio 1/sqrt(nd). The per-eigenvector values are a few arrays of length
     2n, computed in one vectorized pass after the blocked w-lift statistics,
     so they are always kept; keep_records is accepted for older callers and
-    changes nothing. A given spectrum must carry its eigenvectors (one read
-    from a file does not).
+    changes nothing. A pair is in the bulk when mu' = conj(mu), a double
+    root that `_quad_roots` snapped included.
     """
-    h = underlying_graph(g)
-    kind, n, d, model_k, _, _ = _model_params(g)
-    k = edge_size(h)
-    spec = spectrum if spectrum is not None else full_lifted_spectrum(g)
-    if spec.V is None:
-        raise ValueError("the audit needs the eigenvectors, which a spectrum read from a file lacks")
+    spec = full_lifted_spectrum(g)
+    n, d, model = spec.n, spec.d, spec.model
+    k, shift, q = model.k, model.shift, model.q
     lams, mus, mups, V = spec.lams, spec.mus, spec.mus_prime, spec.V
-    model = LiftModel(d, model_k)
-    shift, q = model.shift, model.q
 
     vieta_sum_err = float(
         np.max(np.abs(mus + mups - (lams - shift)) / np.maximum(1.0, np.abs(lams - shift)))
     )
     vieta_prod_err = float(np.max(np.abs(mus * mups - q)) / q)
 
-    disc = (lams - shift) ** 2 - 4.0 * q
-    bulk = disc <= 0.0
+    bulk = mups == np.conj(mus)
     n_bulk = int(np.sum(bulk))
     circle_err = 0.0
     if n_bulk:
@@ -610,6 +605,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
 
     resid_u_max = float(max(np.max(spec.residual_u), np.max(spec.residual_u_prime)))
 
+    h = underlying_graph(g)
     index = oriented_index(h)
     B = nonbacktracking_matrix(h, index)
     tails = index[0]
@@ -623,7 +619,7 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
     # maxima are the same bits, so they are not computed again.
     m = len(lams)
     wstats = np.empty((3, 2 * m))  # wnorm, winf, resid of every mu, then of every mu'
-    own = np.flatnonzero(mups != np.conj(mus))
+    own = np.flatnonzero(~bulk)
     for r0 in range(0, m, W_BLOCK):
         rows = slice(r0, min(r0 + W_BLOCK, m))
         vt = np.ascontiguousarray(V[:, rows].T)  # one eigenvector per row
@@ -663,10 +659,10 @@ def spectrum_audit(g, spectrum: LiftedSpectrum | None = None, keep_records: bool
         perron_ratio_err = abs(ratio1 - 1.0 / math.sqrt(len(tails)))
 
     return SpectrumAudit(
-        kind=kind,
+        kind=spec.kind,
         n=n,
         d=d,
-        k=model_k,
+        k=spec.k,
         vieta_sum_err=vieta_sum_err,
         vieta_prod_err=vieta_prod_err,
         n_bulk=n_bulk,

@@ -30,14 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NearSingularError, SingularError
-from .graphs import RegularGraph, RegularHypergraph
-from .operators import (
-    adjacency_csr,
-    edge_size,
-    nonbacktracking_matrix,
-    reduced_nb_operator,
-    underlying_graph,
-)
+from .operators import adjacency_csr, nonbacktracking_matrix, reduced_nb_operator, underlying_graph
 from .seeds import Seed, as_seed
 from .spectral import LiftedSpectrum, full_lifted_spectrum
 
@@ -185,12 +178,10 @@ class IharaBassSystem:
         det(reduced - zI) = det((z^2 + (k-2)z + (k-1)(d-1)) I - zA).
     """
 
-    graph: "RegularGraph | RegularHypergraph"
     spectrum: LiftedSpectrum
     B: sp.csr_matrix
     reduced: sp.csr_matrix
     A: sp.csr_matrix
-    k: int
 
     def lhs_matrix(self, z: complex) -> sp.csr_matrix:
         """B - zI, the left-hand side of the identity."""
@@ -203,15 +194,18 @@ class IharaBassSystem:
         sides of the identity (each without the scalar factor)."""
         import scipy.sparse as sp
 
-        n, d, k = self.graph.n, self.graph.d, self.k
-        poly = (z * z + (k - 2) * z + (k - 1) * (d - 1)) * sp.identity(n) - z * self.A
+        n, model = self.spectrum.n, self.spectrum.model
+        poly = (z * z + model.shift * z + model.q) * sp.identity(n) - z * self.A
         return self.reduced - z * sp.identity(2 * n), poly
 
     def scalar(self, z: complex) -> LogDet:
-        """log of (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n}."""
-        n, k = self.graph.n, self.k
+        """log of (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n}, whose zeros are B's trivial eigenvalues."""
+        n, model = self.spectrum.n, self.spectrum.model
+        k, (one, other) = model.k, model.trivial
         m = self.B.shape[0] // k  # B is indexed by the k|E| (vertex, edge) incidences
-        return _scaled_log(z - 1.0, (k - 1) * m - n) + _scaled_log(z + (k - 1.0), m - n)
+        # z + (k-1), not z - (-(k-1)): at a real z given with Im z = -0.0 the
+        # two differ in the sign of the zero, and so in the phase, +pi or -pi
+        return _scaled_log(z - one, (k - 1) * m - n) + _scaled_log(z + -other, m - n)
 
 
 def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassSystem:
@@ -219,12 +213,10 @@ def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassS
     h = underlying_graph(g)
     A = adjacency_csr(h).astype(np.float64)
     return IharaBassSystem(
-        graph=h,
         spectrum=full_lifted_spectrum(h) if spectrum is None else spectrum,
         B=nonbacktracking_matrix(h),
         reduced=reduced_nb_operator(h, A),
         A=A,
-        k=edge_size(h),
     )
 
 
@@ -346,15 +338,13 @@ def ihara_bass_check_hyper(H, z: complex, spectrum=None) -> IharaBassRecord:
     return ihara_bass_check(H, z, spectrum)
 
 
-def sample_z_points(g, count: int, seed: "int | Seed", spectrum: "LiftedSpectrum | None" = None) -> list:
+def sample_z_points(spectrum: LiftedSpectrum, count: int, seed: "int | Seed") -> list:
     """Pseudo-random z in the annulus 0.1 <= |z| <= 2*sqrt(q) that avoid the
-    near-singular guard (q = (d-1)(k-1), with k = 2 for graphs). The guard
-    uses ``spectrum`` when given, else computes it."""
-    spec = full_lifted_spectrum(underlying_graph(g)) if spectrum is None else spectrum
-    poles = spec.model.trivial
+    near-singular guard around the eigenvalues of ``spectrum`` and B's
+    trivial eigenvalues (q = (d-1)(k-1), with k = 2 for graphs)."""
     rng = as_seed(seed).generator()
-    mus = spec.eigenvalues()
-    rmax = 2.0 * spec.model.radius
+    mus, model = spectrum.eigenvalues(), spectrum.model
+    rmax = 2.0 * model.radius
     out: list = []
     attempts = 0
     while len(out) < count:
@@ -364,9 +354,9 @@ def sample_z_points(g, count: int, seed: "int | Seed", spectrum: "LiftedSpectrum
         r = rng.uniform(0.1, rmax)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         z = complex(r * math.cos(theta), r * math.sin(theta))
-        if np.min(np.abs(mus - z)) < GUARD_RADIUS:
-            continue
-        if any(abs(z - p) < GUARD_RADIUS for p in poles):
+        try:
+            _guard(z, mus, model.trivial)
+        except NearSingularError:
             continue
         out.append(z)
     return out
@@ -379,6 +369,6 @@ def ihara_bass_report(g, trials: int = 8, seed: "int | Seed" = 0) -> "tuple[list
     and shared by the z sampler and every check.
     """
     system = ihara_bass_system(g)
-    zs = sample_z_points(system.graph, trials, seed, spectrum=system.spectrum)
+    zs = sample_z_points(system.spectrum, trials, seed)
     records = ihara_bass_checks(system, zs)
     return records, all(r.ok for r in records)

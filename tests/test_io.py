@@ -15,7 +15,7 @@ from nbspectra.io import (
     write_spectrum,
 )
 from nbspectra.measures import EmpiricalMeasure, project_real_parts
-from nbspectra.spectral import full_lifted_spectrum, spectrum_audit
+from nbspectra.spectral import full_lifted_spectrum
 
 from conftest import named_graph
 from oracles import loop_gen_document
@@ -259,8 +259,6 @@ def test_spectrum_loaded_pairs_have_no_vectors(tmp_path):
     write_spectrum(full_lifted_spectrum(g), p)
     back = read_spectrum(p)
     assert back.V is None
-    with pytest.raises(ValueError):
-        spectrum_audit(g, spectrum=back)
 
 
 def test_histogram_csv(tmp_path):

@@ -236,11 +236,12 @@ def test_projection_modes_and_exclusion():
 
 
 def test_projection_graph_rescale():
-    g = sample_regular_graph(64, 5, 1)
-    spec = full_lifted_spectrum(g)
-    raw = project_real_parts(spec, "none", True).samples
-    scaled = project_real_parts(spec, "graph", True).samples
-    assert np.allclose(scaled, 2 * raw / math.sqrt(4))
+    # x -> 2x/sqrt(q), q = (d-1)(k-1): a hypergraph's graph variable uses its own q
+    for g, q in ((sample_regular_graph(64, 5, 1), 4), (sample_regular_hypergraph(30, 2, 3, 5), 2)):
+        spec = full_lifted_spectrum(g)
+        raw = project_real_parts(spec, "none", True).samples
+        scaled = project_real_parts(spec, "graph", True).samples
+        assert np.allclose(scaled, 2 * raw / math.sqrt(q))
 
 
 def test_projection_hypergraph_rescale_hits_normalized_adjacency():

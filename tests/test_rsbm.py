@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbspectra.rsbm
 import nbspectra.spectral
 from nbspectra.errors import (
     ConvergenceError,
@@ -144,25 +144,35 @@ def test_insider_gap_rejects_non_detectable():
         insider_gap_report(g)
 
 
-def test_insider_gap_multiplicity_guard():
-    # a disconnected-in-spirit corruption: feed a spectrum whose mu2 slot is
-    # duplicated; easiest honest trigger is a doctored spectrum object
+def _extra_outlier(monkeypatch, offset: float) -> None:
+    """Make `outlier_eigs` report, above the bulk, one more eigenvalue of A at
+    `offset` from the one nearest d1-d2 = 7."""
+    outlier_eigs = nbspectra.rsbm.outlier_eigs
+
+    def doctored(A, edge, side):
+        vals, V, residuals = outlier_eigs(A, edge, side)
+        if side > 0:
+            vals = np.append(vals, vals[np.argmin(np.abs(vals - 7))] + offset)
+        return vals, V, residuals
+
+    monkeypatch.setattr(nbspectra.rsbm, "outlier_eigs", doctored)
+
+
+def test_insider_gap_multiplicity_guard(monkeypatch):
+    # a duplicated mu2 slot: the outliers report the eigenvalue d1-d2 twice
     g = sample_rsbm(40, 8, 1, 7)
-    spec = full_lifted_spectrum(g)
-    insider = int(np.argmin(np.abs(spec.lams - 7)))
-    doctored = dataclasses.replace(spec, lams=np.append(spec.lams, spec.lams[insider]))
-    with pytest.raises(MultiplicityError):
-        insider_gap_report(g, spectrum=doctored)
+    _extra_outlier(monkeypatch, 0.0)
+    with pytest.raises(MultiplicityError, match="exactly one"):
+        insider_gap_report(g)
 
 
-def test_insider_gap_isolation_guard():
+def test_insider_gap_isolation_guard(monkeypatch):
     # an extra eigenvalue 1e-7 from d1-d2 lifts about 1.3e-7 from mu2: past
     # MATCH_TOL, so mu2 is matched once, but within ISOLATION_TOL of it
     g = sample_rsbm(40, 8, 1, 7)
-    spec = full_lifted_spectrum(g)
-    insider = spec.lams[np.argmin(np.abs(spec.lams - 7))]
+    _extra_outlier(monkeypatch, 1e-7)
     with pytest.raises(MultiplicityError, match="not isolated"):
-        insider_gap_report(g, spectrum=dataclasses.replace(spec, lams=np.append(spec.lams, insider + 1e-7)))
+        insider_gap_report(g)
 
 
 # (n, d1, d2, seed, only the specials lie outside the bulk): the first four

@@ -26,6 +26,7 @@ from nbspectra.rsbm import insider_gap_report, recover_communities
 from nbspectra.spectral import (
     INERTIA_GAP,
     R_BLOCK,
+    LiftModel,
     _count_beyond,
     _quad_roots,
     deterministic_deloc_bound,
@@ -267,6 +268,21 @@ def test_vectorized_roots_match_scalar_property(ts, p):
     mu, mup = _quad_roots(np.asarray(ts), p)
     ref = [quad_roots(t, p) for t in ts]
     assert _bits(mu) == _bits([r[0] for r in ref]) and _bits(mup) == _bits([r[1] for r in ref])
+
+
+def test_roots_snapped_inside_tolerance_are_a_bulk_pair():
+    # the audit's bulk test is mu' == conj(mu): a positive discriminant within
+    # the snap tolerance (1e-13 of 4q) is a double root on the circle, one just
+    # past it two distinct real roots
+    for model in (LiftModel(5), LiftModel(3, 3)):  # q = 4, the edge at t = 4
+        edge = model.shift + 2.0 * model.radius
+        for lam, bulk in ((edge + 1e-13, True), (edge + 1e-12, False)):
+            t = lam - model.shift
+            assert 0.0 < t * t - 4.0 * model.q
+            mu, mup = (complex(r[0]) for r in model.roots([lam]))
+            assert (mup == mu.conjugate()) is bulk
+            assert mu.imag == mup.imag == 0.0
+            assert (mu.real > mup.real) is not bulk
 
 
 
@@ -686,7 +702,7 @@ def test_graph_is_the_k2_hypergraph_bit_for_bit(n, d, seed):
                  "ratio_v", "ratio_u", "ratio_u_prime", "V"):
         a, b = getattr(sg, name), getattr(sh, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    ag, ah = spectrum_audit(g, sg), spectrum_audit(h, sh)
+    ag, ah = spectrum_audit(g), spectrum_audit(h)
     assert len(ag.lams) == 2 * n and ag.perron_ratio_err is not None
     for f in dataclasses.fields(ag):
         a, b = getattr(ag, f.name), getattr(ah, f.name)
@@ -698,6 +714,13 @@ def test_graph_is_the_k2_hypergraph_bit_for_bit(n, d, seed):
         elif f.name not in ("kind", "k"):
             # repr tells every float bit apart, -0.0 from 0.0 too
             assert repr(a) == repr(b), f.name
+
+
+def test_spectrum_audit_takes_keep_records_by_keyword():
+    # a stale call that passed a spectrum second fails, not binds to keep_records
+    g = sample_regular_graph(8, 3, 4)
+    with pytest.raises(TypeError):
+        spectrum_audit(g, full_lifted_spectrum(g))
 
 
 def test_spectrum_audit_clean_on_samples():

@@ -282,7 +282,7 @@ print(len(pinned), libs(pinned[0]) == libs(controls()), "scipy.sparse.linalg" in
 def test_checks_match_serial_bit_for_bit(name, hyper923):
     g = hyper923 if name == "hyper923" else named_graph(name)
     system = ihara_bass_system(g)
-    zs = sample_z_points(system.graph, 6, 3, spectrum=system.spectrum)
+    zs = sample_z_points(system.spectrum, 6, 3)
     with single_blas_thread():
         serial = serial_ihara_bass_checks(system, zs)
     assert ihara_bass_checks(system, zs) == serial
@@ -362,7 +362,7 @@ def test_pins_from_two_threads_take_turns(two_blas_threads):
 
 def test_concurrent_checks_restore_blas_threads(two_blas_threads):
     system = ihara_bass_system(named_graph("petersen"))
-    zs = sample_z_points(system.graph, 4, 3, spectrum=system.spectrum)
+    zs = sample_z_points(system.spectrum, 4, 3)
     results = [None, None]
 
     def run(i):
@@ -394,15 +394,17 @@ def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
 
 
 def test_sample_z_points_respect_guard(k4):
-    zs = sample_z_points(k4, 16, 3)
-    mus = full_lifted_spectrum(k4).eigenvalues()
+    spectrum = full_lifted_spectrum(k4)
+    zs = sample_z_points(spectrum, 16, 3)
+    mus = spectrum.eigenvalues()
     for z in zs:
         assert 0.1 <= abs(z) <= 2 * math.sqrt(3) + 1e-12
         assert np.min(np.abs(mus - z)) >= 1e-6
 
 
 def test_sample_z_points_deterministic(k4):
-    assert sample_z_points(k4, 5, 9) == sample_z_points(k4, 5, 9)
+    spectrum = full_lifted_spectrum(k4)
+    assert sample_z_points(spectrum, 5, 9) == sample_z_points(spectrum, 5, 9)
 
 
 # --------------------------------------------------------- eigen_residual
