@@ -55,8 +55,16 @@ def _frozen(values, dtype=np.int64, width: "int | None" = None) -> np.ndarray:
     return a
 
 
-def _audit_rows(E: np.ndarray, n: int, d: int, what: str) -> None:
-    """Rows of E strictly increasing lexicographically, and every vertex in d rows."""
+def _audit_rows(E: np.ndarray, n: int, d: int, k: int, what: str) -> None:
+    """E is n*d/k rows of k distinct vertices ascending in range, rows strictly
+    increasing lexicographically, and every vertex in d rows."""
+    if E.ndim != 2 or E.shape[1] != k:
+        raise InvariantError(f"bad sizes: {what}s {E.shape} are not rows of {k} vertices")
+    if len(E) != n * d // k or (n * d) % k:
+        raise InvariantError(f"{what} count does not match n*d/{k}")
+    bad = np.any(np.diff(E, axis=1) <= 0, axis=1) | (E[:, 0] < 0) | (E[:, -1] >= n)
+    if np.any(bad):
+        raise InvariantError(f"bad {what} {E[bad][0].tolist()}: not {k} distinct vertices ascending in range")
     step = np.diff(E, axis=0)
     # each step's first nonzero entry (0 where two rows are equal) sets its sign
     lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
@@ -84,16 +92,14 @@ class RegularGraph(_Arrays):
     def __post_init__(self):
         object.__setattr__(self, "edges", _frozen(self.edges, width=2))
 
+    @property
+    def rows(self) -> np.ndarray:
+        return self.edges
+
     def validate(self) -> None:
-        E = self.edges
-        if self.n < 1 or self.d < 0 or E.ndim != 2 or E.shape[1] != 2:
-            raise InvariantError(f"bad sizes n={self.n} d={self.d} edges {E.shape}")
-        if len(E) != self.n * self.d // 2 or (self.n * self.d) % 2:
-            raise InvariantError("edge count does not match n*d/2")
-        bad = (E[:, 0] < 0) | (E[:, 0] >= E[:, 1]) | (E[:, 1] >= self.n)
-        if np.any(bad):
-            raise InvariantError(f"bad edge {E[bad][0].tolist()}")
-        _audit_rows(E, self.n, self.d, "edge")
+        if self.n < 1 or self.d < 0:
+            raise InvariantError(f"bad sizes n={self.n} d={self.d}")
+        _audit_rows(self.edges, self.n, self.d, 2, "edge")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,45 +120,34 @@ class RegularHypergraph(_Arrays):
     def __post_init__(self):
         object.__setattr__(self, "hyperedges", _frozen(self.hyperedges, width=self.k))
 
+    @property
+    def rows(self) -> np.ndarray:
+        return self.hyperedges
+
     def validate(self) -> None:
-        E = self.hyperedges
         if self.d < 2 or self.k < 2:
             raise InvariantError("require d >= 2 and k >= 2")
         if (self.n * self.d) % self.k:
             raise InvariantError("k must divide n*d")
-        if E.ndim != 2 or E.shape[1] != self.k:
-            raise InvariantError(f"hyperedges {E.shape} are not rows of {self.k} vertices")
-        if len(E) != self.n * self.d // self.k:
-            raise InvariantError("hyperedge count does not match n*d/k")
-        bad = np.any(np.diff(E, axis=1) <= 0, axis=1) | (E[:, 0] < 0) | (E[:, -1] >= self.n)
-        if np.any(bad):
-            raise InvariantError(
-                f"hyperedge {E[bad][0].tolist()} is not {self.k} distinct vertices ascending in range"
-            )
-        _audit_rows(E, self.n, self.d, "hyperedge")
+        _audit_rows(self.hyperedges, self.n, self.d, self.k, "hyperedge")
 
 
 @dataclass(frozen=True, eq=False)
-class RsbmGraph(_Arrays):
-    """Regular stochastic block model sample.
+class RsbmGraph(RegularGraph):
+    """Regular stochastic block model sample: a simple (d1+d2)-regular graph.
 
     Two d1-regular halves joined by a d2-regular bipartite graph; ``sigma``,
     a read-only int8 array in {-1,+1}^n, records the community of each
-    vertex and ``graph`` is the resulting simple (d1+d2)-regular graph.
+    vertex.
     """
 
-    n: int
     d1: int
     d2: int
     sigma: np.ndarray
-    graph: RegularGraph
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "sigma", _frozen(self.sigma, np.int8))
-
-    @property
-    def d(self) -> int:
-        return self.d1 + self.d2
 
     def validate(self) -> None:
         s = self.sigma
@@ -162,10 +157,10 @@ class RsbmGraph(_Arrays):
             raise InvariantError("sigma must be a +-1 vector of length n")
         if np.count_nonzero(s == 1) != self.n // 2:
             raise InvariantError("sigma must split vertices evenly")
-        if self.graph.n != self.n or self.graph.d != self.d1 + self.d2:
-            raise InvariantError("underlying graph has wrong size or degree")
-        self.graph.validate()
-        E = self.graph.edges
+        if self.d != self.d1 + self.d2:
+            raise InvariantError(f"wrong size or degree: d={self.d} is not d1 + d2 = {self.d1 + self.d2}")
+        super().validate()
+        E = self.edges
         # every degree is d1 + d2, so d1 within means d2 across
         within = np.bincount(E[s[E[:, 0]] == s[E[:, 1]]].ravel(), minlength=self.n)
         if np.any(within != self.d1):
@@ -391,7 +386,7 @@ def sample_rsbm(n: int, d1: int, d2: int, seed: "int | Seed") -> RsbmGraph:
         # the sides are ascending, so within-side pairs keep u < v
         cross = np.sort(np.column_stack([side1[ec[:, 0]], side2[ec[:, 1]]]), axis=1)
         edges = _sorted_edges(np.concatenate([side1[e1], side2[e2], cross]), n)
-        g = RsbmGraph(n=n, d1=d1, d2=d2, sigma=sigma, graph=RegularGraph(n=n, d=d1 + d2, edges=edges))
+        g = RsbmGraph(n=n, d=d1 + d2, edges=edges, d1=d1, d2=d2, sigma=sigma)
         g.validate()
         return g
     raise RetryExhausted(f"no simple RSBM({n},{d1},{d2}) found in {MAX_RESTARTS} restarts")

@@ -22,7 +22,7 @@ FORMAT_VERSION = 1
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _write_text(path, text: str) -> None:
@@ -61,35 +61,15 @@ def _require_int(obj: dict, key: str, path) -> int:
 
 
 def graph_document(g) -> dict:
-    if isinstance(g, RsbmGraph):
-        return {
-            "format": FORMAT_VERSION,
-            "model": "rsbm",
-            "n": g.n,
-            "d": g.d1 + g.d2,
-            "d1": g.d1,
-            "d2": g.d2,
-            "sigma": g.sigma.tolist(),
-            "edges": g.graph.edges.tolist(),
-        }
-    if isinstance(g, RegularHypergraph):
-        return {
-            "format": FORMAT_VERSION,
-            "model": "hypergraph",
-            "n": g.n,
-            "d": g.d,
-            "k": g.k,
-            "hyperedges": g.hyperedges.tolist(),
-        }
-    if isinstance(g, RegularGraph):
-        return {
-            "format": FORMAT_VERSION,
-            "model": "regular",
-            "n": g.n,
-            "d": g.d,
-            "edges": g.edges.tolist(),
-        }
-    raise TypeError(f"cannot serialize {type(g).__name__}")
+    if isinstance(g, RsbmGraph):  # before RegularGraph, which an RSBM also is
+        fields = {"model": "rsbm", "d1": g.d1, "d2": g.d2, "sigma": g.sigma.tolist(), "edges": g.edges.tolist()}
+    elif isinstance(g, RegularHypergraph):
+        fields = {"model": "hypergraph", "k": g.k, "hyperedges": g.hyperedges.tolist()}
+    elif isinstance(g, RegularGraph):
+        fields = {"model": "regular", "edges": g.edges.tolist()}
+    else:
+        raise TypeError(f"cannot serialize {type(g).__name__}")
+    return {"format": FORMAT_VERSION, "n": g.n, "d": g.d, **fields}
 
 
 def write_graph(g, path) -> None:
@@ -130,19 +110,13 @@ def read_graph(path):
                 hyperedges=_int_array(_require(obj, "hyperedges", path), 2),
             )
         elif model == "rsbm":
-            n = _require_int(obj, "n", path)
-            d1 = _require_int(obj, "d1", path)
-            d2 = _require_int(obj, "d2", path)
             g = RsbmGraph(
-                n=n,
-                d1=d1,
-                d2=d2,
+                n=_require_int(obj, "n", path),
+                d=_require_int(obj, "d", path),
+                d1=_require_int(obj, "d1", path),
+                d2=_require_int(obj, "d2", path),
                 sigma=_int_array(_require(obj, "sigma", path), 1, np.int8),
-                graph=RegularGraph(
-                    n=n,
-                    d=d1 + d2,
-                    edges=_int_array(_require(obj, "edges", path), 2),
-                ),
+                edges=_int_array(_require(obj, "edges", path), 2),
             )
         else:
             raise ParseError(f"{path}: unknown model {model!r}")

@@ -14,26 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import RegularHypergraph, RsbmGraph
-
 if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
     import scipy.sparse as sp
-
-
-def underlying_graph(g):
-    """The plain graph/hypergraph under any sampled object."""
-    return g.graph if isinstance(g, RsbmGraph) else g
-
-
-def edge_size(g) -> int:
-    """Hyperedge size k; a graph is the k = 2 case."""
-    g = underlying_graph(g)
-    return g.k if isinstance(g, RegularHypergraph) else 2
-
-
-def _rows(g) -> np.ndarray:
-    """The (m, k) array of g's hyperedges; a graph's edges are the k = 2 case."""
-    return g.hyperedges if isinstance(g, RegularHypergraph) else g.edges
 
 
 def adjacency_csr(g) -> sp.csr_matrix:
@@ -44,8 +26,7 @@ def adjacency_csr(g) -> sp.csr_matrix:
     """
     import scipy.sparse as sp
 
-    g = underlying_graph(g)
-    E = _rows(g)
+    E = g.rows
     a, b = np.triu_indices(E.shape[1], 1)
     tails, heads = E[:, a].ravel(), E[:, b].ravel()
     rows, cols = np.concatenate([tails, heads]), np.concatenate([heads, tails])
@@ -73,7 +54,7 @@ def oriented_index(g) -> "tuple[np.ndarray, np.ndarray]":
     endpoints. Position i is row i of B and entry i of an edge-lifted
     eigenvector.
     """
-    E = _rows(underlying_graph(g))
+    E = g.rows
     m, k = E.size, E.shape[1]
     flat = E.ravel()
     slots = np.argsort(flat, kind="stable")  # by vertex, then by rank
@@ -96,7 +77,6 @@ def nonbacktracking_matrix(g, index: "tuple[np.ndarray, np.ndarray] | None" = No
     """
     import scipy.sparse as sp
 
-    g = underlying_graph(g)
     tails, partners = oriented_index(g) if index is None else index
     m, k = len(tails), partners.shape[1] + 1
     starts = np.zeros(g.n + 1, dtype=np.int64)
@@ -119,12 +99,11 @@ def reduced_nb_operator(g, A: "sp.csr_matrix | None" = None) -> sp.csr_matrix:
     """
     import scipy.sparse as sp
 
-    h = underlying_graph(g)
     if A is None:
-        A = adjacency_csr(h).astype(np.float64)
-    k = edge_size(h)
-    eye = sp.identity(h.n, format="csr")
-    return sp.bmat([[None, (h.d - 1) * eye], [-(k - 1) * eye, A - (k - 2) * eye]], format="csr")
+        A = adjacency_csr(g).astype(np.float64)
+    k = g.rows.shape[1]
+    eye = sp.identity(g.n, format="csr")
+    return sp.bmat([[None, (g.d - 1) * eye], [-(k - 1) * eye, A - (k - 2) * eye]], format="csr")
 
 
 def reduced_nb_matrix(g) -> np.ndarray:

@@ -38,11 +38,12 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DegenerateError,
+    DomainError,
     TrivialEigenvalueError,
     ZeroVectorError,
 )
 from .graphs import RegularHypergraph, RsbmGraph
-from .operators import adjacency_csr, nonbacktracking_matrix, oriented_index, underlying_graph
+from .operators import adjacency_csr, nonbacktracking_matrix, oriented_index
 
 if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
     import scipy.sparse as sp
@@ -255,6 +256,11 @@ class LiftModel:
     d: int
     k: int = 2
 
+    def __post_init__(self):
+        # at d = 1 the u-lift's c = mu/(d-1) divides by zero and q = 0; k < 2 is no hyperedge
+        if self.d < 2 or self.k < 2:
+            raise DomainError(f"the lift needs d >= 2 and k >= 2, got d={self.d} k={self.k}")
+
     @property
     def shift(self) -> float:
         return float(self.k - 2)
@@ -392,12 +398,11 @@ def _lift_model(d: int, k: "int | None") -> LiftModel:
 
 
 def _model_params(g) -> "tuple[str, int, int, int | None, int | None, int | None]":
-    h = underlying_graph(g)
-    if isinstance(g, RsbmGraph):
-        return "rsbm", g.n, g.d1 + g.d2, None, g.d1, g.d2
-    if isinstance(h, RegularHypergraph):
-        return "hypergraph", h.n, h.d, h.k, None, None
-    return "regular", h.n, h.d, None, None, None
+    if isinstance(g, RsbmGraph):  # an RSBM is also a RegularGraph
+        return "rsbm", g.n, g.d, None, g.d1, g.d2
+    if isinstance(g, RegularHypergraph):
+        return "hypergraph", g.n, g.d, g.k, None, None
+    return "regular", g.n, g.d, None, None, None
 
 
 #: rows per block of the u-residuals; keeps each (rows x n) temporary in cache
@@ -605,9 +610,8 @@ def spectrum_audit(g, *, keep_records: bool = True) -> SpectrumAudit:
 
     resid_u_max = float(max(np.max(spec.residual_u), np.max(spec.residual_u_prime)))
 
-    h = underlying_graph(g)
-    index = oriented_index(h)
-    B = nonbacktracking_matrix(h, index)
+    index = oriented_index(g)
+    B = nonbacktracking_matrix(g, index)
     tails = index[0]
     vinfs = spec.ratio_v  # v is unit: ratio_v == ||v||_inf
 

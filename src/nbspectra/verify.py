@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NearSingularError, SingularError
-from .operators import adjacency_csr, nonbacktracking_matrix, reduced_nb_operator, underlying_graph
+from .operators import adjacency_csr, nonbacktracking_matrix, reduced_nb_operator
 from .seeds import Seed, as_seed
 from .spectral import LiftedSpectrum, full_lifted_spectrum
 
@@ -210,12 +210,11 @@ class IharaBassSystem:
 
 def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassSystem:
     """Build B, the reduced matrix and A (all sparse) and, unless given, the spectrum."""
-    h = underlying_graph(g)
-    A = adjacency_csr(h).astype(np.float64)
+    A = adjacency_csr(g).astype(np.float64)
     return IharaBassSystem(
-        spectrum=full_lifted_spectrum(h) if spectrum is None else spectrum,
-        B=nonbacktracking_matrix(h),
-        reduced=reduced_nb_operator(h, A),
+        spectrum=full_lifted_spectrum(g) if spectrum is None else spectrum,
+        B=nonbacktracking_matrix(g),
+        reduced=reduced_nb_operator(g, A),
         A=A,
     )
 

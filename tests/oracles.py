@@ -49,10 +49,10 @@ from nbspectra.errors import (
     MultiplicityError,
     ZeroVectorError,
 )
-from nbspectra.graphs import RegularHypergraph, RsbmGraph, _try_grouping
+from nbspectra.graphs import RegularGraph, RegularHypergraph, RsbmGraph, _try_grouping
 from nbspectra.io import FORMAT_VERSION
 from nbspectra.measures import _segment_integral
-from nbspectra.operators import adjacency_matrix, underlying_graph
+from nbspectra.operators import adjacency_matrix
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
 from nbspectra.seeds import as_seed
 from nbspectra.spectral import _model_params, full_lifted_spectrum, symmetric_eigs
@@ -75,7 +75,6 @@ def dense_logdet(M) -> "tuple[float, float]":
 def loop_adjacency(g) -> np.ndarray:
     """Dense int64 adjacency, one entry at a time; hypergraph entries count
     the hyperedges containing both endpoints."""
-    g = underlying_graph(g)
     A = np.zeros((g.n, g.n), dtype=np.int64)
     if isinstance(g, RegularHypergraph):
         for e in g.hyperedges:
@@ -562,12 +561,12 @@ def loop_validate(g) -> None:
             raise InvariantError("sigma must be a +-1 vector of length n")
         if sum(1 for s in sigma if s == 1) != g.n // 2:
             raise InvariantError("sigma must split vertices evenly")
-        if g.graph.n != g.n or g.graph.d != g.d1 + g.d2:
-            raise InvariantError("underlying graph has wrong size or degree")
-        loop_validate(g.graph)
+        if g.d != g.d1 + g.d2:
+            raise InvariantError("wrong size or degree")
+        loop_validate(RegularGraph(g.n, g.d, g.edges))
         within = [0] * g.n
         cross = [0] * g.n
-        for u, v in g.graph.edges.tolist():
+        for u, v in g.edges.tolist():
             side = within if sigma[u] == sigma[v] else cross
             side[u] += 1
             side[v] += 1
@@ -613,7 +612,6 @@ def loop_oriented_index(g) -> tuple:
     """(tail vertex, partner positions) of each item of `_loop_items`: the
     partners are the other incidences of the item's hyperedge, ascending,
     and the one partner of an oriented edge (u, v) is (v, u)."""
-    g = underlying_graph(g)
     items = _loop_items(g)
     lookup = {it: r for r, it in enumerate(items)}
     if isinstance(g, RegularHypergraph):
@@ -626,7 +624,6 @@ def loop_oriented_index(g) -> tuple:
 
 def loop_nonbacktracking_matrix(g) -> sp.csr_matrix:
     """B over `_loop_items`, one nonzero at a time through a lookup dict."""
-    g = underlying_graph(g)
     items = _loop_items(g)
     lookup = {it: r for r, it in enumerate(items)}
     rows: list = []

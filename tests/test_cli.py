@@ -33,6 +33,22 @@ def test_gen_regular(tmp_path, capsys):
     assert doc["model"] == "regular" and doc["n"] == 50 and doc["d"] == 3
 
 
+def test_one_regular_graph_lift_commands_exit_2(tmp_path, capsys, monkeypatch):
+    # d = 1 divides the u-lift by d-1 = 0 and puts verify's z annulus at radius 0
+    g = tmp_path / "g.json"
+    assert run(["gen", "--model", "regular", "--n", "10", "--d", "1", "--out", str(g)]) == 0
+
+    def no_eigensolve(*args):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(nbspectra.spectral, "_eigh", no_eigensolve)
+    for cmd, *rest in (["spectrum", "--out", str(tmp_path / "s.json")], ["deloc"], ["verify", "--trials", "2"]):
+        capsys.readouterr()
+        assert run([cmd, "--in", str(g), *rest]) == 2, cmd
+        assert "DomainError" in capsys.readouterr().err, cmd
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_gen_parity_error_exits_2(tmp_path, capsys):
     assert run(["gen", "--model", "regular", "--n", "5", "--d", "3"]) == 2
     assert "ParityError" in capsys.readouterr().err
@@ -263,7 +279,7 @@ def test_deloc_records_match_per_eigenvector_lifts(tmp_path):
         assert run(["deloc", "--in", str(g), "--out", str(r)]) == 0
         doc = json.loads(r.read_text())
         graph = nbspectra.io.read_graph(g)
-        index = nbspectra.operators.oriented_index(nbspectra.operators.underlying_graph(graph))
+        index = nbspectra.operators.oriented_index(graph)
         spec = nbspectra.spectral.full_lifted_spectrum(graph)
         d, q = doc["d"], (doc["d"] - 1) * (k - 1)
         nulls = {"ratio_w": 0, "bound": 0}

@@ -100,7 +100,7 @@ def test_hypergraph_audit_and_determinism(n, d, k):
 def test_rsbm_cycle_structure():
     g = sample_rsbm(8, 2, 1, 0)
     g.validate()  # includes within/cross degree audit
-    assert g.graph.d == 3
+    assert isinstance(g, RegularGraph) and g.d == 3
 
 
 def test_rsbm_parity_error():
@@ -140,7 +140,7 @@ def test_validate_rejects_corruption():
     r = sample_rsbm(8, 2, 1, 0)
     flipped = np.concatenate([-r.sigma[:1], r.sigma[1:]])
     with pytest.raises(InvariantError):
-        RsbmGraph(r.n, r.d1, r.d2, flipped, r.graph).validate()
+        RsbmGraph(r.n, r.d, r.edges, r.d1, r.d2, flipped).validate()
 
 
 @pytest.fixture
@@ -177,7 +177,7 @@ def test_rsbm_sampler_matches_loop_oracle(n, d1, d2, restarts):
         g = sample_rsbm(n, d1, d2, seed)
         sigma, edges = loop_sample_rsbm(n, d1, d2, seed)
         assert g.sigma.tolist() == list(sigma), seed
-        assert g.graph.edges.tolist() == [list(e) for e in edges], seed
+        assert g.edges.tolist() == [list(e) for e in edges], seed
         loop_validate(g)
     assert restarts["_try_pairing"] + restarts["_try_bipartite"] > 0
 
@@ -258,7 +258,7 @@ def _swap_sides(r):
         (lambda: replace(_R, sigma=_with_row(_R.sigma, 0, 0)), "sigma must be a"),
         (lambda: replace(_R, sigma=np.abs(_R.sigma)), "split vertices evenly"),
         (lambda: replace(_R, d2=2), "wrong size or degree"),
-        (lambda: replace(_R, graph=replace(_R.graph, edges=_R.graph.edges[::-1])), "edges not sorted"),
+        (lambda: replace(_R, edges=_R.edges[::-1]), "edges not sorted"),
         (lambda: replace(_R, sigma=_swap_sides(_R)), "within/cross"),
     ],
 )
@@ -272,14 +272,14 @@ def test_validate_branch_rejects(make, match):
 
 def test_graph_arrays_are_read_only_copies():
     r, h = sample_rsbm(16, 2, 1, 0), sample_regular_hypergraph(9, 2, 3, 0)
-    for a in (r.sigma, r.graph.edges, h.hyperedges):
+    for a in (r.sigma, r.edges, h.hyperedges):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[-1]
-    assert (r.sigma.dtype, r.graph.edges.dtype, h.hyperedges.dtype) == (np.int8, np.int64, np.int64)
-    E = np.array(r.graph.edges)
+    assert (r.sigma.dtype, r.edges.dtype, h.hyperedges.dtype) == (np.int8, np.int64, np.int64)
+    E = np.array(r.edges)
     g = RegularGraph(r.n, r.d, E)
     E[0] = (0, 0)  # the graph owns a copy
-    assert g == r.graph
+    assert np.array_equal(g.edges, r.edges) and g != r  # an RSBM equals RSBMs only
     g.validate()
 
 
@@ -289,7 +289,7 @@ def test_rsbm_sigma_out_of_int8_range_rejected():
     sigma = r.sigma.astype(np.int64)
     sigma[sigma == 1] = 257
     with pytest.raises(InvariantError, match="int8"):
-        RsbmGraph(n=16, d1=2, d2=1, sigma=sigma, graph=r.graph)
+        RsbmGraph(n=16, d=3, edges=r.edges, d1=2, d2=1, sigma=sigma)
 
 
 def test_fractional_edges_rejected():

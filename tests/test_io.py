@@ -122,6 +122,28 @@ def test_malformed_graph_field_rejected(tmp_path, model, field, value):
     assert cli_main(["verify", "--in", str(p), "--z", "0.3+0.4i"]) == 2
 
 
+@pytest.mark.parametrize(
+    "corrupt,error",
+    [
+        pytest.param(lambda doc: doc.update(d=99), InvariantError, id="d-wrong"),
+        pytest.param(lambda doc: doc.update(d="x"), ParseError, id="d-not-int"),
+        pytest.param(lambda doc: doc.pop("d"), ParseError, id="d-missing"),
+    ],
+)
+def test_rsbm_graph_degree_field_checked(tmp_path, capsys, corrupt, error):
+    # an RSBM file's d used to be rebuilt from d1 + d2, so all three loaded
+    p = tmp_path / "g.json"
+    write_graph(sample_rsbm(16, 2, 1, 1), p)
+    doc = json.loads(p.read_text())
+    corrupt(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        read_graph(p)
+    capsys.readouterr()
+    assert cli_main(["spectrum", "--in", str(p), "--out", str(tmp_path / "s.json")]) == 2
+    assert error.__name__ in capsys.readouterr().err
+
+
 def test_spectrum_round_trip(tmp_path):
     g = sample_regular_graph(16, 3, 2)
     spec = full_lifted_spectrum(g)
@@ -270,6 +292,15 @@ def test_histogram_csv(tmp_path):
     assert len(lines) == 11
     counts = [int(line.split(",")[2]) for line in lines[1:]]
     assert sum(counts) == 101
+
+
+def test_report_with_nan_is_not_written(tmp_path):
+    # NaN and Infinity are not JSON, and read_spectrum rejects them
+    p = tmp_path / "r.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_report({"a": [1.0, bad]}, p)
+        assert not p.exists()
 
 
 def test_report_round_trip(tmp_path):

@@ -1,15 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
+import nbspectra
+from nbspectra.graphs import RegularGraph, sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.operators import (
     adjacency_csr,
     adjacency_matrix,
     nonbacktracking_matrix,
     oriented_index,
     reduced_nb_matrix,
+    reduced_nb_operator,
 )
+from nbspectra.spectral import full_lifted_spectrum
 
 from conftest import IHARA_CORPUS, named_graph
 from oracles import (
@@ -165,11 +171,36 @@ def test_reduced_c3_eigenvalues(c3):
     assert multiset_match_distance(roots, expected) < 1e-8
 
 
-def test_rsbm_operators_use_underlying_graph():
-    g = sample_rsbm(8, 2, 1, 0)
-    A = adjacency_matrix(g)
-    assert set(A.sum(axis=1).tolist()) == {3}
-    assert reduced_nb_matrix(g).shape == (16, 16)
+def test_rsbm_operators_match_its_regular_graph():
+    # an RSBM sample is a RegularGraph: every operator reads the same rows, bit for bit
+    r = sample_rsbm(40, 4, 2, 0)
+    g = RegularGraph(r.n, r.d, r.edges)
+    for make in (adjacency_csr, nonbacktracking_matrix, reduced_nb_operator):
+        a, b = make(r), make(g)
+        assert a.shape == b.shape
+        for field in ("indptr", "indices", "data"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (make.__name__, field)
+    for x, y in zip(oriented_index(r), oriented_index(g)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    s, t = full_lifted_spectrum(r), full_lifted_spectrum(g)
+    assert (s.kind, s.d, s.d1, s.d2, t.kind) == ("rsbm", 6, 4, 2, "regular")
+    arrays = ("lams", "mus", "mus_prime", "degenerate", "residual_u", "residual_u_prime")
+    for field in (*arrays, "ratio_v", "ratio_u", "ratio_u_prime", "V"):
+        x, y = getattr(s, field), getattr(t, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+
+
+@pytest.mark.parametrize("module", ["operators", "verify"])
+def test_module_names_no_graph_class(module):
+    # each graph hands out its own rows, so these modules never dispatch on its kind
+    tree = ast.parse((Path(nbspectra.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        names.add(getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None))
+    assert not names & {"RegularGraph", "RegularHypergraph", "RsbmGraph", "graphs"}
 
 
 @pytest.mark.parametrize(

@@ -77,7 +77,7 @@ def test_corrupted_sigma_raises():
     i = swapped.index(1)
     j = swapped.index(-1)
     swapped[i], swapped[j] = -1, 1
-    bad = RsbmGraph(g.n, g.d1, g.d2, tuple(swapped), g.graph)
+    bad = RsbmGraph(g.n, g.d, g.edges, g.d1, g.d2, tuple(swapped))
     with pytest.raises(StructureError):
         deterministic_sigma_eigenpair(bad)
 

@@ -743,7 +743,7 @@ def test_norm_identity_general_vs_conjugate_domain():
     # its real lift obeys the general norm formula, not d^2 - lambda^2
     g = sample_rsbm(40, 8, 1, 3)
     d = 9
-    idx = oriented_index(g.graph)
+    idx = oriented_index(g)
     spec = full_lifted_spectrum(g)
     i = int(np.argmin(np.abs(spec.lams - 7)))
     lam, mu = spec.lams[i], spec.mus[i]
