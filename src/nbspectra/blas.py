@@ -1,0 +1,87 @@
+"""The one BLAS-thread policy: which calls may use OpenBLAS's threads.
+
+Only the dense eigensolve, `spectral._eigh` and its `dsyrk` certificate,
+runs at OpenBLAS's default thread count. There the second thread cuts the
+wall time by about 40% (1.5-2.0 s -> 0.9-1.0 s at (2000,5) on a 2-core
+Xeon VM).
+
+Everything else runs under `single_blas_thread()`: the sparse LU
+factorizations of `verify` (SuperLU hands its small supernodal panels to
+BLAS) and `spectral.outlier_eigs`'s inertia count, Lanczos solve and
+certificate. On RSBM (12,4) recovery at n = 1000, 1500, 2000 and 4000 the
+second thread saved 2%, 21%, 17% and 16% of the wall time for 1.7-1.9
+times the CPU, on the same machine. No size came near the eigensolve's
+saving, so there is no size switch. A library that is first mapped inside
+the pin keeps its threads, so each caller imports the scipy modules it
+uses before it pins.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
+
+#: (get, set) thread-count symbol names, by build prefix and symbol suffix
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("", "64_")
+)
+
+
+def _openblas_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS the process has loaded.
+
+    As threadpoolctl does, the libraries are found among the process's
+    mapped files, and each build exports the pair under its own prefix and
+    symbol suffix: scipy's wheel as ``scipy_openblas_set_num_threads``,
+    numpy's 64-bit-integer one as ``scipy_openblas_set_num_threads64_``.
+    ``openblas_set_num_threads_local`` is not used: it changes the global
+    count too. Empty where /proc/self/maps cannot be read.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in f if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        if not os.path.basename(path).startswith(("libopenblas", "libscipy_openblas")):
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+#: serializes `single_blas_thread` across threads, as the counts are process-wide
+_BLAS_PIN = threading.RLock()
+
+
+@contextmanager
+def single_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, and restore each library's
+    previous count on exit, on error too. Yields whether any was found.
+
+    The counts are process-wide, so callers in different threads take turns:
+    if two pins overlapped, the later one would restore the pinned count.
+    """
+    with _BLAS_PIN:
+        saved = [(put, get()) for get, put in _openblas_controls()]
+        try:
+            for put, _ in saved:
+                put(1)
+            yield bool(saved)
+        finally:
+            for put, count in saved:
+                put(count)

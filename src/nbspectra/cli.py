@@ -272,8 +272,10 @@ def cmd_rsbm_recover(args) -> int:
         deterministic_sigma_eigenpair(g)
         return recover_communities(g)
 
-    # one thread, in trial order: a worker pool bought no wall time on a
-    # 2-core machine and doubled the CPU
+    # one thread, in trial order, and `outlier_eigs` holds OpenBLAS at one
+    # thread too: on a 2-core machine a worker pool bought no wall time, and
+    # the second BLAS thread at most about 20% of it, each for nearly twice
+    # the CPU (blas.py)
     results = [one_trial(i) for i in range(args.trials)]
     exact = sum(1 for r in results if r.exact)
     doc = {

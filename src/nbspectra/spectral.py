@@ -25,6 +25,12 @@ made the identity audit about 23% slower on a 2-core machine. The dense
 matrix is the solver's own buffer, filled from the CSR and factored in
 place, so the eigensolve peaks at about 3 n^2 doubles: the matrix and
 dsyevd's workspace.
+
+This eigensolve is the one place that runs on OpenBLAS's threads. The
+partial solver `outlier_eigs` (inertia count, Lanczos and certificate)
+runs under `blas.single_blas_thread`, where the second thread saved at
+most about 20% of the wall time for nearly twice the CPU; blas.py states
+the policy.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -143,25 +150,23 @@ def symmetric_eigs(A: np.ndarray):
 def _count_beyond(As: sp.csr_matrix, s: float, side: float) -> int:
     """Number of eigenvalues of symmetric CSR As above s (side = 1) or below s (side = -1).
 
-    Sylvester's law of inertia: they are the positive eigenvalues of
-    side*(A - sI) = L D L^T, hence of Bunch-Kaufman's block-diagonal D. Each
-    2x2 block of D has a negative determinant (the pivoting rule ensures it),
+    Sylvester's law of inertia: they are the eigenvalues of sign `side` of
+    A - sI = L D L^T, hence of Bunch-Kaufman's block-diagonal D. Each 2x2
+    block of D has a negative determinant (the pivoting rule ensures it),
     so it holds one eigenvalue of each sign. The one dense n x n buffer is
-    filled from the CSR, shifted and signed in place and factored in place,
-    with the workspace LAPACK asks for: `dsytrf`'s default of n words would
-    drop it to the unblocked, BLAS-2 `dsytf2`.
+    filled from the CSR, shifted in place and factored in place, with the
+    workspace LAPACK asks for: `dsytrf`'s default of n words would drop it
+    to the unblocked, BLAS-2 `dsytf2`.
     """
     from scipy.linalg import lapack
 
     n = As.shape[0]
     M = As.toarray(order="F")
     M.ravel(order="F")[:: n + 1] -= s
-    if side < 0:
-        np.negative(M, out=M)
     lwork = int(lapack.dsytrf_lwork(n)[0])
     ldu, ipiv, _ = lapack.dsytrf(M, lwork=lwork, overwrite_a=True)
     one = ipiv > 0
-    return int(np.count_nonzero(np.diagonal(ldu)[one] > 0)) + int(np.count_nonzero(~one)) // 2
+    return int(np.count_nonzero(side * np.diagonal(ldu)[one] > 0)) + int(np.count_nonzero(~one)) // 2
 
 
 def _row_sum_norm(As) -> float:
@@ -189,32 +194,40 @@ def outlier_eigs(A, edge: float, side: float):
     residual is <= CERT_TOL * ||A|| (||A|| the largest absolute row sum),
     the vectors are orthonormal to CERT_TOL and every Ritz value lies beyond
     the shift, else ConvergenceError. So the pairs are all the eigenpairs
-    beyond the shift, a multiple eigenvalue with all its copies. Where the
-    count reaches n-1, where ARPACK cannot run, `symmetric_eigs` solves.
+    beyond the shift, a multiple eigenvalue with all its copies. The count,
+    the solve and the certificate run under `single_blas_thread`, as blas.py
+    sets out. Where the count reaches n-1, where ARPACK cannot run,
+    `symmetric_eigs` solves, outside the pin.
     """
+    # LAPACK's and ARPACK's OpenBLAS must be mapped before the pin, or they
+    # would load, and run threaded, inside it
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
     As = _symmetric_csr(A)
     n = As.shape[0]
     scale = _row_sum_norm(As)
     s = edge - INERTIA_GAP * scale
-    count = _count_beyond(As, side * s, side)
+    with single_blas_thread():
+        count = _count_beyond(As, side * s, side)
+        if 0 < count < n - 1:
+            # not the all-ones vector: that is the Perron vector of a regular
+            # graph, orthogonal to every other eigenvector
+            v0 = np.random.default_rng(0).standard_normal(n)
+            vals, vecs = eigsh(As, k=count, which="LA" if side > 0 else "SA", v0=v0)
+            if len(vals) != count:
+                raise ConvergenceError(f"Lanczos returned {len(vals)} Ritz pairs for an inertia count of {count}")
+            order = np.argsort(-vals, kind="stable")
+            vals, V = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
+            residuals = _certify(As, vals, V, scale)[0]
+            if not np.min(side * vals) > s:
+                raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
+            return vals, V, residuals
     if count >= n - 1:
         vals, V, residuals = symmetric_eigs(As)
         keep = side * vals > s
         return vals[keep], V[:, keep], residuals[keep]
-    if count == 0:
-        return np.empty(0), np.empty((n, 0)), np.empty(0)
-    # not the all-ones vector: that is the Perron vector of a regular graph,
-    # orthogonal to every other eigenvector
-    v0 = np.random.default_rng(0).standard_normal(n)
-    vals, vecs = eigsh(As, k=count, which="LA" if side > 0 else "SA", v0=v0)
-    if len(vals) != count:
-        raise ConvergenceError(f"Lanczos returned {len(vals)} Ritz pairs for an inertia count of {count}")
-    order = np.argsort(-vals, kind="stable")
-    vals, V = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
-    residuals = _certify(As, vals, V, scale)[0]
-    if not np.min(side * vals) > s:
-        raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
-    return vals, V, residuals
+    return np.empty(0), np.empty((n, 0)), np.empty(0)
 
 
 def _quad_roots(t, p: float) -> "tuple[np.ndarray, np.ndarray]":

@@ -9,26 +9,23 @@ Every determinant is a sparse LU factorization: B is nd x nd with about
 d(k-1) nonzeros per row, and a dense copy would cost 16 (nd)^2 bytes.
 
 The checks run in two lanes that meet at every z: det(B - zI) in the
-calling thread and the reduced side in one worker, while every loaded
-OpenBLAS is held at one thread. SuperLU releases the GIL, and otherwise
-hands its small supernodal panels to threaded BLAS, which costs about
-twice the CPU for the same wall time.
+calling thread and the reduced side in one worker, under
+`blas.single_blas_thread`. SuperLU releases the GIL, and otherwise hands
+its small supernodal panels to threaded BLAS, which costs about twice the
+CPU for the same wall time; blas.py states the policy.
 """
 
 from __future__ import annotations
 
 import cmath
-import ctypes
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .errors import NearSingularError, SingularError
 from .operators import adjacency_csr, nonbacktracking_matrix, reduced_nb_operator
 from .seeds import Seed, as_seed
@@ -217,70 +214,6 @@ def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassS
         reduced=reduced_nb_operator(g, A),
         A=A,
     )
-
-
-#: (get, set) thread-count symbol names, by build prefix and symbol suffix
-_OPENBLAS_SYMBOLS = tuple(
-    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("scipy_", "")
-    for suffix in ("", "64_")
-)
-
-
-def _openblas_controls() -> list:
-    """(get, set) thread-count functions of every OpenBLAS the process has loaded.
-
-    As threadpoolctl does, the libraries are found among the process's
-    mapped files, and each build exports the pair under its own prefix and
-    symbol suffix: scipy's wheel as ``scipy_openblas_set_num_threads``,
-    numpy's 64-bit-integer one as ``scipy_openblas_set_num_threads64_``.
-    ``openblas_set_num_threads_local`` is not used: it changes the global
-    count too. Empty where /proc/self/maps cannot be read.
-    """
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in f if "openblas" in line})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        if not os.path.basename(path).startswith(("libopenblas", "libscipy_openblas")):
-            continue
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, put = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
-
-
-#: serializes `single_blas_thread` across threads, as the counts are process-wide
-_BLAS_PIN = threading.RLock()
-
-
-@contextmanager
-def single_blas_thread():
-    """Hold every loaded OpenBLAS at one thread, and restore each library's
-    previous count on exit, on error too. Yields whether any was found.
-
-    The counts are process-wide, so callers in different threads take turns:
-    if two pins overlapped, the later one would restore the pinned count.
-    """
-    with _BLAS_PIN:
-        saved = [(put, get()) for get, put in _openblas_controls()]
-        try:
-            for put, _ in saved:
-                put(1)
-            yield bool(saved)
-        finally:
-            for put, count in saved:
-                put(count)
 
 
 def _rhs(system: IharaBassSystem, z: complex) -> tuple:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import nbspectra.spectral
+from nbspectra.blas import _openblas_controls
 from nbspectra.graphs import (
     RegularGraph,
     sample_regular_graph,
@@ -13,15 +14,31 @@ from nbspectra.graphs import (
 )
 
 
-def fresh_python(code: str, *args: str) -> str:
-    """The stdout of ``code``, run with ``args`` in a fresh interpreter that
-    imports nbspectra from this checkout's src/."""
+def _fresh(argv: list, env: "dict | None") -> subprocess.CompletedProcess:
+    """``argv`` run by a fresh interpreter that imports nbspectra from this
+    checkout's src/, with ``env`` added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
+    env = {
+        **os.environ,
+        **(env or {}),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+def fresh_python(code: str, *args: str, env: "dict | None" = None) -> str:
+    """The stdout of ``code``, run with ``args`` in a fresh interpreter that
+    imports nbspectra from this checkout's src/, with ``env`` added to the
+    environment."""
+    out = _fresh(["-c", code, *args], env)
+    out.check_returncode()
     return out.stdout
+
+
+def fresh_cli(*args: str, env: "dict | None" = None) -> int:
+    """The exit code of ``python -m nbspectra args`` in a fresh interpreter,
+    as `fresh_python` runs code."""
+    return _fresh(["-m", "nbspectra", *args], env).returncode
 
 
 def named_graph(name: str) -> RegularGraph:
@@ -104,3 +121,21 @@ def eigsh_calls(monkeypatch):
 
     monkeypatch.setattr(nbspectra.spectral, "eigsh", spy)
     return calls
+
+
+def blas_counts() -> list:
+    """The thread count of every OpenBLAS the process has loaded."""
+    return [get() for get, _ in _openblas_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads for the test, so that a count
+    left pinned at one shows; the old counts come back afterwards."""
+    controls = _openblas_controls()
+    saved = [(put, get()) for get, put in controls]
+    for _, put in controls:
+        put(2)
+    yield blas_counts()
+    for put, count in saved:
+        put(count)

@@ -19,7 +19,7 @@ import nbspectra.verify
 from nbspectra.cli import main, parse_complex
 from nbspectra.seeds import Seed
 
-from conftest import fresh_python
+from conftest import fresh_cli, fresh_python
 
 
 def run(args):
@@ -581,6 +581,58 @@ def test_reproducibility_byte_identical(tmp_path):
         run(["rsbm-recover", "--n", "40", "--d1", "8", "--d2", "1", "--seed", "2", "--trials", "2", "--out", str(r)])
         outs.append(tuple(p.read_bytes() for p in (g, s, h, v, r)))
     assert outs[0] == outs[1]
+
+
+#: |a - b| <= THREAD_RTOL * max(|a|, |b|, 1) for every float that `spectrum`
+#: and `deloc` write at OPENBLAS_NUM_THREADS=1 and =2: relative above 1 and
+#: absolute below, because residuals sit at rounding level (about 1e-15),
+#: where one thread count's value can be 40% off the other's. Measured worst
+#: (2-core Xeon VM, OpenBLAS 0.3.31): 3.0e-12 on the two instances below
+#: (deloc of the hypergraph; 4.4e-14 for the graph), and 2.1e-11 on a
+#: (600,3,3) hypergraph, so the bound has a margin of 47 over the worst seen.
+THREAD_RTOL = 1e-9
+
+
+def _float_spread(a, b) -> float:
+    """The largest |a - b| / max(|a|, |b|, 1) over the floats of two JSON
+    documents, once every other value, key and length is equal."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        return max((_float_spread(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list):
+        assert len(a) == len(b)
+        return max((_float_spread(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) / max(abs(a), abs(b), 1.0)
+    assert a == b and type(a) is type(b)
+    return 0.0
+
+
+def test_outputs_across_blas_thread_counts(tmp_path):
+    # at sizes where the threaded eigensolve changes the last bits: `verify`
+    # and `rsbm-recover` run on one OpenBLAS thread and keep their bytes;
+    # `spectrum` and `deloc` keep every count, flag, exit code and pass/fail,
+    # and their floats agree to THREAD_RTOL
+    g, h = tmp_path / "g.json", tmp_path / "h.json"
+    assert run(["gen", "--model", "regular", "--n", "400", "--d", "4", "--seed", "3", "--out", str(g)]) == 0
+    assert run(["gen", "--model", "hypergraph", "--n", "300", "--d", "3", "--k", "3", "--seed", "1", "--out", str(h)]) == 0
+    commands = {
+        "verify": ["verify", "--in", str(g), "--trials", "2", "--seed", "1"],
+        "rsbm": ["rsbm-recover", "--n", "400", "--d1", "12", "--d2", "4", "--seed", "2", "--trials", "3"],
+        **{f"{cmd}-{f.stem}": [cmd, "--in", str(f)] for cmd in ("spectrum", "deloc") for f in (g, h)},
+    }
+    files = {}
+    for threads in ("1", "2"):
+        for name, args in commands.items():
+            out = tmp_path / f"{name}-{threads}.json"
+            code = fresh_cli(*args, "--out", str(out), env={"OPENBLAS_NUM_THREADS": threads})
+            files[name, threads] = (code, out.read_bytes())
+    for name in ("verify", "rsbm"):
+        assert files[name, "1"] == files[name, "2"] and files[name, "1"][0] == 0
+    for name in commands.keys() - {"verify", "rsbm"}:
+        (code1, doc1), (code2, doc2) = files[name, "1"], files[name, "2"]
+        assert code1 == code2 == 0
+        assert _float_spread(json.loads(doc1), json.loads(doc2)) <= THREAD_RTOL
 
 
 def test_parse_complex_forms():

@@ -27,6 +27,7 @@ from nbspectra.rsbm import (
 from nbspectra.seeds import Seed
 from nbspectra.spectral import full_lifted_spectrum
 
+from conftest import blas_counts, fresh_python
 from oracles import full_insider_report, full_recovery, sigma_reduced_eigenvector
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -247,6 +248,76 @@ def test_rsbm_path_builds_no_dense_adjacency(monkeypatch):
     assert deterministic_sigma_eigenpair(g) == (8, True)
     assert recover_communities(g).exact
     assert insider_gap_report(g).specials == (15.0, 1.0, 5.0, 3.0)
+
+
+def _spy_blas_counts(monkeypatch, seen, fail=False):
+    """Record (name, OpenBLAS counts) at every inertia count and Lanczos
+    call; with ``fail``, each Lanczos call raises after it records."""
+    for name in ("_count_beyond", "eigsh"):
+        original = getattr(nbspectra.spectral, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            seen.append((_name, blas_counts()))
+            if fail and _name == "eigsh":
+                raise RuntimeError("injected Lanczos failure")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nbspectra.spectral, name, spy)
+
+
+def test_outlier_eigs_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
+    # the inertia counts and the Lanczos solves of recovery and of the insider
+    # report see every OpenBLAS at one thread, and the counts come back after
+    seen = []
+    _spy_blas_counts(monkeypatch, seen)
+    g = sample_rsbm(400, 12, 4, 0)
+    assert recover_communities(g).exact
+    assert blas_counts() == two_blas_threads
+    assert insider_gap_report(g).specials == (15.0, 1.0, 5.0, 3.0)
+    assert {name for name, _ in seen} == {"_count_beyond", "eigsh"}
+    assert [name for name, _ in seen].count("_count_beyond") == 3
+    assert all(counts == [1] * len(two_blas_threads) for _, counts in seen)
+    assert blas_counts() == two_blas_threads
+
+
+def test_outlier_eigs_error_restores_blas_threads(monkeypatch, two_blas_threads):
+    seen = []
+    _spy_blas_counts(monkeypatch, seen, fail=True)
+    g = sample_rsbm(400, 12, 4, 0)
+    for run in (recover_communities, insider_gap_report):
+        with pytest.raises(RuntimeError, match="injected Lanczos failure"):
+            run(g)
+        assert blas_counts() == two_blas_threads
+    assert [name for name, _ in seen] == ["_count_beyond", "eigsh"] * 2
+    assert all(counts == [1] * len(two_blas_threads) for _, counts in seen)
+
+
+def test_full_solve_fallback_keeps_blas_threads(monkeypatch, two_blas_threads):
+    # a count of n - 1 or more goes to the full eigensolve, which keeps its threads
+    seen, original = [], nbspectra.spectral.symmetric_eigs
+    monkeypatch.setattr(nbspectra.spectral, "symmetric_eigs", lambda A: seen.append(blas_counts()) or original(A))
+    vals = nbspectra.spectral.outlier_eigs(np.diag(np.arange(1.0, 41.0)), 0.5, 1.0)[0]
+    assert len(vals) == 40 and seen == [two_blas_threads]
+
+
+def test_outlier_eigs_pin_covers_every_openblas_of_a_fresh_process():
+    # scipy loads on first use; LAPACK's and ARPACK's OpenBLAS must already be
+    # mapped when `outlier_eigs` takes its pin
+    code = """
+import ctypes, sys
+import nbspectra.blas as blas
+from nbspectra.graphs import sample_rsbm
+from nbspectra.rsbm import recover_communities
+
+controls = blas._openblas_controls
+pinned = []
+blas._openblas_controls = lambda: pinned.append(controls()) or pinned[-1]
+recover_communities(sample_rsbm(200, 12, 4, 1))
+def libs(found):
+    return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _ in found)
+print(len(pinned), libs(pinned[0]) == libs(controls()), "scipy.sparse.linalg" in sys.modules)
+"""
+    assert fresh_python(code).split() == ["1", "True", "True"]
 
 
 def assert_matches_full_recovery(g):

@@ -141,6 +141,38 @@ def test_count_beyond_matches_eigvalsh(g, shifts):
         assert _count_beyond(A, s, -1.0) == np.sum(lams < s)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [sample_rsbm(600, 12, 4, 2), sample_rsbm(1000, 4, 12, 3), sample_regular_hypergraph(300, 3, 3, 4)],
+    ids=["rsbm-600-12-4", "rsbm-1000-4-12", "hypergraph-300-3-3"],
+)
+def test_count_beyond_below_matches_eigvalsh_at_gap_midpoints(g):
+    # below t is the negative inertia of A - tI: a side = -1 count factors the
+    # same matrix as a side = 1 count; shifts at gaps from the bottom of the
+    # spectrum, through the bulk, to the top
+    A = adjacency_csr(g).astype(np.float64)
+    lams = np.linalg.eigvalsh(adjacency_matrix(g))
+    n = len(lams)
+    for i in (0, 1, 3, n // 2, n - 5, n - 3, n - 2, n // 3):
+        t = 0.5 * (lams[i] + lams[i + 1])
+        if lams[i + 1] - lams[i] < 1e-6:
+            continue  # a tie: no shift between the two
+        assert _count_beyond(A, t, 1.0) == np.sum(lams > t)
+        assert _count_beyond(A, t, -1.0) == np.sum(lams < t)
+
+
+def test_bunch_kaufman_of_negated_matrix_negates_pivots():
+    # pivoting compares magnitudes and negation commutes with rounding, so the
+    # factor of -M has the same pivot order and the negated D: counting the
+    # negative pivots of M is counting the positive pivots of -M
+    M = adjacency_matrix(sample_rsbm(400, 12, 4, 1)).astype(np.float64) - 2.0 * math.sqrt(15) * np.eye(400)
+    lwork = int(lapack.dsytrf_lwork(400)[0])
+    ldu, ipiv, _ = lapack.dsytrf(M, lwork=lwork)
+    ldu_neg, ipiv_neg, _ = lapack.dsytrf(-M, lwork=lwork)
+    assert np.array_equal(ipiv, ipiv_neg) and np.any(ipiv < 0)
+    assert np.array_equal(np.diagonal(ldu_neg), -np.diagonal(ldu))
+
+
 def test_count_beyond_uses_blocked_workspace(monkeypatch):
     # dsytrf's default lwork = n would fall back to the unblocked dsytf2
     lworks = []

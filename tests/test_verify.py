@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import nbspectra.blas
 import nbspectra.operators
 import nbspectra.verify
+from nbspectra.blas import single_blas_thread
 from nbspectra.cli import main as cli_main
 from nbspectra.errors import NearSingularError, SingularError, ZeroVectorError
 from nbspectra.graphs import RegularGraph, sample_regular_hypergraph
@@ -15,7 +17,6 @@ from nbspectra.operators import nonbacktracking_matrix, oriented_index, reduced_
 from nbspectra.spectral import full_lifted_spectrum, lift_eigenvector_nb, symmetric_eigs
 from nbspectra.verify import (
     LogDet,
-    _openblas_controls,
     ihara_bass_check,
     ihara_bass_check_hyper,
     ihara_bass_checks,
@@ -24,10 +25,9 @@ from nbspectra.verify import (
     logdet,
     phase_distance,
     sample_z_points,
-    single_blas_thread,
 )
 
-from conftest import IHARA_CORPUS, fresh_python, named_graph
+from conftest import IHARA_CORPUS, blas_counts, fresh_python, named_graph
 from oracles import dense_logdet, eigen_residual, lift_eigenvalue, serial_ihara_bass_checks
 
 
@@ -231,23 +231,6 @@ def test_ihara_bass_hyper_guard(hyper923):
 # ------------------------------------------------------------------ lanes
 
 
-def _blas_counts() -> list:
-    return [get() for get, _ in _openblas_controls()]
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Every loaded OpenBLAS at two threads for the test, so that a count
-    left pinned at one shows; the old counts come back afterwards."""
-    controls = _openblas_controls()
-    saved = [(put, get()) for get, put in controls]
-    for _, put in controls:
-        put(2)
-    yield _blas_counts()
-    for put, count in saved:
-        put(count)
-
-
 def _graph_file(tmp_path) -> str:
     g = tmp_path / "g.json"
     assert cli_main(["gen", "--model", "regular", "--n", "12", "--d", "3", "--seed", "4", "--out", str(g)]) == 0
@@ -255,7 +238,7 @@ def _graph_file(tmp_path) -> str:
 
 
 def test_openblas_found():
-    counts = _blas_counts()
+    counts = blas_counts()
     assert counts and all(c >= 1 for c in counts)
 
 
@@ -264,13 +247,14 @@ def test_pin_covers_every_openblas_of_a_fresh_process():
     # the pin is taken, however many OpenBLAS builds the process ends up with
     code = """
 import ctypes, sys
-import nbspectra.verify as v
+import nbspectra.blas as blas
 from nbspectra.graphs import sample_regular_graph
+from nbspectra.verify import ihara_bass_report
 
-controls = v._openblas_controls
+controls = blas._openblas_controls
 pinned = []
-v._openblas_controls = lambda: pinned.append(controls()) or pinned[-1]
-v.ihara_bass_report(sample_regular_graph(12, 3, 4), trials=2, seed=1)
+blas._openblas_controls = lambda: pinned.append(controls()) or pinned[-1]
+ihara_bass_report(sample_regular_graph(12, 3, 4), trials=2, seed=1)
 def libs(found):
     return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _ in found)
 print(len(pinned), libs(pinned[0]) == libs(controls()), "scipy.sparse.linalg" in sys.modules)
@@ -293,7 +277,7 @@ def test_verify_pins_and_restores_blas_threads(tmp_path, monkeypatch, two_blas_t
     original = nbspectra.verify.logdet
 
     def spy(M):
-        seen.append((threading.current_thread() is threading.main_thread(), _blas_counts()))
+        seen.append((threading.current_thread() is threading.main_thread(), blas_counts()))
         return original(M)
 
     monkeypatch.setattr(nbspectra.verify, "logdet", spy)
@@ -301,7 +285,7 @@ def test_verify_pins_and_restores_blas_threads(tmp_path, monkeypatch, two_blas_t
     assert len(seen) == 9
     assert sum(main for main, _ in seen) == 3  # det(B - zI) in the caller, the rest in the worker
     assert all(counts == [1] * len(two_blas_threads) for _, counts in seen)
-    assert _blas_counts() == two_blas_threads
+    assert blas_counts() == two_blas_threads
 
 
 def test_worker_lane_error_restores_blas_threads(tmp_path, capsys, monkeypatch, two_blas_threads):
@@ -315,7 +299,7 @@ def test_worker_lane_error_restores_blas_threads(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(nbspectra.verify, "logdet", failing)
     assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "3", "--seed", "1"]) == 3
     assert "internal error: SingularError: pivot magnitude underflow" in capsys.readouterr().err
-    assert _blas_counts() == two_blas_threads
+    assert blas_counts() == two_blas_threads
 
 
 def test_caller_lane_error_waits_for_one_z_only(tmp_path, capsys, monkeypatch, two_blas_threads):
@@ -332,7 +316,7 @@ def test_caller_lane_error_waits_for_one_z_only(tmp_path, capsys, monkeypatch, t
     assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "6", "--seed", "1"]) == 3
     assert "internal error: SingularError: pivot magnitude underflow" in capsys.readouterr().err
     assert len(worker_calls) == 2  # the reduced side of the first z, not of all six
-    assert _blas_counts() == two_blas_threads
+    assert blas_counts() == two_blas_threads
 
 
 def test_pins_from_two_threads_take_turns(two_blas_threads):
@@ -357,7 +341,7 @@ def test_pins_from_two_threads_take_turns(two_blas_threads):
     a.join(10)
     b.join(10)
     assert entered.is_set()
-    assert _blas_counts() == two_blas_threads
+    assert blas_counts() == two_blas_threads
 
 
 def test_concurrent_checks_restore_blas_threads(two_blas_threads):
@@ -374,7 +358,7 @@ def test_concurrent_checks_restore_blas_threads(two_blas_threads):
     for t in threads:
         t.join(30)
     assert results[0] == results[1] and all(r.ok for r in results[0])
-    assert _blas_counts() == two_blas_threads
+    assert blas_counts() == two_blas_threads
 
 
 def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
@@ -385,7 +369,7 @@ def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
         threads.add(threading.current_thread())
         return original(M)
 
-    monkeypatch.setattr(nbspectra.verify, "_openblas_controls", lambda: [])
+    monkeypatch.setattr(nbspectra.blas, "_openblas_controls", lambda: [])
     monkeypatch.setattr(nbspectra.verify, "logdet", spy)
     assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "4", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
