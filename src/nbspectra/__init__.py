@@ -25,6 +25,7 @@ from .errors import (
     SingularError,
     StructureError,
     TrivialEigenvalueError,
+    UsageError,
     ZeroVectorError,
 )
 from .graphs import (

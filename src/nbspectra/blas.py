@@ -12,8 +12,10 @@ certificate. On RSBM (12,4) recovery at n = 1000, 1500, 2000 and 4000 the
 second thread saved 2%, 21%, 17% and 16% of the wall time for 1.7-1.9
 times the CPU, on the same machine. No size came near the eigensolve's
 saving, so there is no size switch. A library that is first mapped inside
-the pin keeps its threads, so each caller imports the scipy modules it
-uses before it pins.
+the pin keeps its threads, so the pin itself imports `scipy.linalg` and
+`scipy.sparse.linalg`, which map every OpenBLAS that LAPACK, ARPACK and
+SuperLU use, before it reads the mapped libraries; callers import nothing
+for it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ def single_blas_thread():
     The counts are process-wide, so callers in different threads take turns:
     if two pins overlapped, the later one would restore the pinned count.
     """
+    # map scipy's OpenBLAS before the counts are read: a library first loaded
+    # inside the pin would run on its threads
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
     with _BLAS_PIN:
         saved = [(put, get()) for get, put in _openblas_controls()]
         try:

@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Subcommands: gen, spectrum, project, ks, deloc, verify, rsbm-recover.
-Exit codes: 0 success, 1 quantitative check failed, 2 usage/parse error,
-3 internal error. Machine output goes to --out (or stdout), human summaries
-to stderr. Identical command lines produce byte-identical output files
-(for `spectrum` and `deloc`, on the same OpenBLAS build and thread count).
+Exit codes: 0 success, 1 quantitative check failed, 2 usage/parse error
+(an `errors.UsageError`), 3 internal error. Machine output goes to --out
+(or stdout), human summaries to stderr. Identical command lines produce
+byte-identical output files (for `spectrum` and `deloc`, on the same
+OpenBLAS build and thread count).
 """
 
 from __future__ import annotations
@@ -21,33 +22,13 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 import numpy as np
 
 from . import io as nbio
-from .errors import (
-    DetectabilityError,
-    DivisibilityError,
-    DomainError,
-    InfeasibleError,
-    InvariantError,
-    NearSingularError,
-    ParityError,
-    ParseError,
-)
-from .graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
+from .errors import DomainError, UsageError
+from .graphs import GRAPH_KINDS, sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from .measures import HyperAlpha, HyperFixed, KestenMcKay, Semicircle, ks_distance, project_real_parts
-from .rsbm import deterministic_sigma_eigenpair, recover_communities, rsbm_mu2
+from .rsbm import detectable_mu2, deterministic_sigma_eigenpair, recover_communities
 from .seeds import Seed
 from .spectral import full_lifted_spectrum, spectrum_audit
 from .verify import ihara_bass_checks, ihara_bass_report, ihara_bass_system
-
-_USAGE_ERRORS = (
-    ParityError,
-    InfeasibleError,
-    DivisibilityError,
-    DomainError,
-    DetectabilityError,
-    ParseError,
-    InvariantError,
-    NearSingularError,
-)
 
 KS_DEFAULT_THRESHOLDS = {"km": 0.06, "sc": 0.06, "hyperfixed": 0.08, "hyperalpha": 0.10}
 KS_RESCALE = {"km": "none", "sc": "graph", "hyperfixed": "hypergraph", "hyperalpha": "hypergraph"}
@@ -265,7 +246,8 @@ def cmd_verify(args) -> int:
 
 def cmd_rsbm_recover(args) -> int:
     master = Seed(args.seed)
-    pair = rsbm_mu2(args.d1, args.d2)
+    # below the threshold no sample is needed to know the answer
+    pair = detectable_mu2(args.d1, args.d2)
 
     def one_trial(i: int):
         g = sample_rsbm(args.n, args.d1, args.d2, master.trial(i))
@@ -303,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="sample a graph/hypergraph/RSBM and write it to a file")
-    g.add_argument("--model", required=True, choices=["regular", "hypergraph", "rsbm"])
+    g.add_argument("--model", required=True, choices=list(GRAPH_KINDS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int)
     g.add_argument("--k", type=int)
@@ -374,7 +356,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except UsageError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal error

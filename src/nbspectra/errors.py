@@ -1,11 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The errors of bad input, parameters or files subclass `UsageError`, on
+which the CLI exits 2; it exits 3 on any other error.
+"""
 
 
-class ParityError(ValueError):
+class UsageError(ValueError):
+    """Bad input; the CLI exits 2."""
+
+
+class ParityError(UsageError):
     """Degree/size combination has odd stub count, no such graph exists."""
 
 
-class InfeasibleError(ValueError):
+class InfeasibleError(UsageError):
     """Requested parameters admit no simple object (e.g. degree >= n)."""
 
 
@@ -13,7 +21,7 @@ class RetryExhausted(RuntimeError):
     """Rejection sampler hit its restart cap without producing a valid object."""
 
 
-class DivisibilityError(ValueError):
+class DivisibilityError(UsageError):
     """Hyperedge size does not divide the total stub count."""
 
 
@@ -37,7 +45,7 @@ class SingularError(ArithmeticError):
     """Pivot underflow: matrix is singular to working precision."""
 
 
-class NearSingularError(ValueError):
+class NearSingularError(UsageError):
     """Evaluation point too close to a spectrum/singularity guard radius."""
 
 
@@ -45,7 +53,7 @@ class IntegrationError(RuntimeError):
     """Closed-form CDF failed its certificate."""
 
 
-class DomainError(ValueError):
+class DomainError(UsageError):
     """Parameter outside the valid domain of a density or report."""
 
 
@@ -61,13 +69,13 @@ class MultiplicityError(RuntimeError):
     """An eigenvalue required to be simple is not."""
 
 
-class DetectabilityError(ValueError):
+class DetectabilityError(UsageError):
     """Block-model parameters below the detectability threshold."""
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     """Malformed input file."""
 
 
-class InvariantError(ValueError):
+class InvariantError(UsageError):
     """Loaded or constructed object violates its type invariants."""

@@ -7,11 +7,16 @@ hyperedges. Every returned object passes a full degree audit.
 A graph holds read-only arrays: int64 edge or hyperedge rows and, for the
 RSBM, an int8 community vector. Each pairing and bipartite pass is a few
 array operations over the shuffled stubs.
+
+Each graph class names its `kind`, the model name its files and spectra
+carry, and `GRAPH_KINDS` maps each kind to its class: only this module
+tells the kinds apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,6 +90,7 @@ class RegularGraph(_Arrays):
     bytes. Any sequence of pairs is accepted and copied into that array.
     """
 
+    kind: ClassVar[str] = "regular"
     n: int
     d: int
     edges: np.ndarray
@@ -112,6 +118,7 @@ class RegularHypergraph(_Arrays):
     duplicates are forbidden.
     """
 
+    kind: ClassVar[str] = "hypergraph"
     n: int
     d: int
     k: int
@@ -125,6 +132,8 @@ class RegularHypergraph(_Arrays):
         return self.hyperedges
 
     def validate(self) -> None:
+        if self.n < 1:
+            raise InvariantError(f"bad sizes n={self.n}")
         if self.d < 2 or self.k < 2:
             raise InvariantError("require d >= 2 and k >= 2")
         if (self.n * self.d) % self.k:
@@ -141,6 +150,7 @@ class RsbmGraph(RegularGraph):
     vertex.
     """
 
+    kind: ClassVar[str] = "rsbm"
     d1: int
     d2: int
     sigma: np.ndarray
@@ -165,6 +175,10 @@ class RsbmGraph(RegularGraph):
         within = np.bincount(E[s[E[:, 0]] == s[E[:, 1]]].ravel(), minlength=self.n)
         if np.any(within != self.d1):
             raise InvariantError("within/cross degree audit failed")
+
+
+#: each graph class by its `kind`, the model name its files carry
+GRAPH_KINDS = {cls.kind: cls for cls in (RegularGraph, RegularHypergraph, RsbmGraph)}
 
 
 def _permuted(items: list, rng: np.random.Generator) -> list:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantError, ParseError
-from .graphs import RegularGraph, RegularHypergraph, RsbmGraph
+from .graphs import GRAPH_KINDS
 from .measures import EmpiricalMeasure, histogram
 from .spectral import LiftedSpectrum
 
@@ -61,15 +62,15 @@ def _require_int(obj: dict, key: str, path) -> int:
 
 
 def graph_document(g) -> dict:
-    if isinstance(g, RsbmGraph):  # before RegularGraph, which an RSBM also is
-        fields = {"model": "rsbm", "d1": g.d1, "d2": g.d2, "sigma": g.sigma.tolist(), "edges": g.edges.tolist()}
-    elif isinstance(g, RegularHypergraph):
-        fields = {"model": "hypergraph", "k": g.k, "hyperedges": g.hyperedges.tolist()}
-    elif isinstance(g, RegularGraph):
-        fields = {"model": "regular", "edges": g.edges.tolist()}
-    else:
+    """A graph's file as a JSON document: its kind as "model" and every
+    field, arrays as nested lists. TypeError for anything but a graph."""
+    if GRAPH_KINDS.get(getattr(g, "kind", None)) is not type(g):
         raise TypeError(f"cannot serialize {type(g).__name__}")
-    return {"format": FORMAT_VERSION, "n": g.n, "d": g.d, **fields}
+    doc = {"format": FORMAT_VERSION, "model": g.kind}
+    for f in fields(g):
+        value = getattr(g, f.name)
+        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def write_graph(g, path) -> None:
@@ -89,37 +90,28 @@ def _int_array(value, ndim: int, dtype=np.int64) -> np.ndarray:
     return a
 
 
+#: how each array field of a graph file is read: (ndim, dtype)
+_GRAPH_ARRAYS = {"edges": (2, np.int64), "hyperedges": (2, np.int64), "sigma": (1, np.int8)}
+
+
 def read_graph(path):
     """Load a graph/hypergraph/RSBM file of format 1 (else ParseError); the
     full degree audit runs before the object is returned (InvariantError on
     failure)."""
     obj = _load_json(path)
     model = _require(obj, "model", path)
+    cls = GRAPH_KINDS.get(model) if isinstance(model, str) else None
+    if cls is None:
+        raise ParseError(f"{path}: unknown model {model!r}")
     try:
-        if model == "regular":
-            g = RegularGraph(
-                n=_require_int(obj, "n", path),
-                d=_require_int(obj, "d", path),
-                edges=_int_array(_require(obj, "edges", path), 2),
-            )
-        elif model == "hypergraph":
-            g = RegularHypergraph(
-                n=_require_int(obj, "n", path),
-                d=_require_int(obj, "d", path),
-                k=_require_int(obj, "k", path),
-                hyperedges=_int_array(_require(obj, "hyperedges", path), 2),
-            )
-        elif model == "rsbm":
-            g = RsbmGraph(
-                n=_require_int(obj, "n", path),
-                d=_require_int(obj, "d", path),
-                d1=_require_int(obj, "d1", path),
-                d2=_require_int(obj, "d2", path),
-                sigma=_int_array(_require(obj, "sigma", path), 1, np.int8),
-                edges=_int_array(_require(obj, "edges", path), 2),
-            )
-        else:
-            raise ParseError(f"{path}: unknown model {model!r}")
+        g = cls(
+            **{
+                f.name: _int_array(_require(obj, f.name, path), *_GRAPH_ARRAYS[f.name])
+                if f.name in _GRAPH_ARRAYS
+                else _require_int(obj, f.name, path)
+                for f in fields(cls)
+            }
+        )
     except (TypeError, ValueError, OverflowError) as e:
         if isinstance(e, (ParseError, InvariantError)):
             raise
@@ -174,17 +166,21 @@ def read_spectrum(path) -> LiftedSpectrum:
     obj = _load_json(path)
     params = _require(obj, "params", path)
     kind = _require(obj, "model", path)
-    if kind not in ("regular", "hypergraph", "rsbm"):
+    if not (isinstance(kind, str) and kind in GRAPH_KINDS):
         raise InvariantError(f"{path}: unknown spectrum model {kind!r}")
-    d = _require_int(params, "d", path)
+    n, d = _require_int(params, "n", path), _require_int(params, "d", path)
+    if n < 1:
+        raise InvariantError(f"{path}: n = {n} leaves no eigenvalue")
+    # a spectrum carries each parameter its kind's graph has, and null for the others
+    has = {f.name for f in fields(GRAPH_KINDS[kind])}
     k = params.get("k")
-    k_ok = (isinstance(k, int) and k >= 2) if kind == "hypergraph" else k is None
+    k_ok = (isinstance(k, int) and k >= 2) if "k" in has else k is None
     if not k_ok:
         raise InvariantError(f"{path}: k = {k!r} is inconsistent with model {kind!r}")
     d1, d2 = params.get("d1"), params.get("d2")
-    if kind == "rsbm":
+    if "d1" in has:
         d1, d2 = _require_int(params, "d1", path), _require_int(params, "d2", path)
-    d_ok = d1 + d2 == d if kind == "rsbm" else d1 is None and d2 is None
+    d_ok = d1 + d2 == d if "d1" in has else d1 is None and d2 is None
     if not d_ok:
         raise InvariantError(f"{path}: d1 = {d1!r}, d2 = {d2!r} are inconsistent with model {kind!r}, d = {d}")
     records = _require(obj, "pairs", path)
@@ -199,7 +195,7 @@ def read_spectrum(path) -> LiftedSpectrum:
     mus.imag, mus_prime.imag = col["mu_im"], col["mu_prime_im"]
     spec = LiftedSpectrum(
         kind=kind,
-        n=_require_int(params, "n", path),
+        n=n,
         d=d,
         k=k,
         lams=col["lambda"],
@@ -225,11 +221,12 @@ def read_spectrum(path) -> LiftedSpectrum:
 
 
 def write_histogram(m: EmpiricalMeasure, path, bins=None) -> None:
-    """CSV with header bin_left,bin_right,count,density."""
-    edges, counts, dens = histogram(m, bins=bins)
+    """CSV with header bin_left,bin_right,count,density; each float cell is
+    the shortest decimal that reads back to the same double."""
+    edges, counts, dens = (a.tolist() for a in histogram(m, bins=bins))
     lines = ["bin_left,bin_right,count,density"]
     for i in range(len(counts)):
-        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{int(counts[i])},{dens[i]!r}")
+        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{counts[i]},{dens[i]!r}")
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -60,8 +60,8 @@ def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = 
     removed (exactly two samples); only that pair is ever matched, bulk
     eigenvalues that happen to be real are kept.
     """
-    if len(spectrum.lams) == 0:
-        raise ValueError("empty spectrum")
+    if len(spectrum.lams) <= (1 if exclude_trivial else 0):
+        raise DomainError(f"empty projection: no eigenvalue of the {len(spectrum.lams)} pair(s) is left to project")
     keep = np.ones(len(spectrum.lams), dtype=bool)
     if exclude_trivial:
         t_mu, t_mup = spectrum.model.perron
@@ -296,7 +296,7 @@ def ks_distance(m: EmpiricalMeasure, model) -> float:
     """
     xs = m.samples
     if len(xs) == 0:
-        raise ValueError("empty empirical measure")
+        raise DomainError("empty empirical measure")
     n = len(xs)
     F = np.minimum(_segment_integral(model, model.support[0], xs), 1.0)
     hi = np.abs(np.arange(1, n + 1) / n - F)

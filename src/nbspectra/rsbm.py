@@ -64,6 +64,14 @@ def rsbm_mu2(d1: int, d2: int) -> InsiderPair:
     return InsiderPair(mu2=mu, mu2_prime=mup, detectable=detectable)
 
 
+def detectable_mu2(d1: int, d2: int) -> InsiderPair:
+    """`rsbm_mu2(d1, d2)`, or DetectabilityError below the threshold."""
+    pair = rsbm_mu2(d1, d2)
+    if not pair.detectable:
+        raise DetectabilityError(f"(d1-d2)^2 = {(d1 - d2) ** 2} <= 4(d1+d2-1) = {4 * (d1 + d2 - 1)}")
+    return pair
+
+
 def deterministic_sigma_eigenpair(g: RsbmGraph) -> "tuple[int, bool]":
     """Verify A sigma = (d1-d2) sigma in exact integer arithmetic (int64 CSR A).
 
@@ -98,11 +106,7 @@ def recover_communities(g: RsbmGraph) -> RecoveryResult:
     Raises AmbiguityError when the two nearest candidate eigenvalues are
     within 1e-6 of each other, and DetectabilityError below the threshold.
     """
-    pair = rsbm_mu2(g.d1, g.d2)
-    if not pair.detectable:
-        raise DetectabilityError(
-            f"(d1-d2)^2 = {(g.d1 - g.d2) ** 2} <= 4(d1+d2-1) = {4 * (g.d1 + g.d2 - 1)}"
-        )
+    detectable_mu2(g.d1, g.d2)
     target = float(g.d1 - g.d2)
     edge = 2.0 * LiftModel(g.d1 + g.d2).radius
     lams, V, _ = outlier_eigs(adjacency_csr(g), edge, 1.0 if target >= 0 else -1.0)
@@ -154,9 +158,7 @@ def insider_gap_report(g: RsbmGraph) -> InsiderGapReport:
     the circle; the deviation is over the other lifted outliers (0.0 if none).
     n=2000, (12,4): 0.14–0.19 s, 1.1–1.3 s with `eigh` (2-core Xeon VM).
     """
-    pair = rsbm_mu2(g.d1, g.d2)
-    if not pair.detectable:
-        raise DetectabilityError("insider gap requires detectable parameters")
+    pair = detectable_mu2(g.d1, g.d2)
     if g.d1 % 2:
         raise DomainError("insider gap report requires even d1")
     model = LiftModel(g.d1 + g.d2)

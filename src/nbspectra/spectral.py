@@ -49,7 +49,6 @@ from .errors import (
     TrivialEigenvalueError,
     ZeroVectorError,
 )
-from .graphs import RegularHypergraph, RsbmGraph
 from .operators import adjacency_csr, nonbacktracking_matrix, oriented_index
 
 if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
@@ -199,11 +198,6 @@ def outlier_eigs(A, edge: float, side: float):
     sets out. Where the count reaches n-1, where ARPACK cannot run,
     `symmetric_eigs` solves, outside the pin.
     """
-    # LAPACK's and ARPACK's OpenBLAS must be mapped before the pin, or they
-    # would load, and run threaded, inside it
-    import scipy.linalg  # noqa: F401
-    import scipy.sparse.linalg  # noqa: F401
-
     As = _symmetric_csr(A)
     n = As.shape[0]
     scale = _row_sum_norm(As)
@@ -379,7 +373,7 @@ class LiftedSpectrum:
     computed, and is None when it was read back from a file.
     """
 
-    kind: str  # "regular" | "hypergraph" | "rsbm"
+    kind: str  # the graph's kind, a key of graphs.GRAPH_KINDS
     n: int
     d: int
     k: "int | None"
@@ -408,14 +402,6 @@ class LiftedSpectrum:
 def _lift_model(d: int, k: "int | None") -> LiftModel:
     """The model of a spectrum's (d, k): the null k of a graph or RSBM spectrum is 2."""
     return LiftModel(d, 2 if k is None else k)
-
-
-def _model_params(g) -> "tuple[str, int, int, int | None, int | None, int | None]":
-    if isinstance(g, RsbmGraph):  # an RSBM is also a RegularGraph
-        return "rsbm", g.n, g.d, None, g.d1, g.d2
-    if isinstance(g, RegularHypergraph):
-        return "hypergraph", g.n, g.d, g.k, None, None
-    return "regular", g.n, g.d, None, None, None
 
 
 #: rows per block of the u-residuals; keeps each (rows x n) temporary in cache
@@ -458,7 +444,9 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     evaluated against the actual block operator, not the algebraic identity
     that produced it.
     """
-    kind, n, d, k, d1, d2 = _model_params(g)
+    n, d = g.n, g.d
+    # a spectrum carries its graph's kind and parameters, null where the kind has none
+    k, d1, d2 = (getattr(g, name, None) for name in ("k", "d1", "d2"))
     model = _lift_model(d, k)
     As = adjacency_csr(g).astype(np.float64)
     lams, V = _eigh(As)
@@ -479,7 +467,7 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
         return np.maximum(1.0, c) * vinfs / (np.sqrt(1.0 + c**2) * vnorms)
 
     return LiftedSpectrum(
-        kind=kind,
+        kind=g.kind,
         n=n,
         d=d,
         k=k,

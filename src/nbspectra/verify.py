@@ -239,10 +239,6 @@ def ihara_bass_checks(system: IharaBassSystem, zs) -> list:
     for z in zs:
         # the zeros of the scalar factor are B's trivial eigenvalues 1 and -(k-1)
         _guard(z, mus, system.spectrum.model.trivial)
-    # SuperLU's OpenBLAS must be mapped before the pin, or it would load, and
-    # run threaded, inside it
-    import scipy.sparse.linalg  # noqa: F401
-
     records = []
     with single_blas_thread() as pinned, ThreadPoolExecutor(max_workers=1) as worker:
         for z in zs:

@@ -14,7 +14,8 @@ two-lane `ihara_bass_checks` under test replaced. `pairwise_lifted_spectrum` is 
 residuals) that the array-backed `full_lifted_spectrum` replaced, with the
 scalar `quad_roots` and the one-pair lifts `lift_eigenvalue[_hyper]` and
 `lift_eigenvector_reduced`; `pairwise_spectrum_document` is the spectrum
-file it wrote. `loop_adjacency` is the entry-by-entry dense adjacency that
+file it wrote, with the kind and parameters that `model_params` reads off
+the graph's class. `loop_adjacency` is the entry-by-entry dense adjacency that
 the CSR builder under test replaced. The `loop_*` graph functions are the
 per-item samplers (`loop_try_pairing`, `loop_try_bipartite`, over Python
 tuples with the same RNG calls), degree
@@ -55,7 +56,7 @@ from nbspectra.measures import _segment_integral
 from nbspectra.operators import adjacency_matrix
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
 from nbspectra.seeds import as_seed
-from nbspectra.spectral import _model_params, full_lifted_spectrum, symmetric_eigs
+from nbspectra.spectral import full_lifted_spectrum, symmetric_eigs
 from nbspectra.verify import _compare, logdet
 
 
@@ -275,10 +276,20 @@ class LiftedPair:
         return lift_eigenvector_reduced(self.v, self.mu_prime, self.d)
 
 
+def model_params(g) -> tuple:
+    """(kind, n, d, k, d1, d2) of g's spectrum file, by g's class: k null
+    but for a hypergraph, d1 and d2 null but for an RSBM."""
+    if isinstance(g, RsbmGraph):  # an RSBM is also a RegularGraph
+        return "rsbm", g.n, g.d, None, g.d1, g.d2
+    if isinstance(g, RegularHypergraph):
+        return "hypergraph", g.n, g.d, g.k, None, None
+    return "regular", g.n, g.d, None, None, None
+
+
 def pairwise_lifted_spectrum(g) -> tuple:
     """One LiftedPair per eigenpair of `symmetric_eigs(A)` (lambda descending),
     lifted pair by pair, with the u-residuals in complex arithmetic."""
-    kind, n, d, k, d1, d2 = _model_params(g)
+    kind, n, d, k, d1, d2 = model_params(g)
     A = adjacency_matrix(g)
     lams, V, _ = symmetric_eigs(A)
     shift, prod = (0.0, float(d - 1)) if k is None else (float(k - 2), float((d - 1) * (k - 1)))
@@ -334,7 +345,7 @@ def pairwise_lifted_spectrum(g) -> tuple:
 
 def pairwise_spectrum_document(g, pairs) -> dict:
     """The spectrum file of `pairs` (from `pairwise_lifted_spectrum(g)`), as a JSON document."""
-    kind, n, d, k, d1, d2 = _model_params(g)
+    kind, n, d, k, d1, d2 = model_params(g)
     return {
         "format": FORMAT_VERSION,
         "model": kind,

@@ -648,3 +648,77 @@ def test_help_runs(capsys):
     assert run(["--help"]) == 0
     assert run(["gen", "--help"]) == 0
     capsys.readouterr()
+
+
+def _spectrum_file(tmp_path, pairs: int) -> str:
+    """A (30,3) graph's spectrum file cut to its first `pairs` pairs, n to match."""
+    g, s = tmp_path / "g.json", tmp_path / "s.json"
+    run(["gen", "--model", "regular", "--n", "30", "--d", "3", "--seed", "1", "--out", str(g)])
+    run(["spectrum", "--in", str(g), "--out", str(s)])
+    doc = json.loads(s.read_text())
+    doc["pairs"], doc["params"]["n"] = doc["pairs"][:pairs], pairs
+    s.write_text(json.dumps(doc))
+    return str(s)
+
+
+def _graph_file(tmp_path, doc: dict) -> str:
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+# Each case is bad input that the CLI rejects with exit 2: the empty inputs
+# (a hypergraph with no vertex; a spectrum with no pair, or only the Perron
+# pair once it is excluded), then one case per usage-error site.
+_EMPTY_HYPERGRAPH = {"format": 1, "model": "hypergraph", "n": 0, "d": 2, "k": 3, "hyperedges": []}
+_K4 = {"format": 1, "model": "regular", "n": 4, "d": 3, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (lambda t: ["spectrum", "--in", _graph_file(t, _EMPTY_HYPERGRAPH), "--out", str(t / "o.json")], "InvariantError"),
+        (lambda t: ["deloc", "--in", _graph_file(t, _EMPTY_HYPERGRAPH)], "InvariantError"),
+        (lambda t: ["verify", "--in", _graph_file(t, _EMPTY_HYPERGRAPH)], "InvariantError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 0), "--law", "km"], "InvariantError"),
+        (lambda t: ["project", "--in", _spectrum_file(t, 0), "--out", str(t / "p.csv")], "InvariantError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 1), "--law", "km"], "DomainError"),
+        (lambda t: ["project", "--in", _spectrum_file(t, 1), "--exclude-trivial", "--out", str(t / "p.csv")], "DomainError"),
+        (lambda t: ["gen", "--model", "regular", "--n", "10"], "DomainError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30), "--law", "hyperfixed"], "DomainError"),
+        (lambda t: ["spectrum", "--in", _graph_file(t, [1, 2]), "--out", str(t / "o.json")], "ParseError"),
+        (lambda t: ["rsbm-recover", "--n", "40", "--d1", "0", "--d2", "2"], "DomainError"),
+        (lambda t: ["verify", "--in", _graph_file(t, _K4), "--z", "-1"], "NearSingularError"),
+    ],
+    ids=[
+        "spectrum-empty-hypergraph",
+        "deloc-empty-hypergraph",
+        "verify-empty-hypergraph",
+        "ks-no-pair",
+        "project-no-pair",
+        "ks-perron-pair-only",
+        "project-perron-pair-only",
+        "gen-regular-without-d",
+        "ks-hyperfixed-on-graph",
+        "json-array-at-top-level",
+        "rsbm-recover-d1-zero",
+        "verify-z-at-trivial-zero",
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv, error):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error}:" in err and "internal error" not in err
+    # `project` on the Perron pair alone wrote a row with a NaN density
+    assert not (tmp_path / "o.json").exists() and not (tmp_path / "p.csv").exists()
+
+
+def test_rsbm_recover_rejects_undetectable_before_sampling(monkeypatch, capsys):
+    def no_sample(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(nbspectra.cli, "sample_rsbm", no_sample)
+    assert run(["rsbm-recover", "--n", "2000000", "--d1", "3", "--d2", "3", "--trials", "2"]) == 2
+    assert "DetectabilityError" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from nbspectra.cli import main as cli_main
 from nbspectra.errors import InvariantError, ParseError
 from nbspectra.graphs import sample_regular_graph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.io import (
+    graph_document,
     read_graph,
     read_spectrum,
     write_graph,
@@ -14,7 +15,7 @@ from nbspectra.io import (
     write_report,
     write_spectrum,
 )
-from nbspectra.measures import EmpiricalMeasure, project_real_parts
+from nbspectra.measures import EmpiricalMeasure, histogram, project_real_parts
 from nbspectra.spectral import full_lifted_spectrum
 
 from conftest import named_graph
@@ -292,6 +293,16 @@ def test_histogram_csv(tmp_path):
     assert len(lines) == 11
     counts = [int(line.split(",")[2]) for line in lines[1:]]
     assert sum(counts) == 101
+    # every cell is a plain number that reads back to histogram()'s value, bit for bit
+    edges, _, dens = histogram(m, bins=10)
+    cells = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in cells] + [cells[-1][1]] == edges.tolist()
+    assert [row[3] for row in cells] == dens.tolist()
+
+
+def test_graph_document_rejects_a_non_graph(k4):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        graph_document({"n": 4, "d": 3, "edges": k4.edges})
 
 
 def test_report_with_nan_is_not_written(tmp_path):

@@ -301,3 +301,9 @@ def test_histogram_freedman_diaconis_default():
     assert np.allclose((dens * widths * 500), counts)
     edges2, counts2, _ = histogram(m, bins=20)
     assert len(counts2) == 20
+
+
+def test_ks_of_an_empty_measure_is_a_domain_error():
+    # a ValueError to API callers, and exit 2 in the CLI
+    with pytest.raises(DomainError, match="empty empirical measure"):
+        ks_distance(EmpiricalMeasure(np.empty(0)), KestenMcKay(3))
