@@ -30,8 +30,14 @@ from .seeds import Seed
 from .spectral import full_lifted_spectrum, spectrum_audit
 from .verify import ihara_bass_checks, ihara_bass_report, ihara_bass_system
 
-KS_DEFAULT_THRESHOLDS = {"km": 0.06, "sc": 0.06, "hyperfixed": 0.08, "hyperalpha": 0.10}
-KS_RESCALE = {"km": "none", "sc": "graph", "hyperfixed": "hypergraph", "hyperalpha": "hypergraph"}
+#: each `ks --law`: (its limit law from the spectrum and --alpha, the
+#: `project_real_parts` rescale onto the law's support, its default threshold)
+KS_LAWS = {
+    "km": (lambda spec, alpha: KestenMcKay(spec.d), "none", 0.06),
+    "sc": (lambda spec, alpha: Semicircle(), "graph", 0.06),
+    "hyperfixed": (lambda spec, alpha: HyperFixed(spec.d, spec.k), "hypergraph", 0.08),
+    "hyperalpha": (lambda spec, alpha: HyperAlpha(alpha), "hypergraph", 0.10),
+}
 
 
 def parse_complex(text: str) -> complex:
@@ -135,26 +141,16 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _ks_model(law: str, spec, alpha):
-    if law == "km":
-        return KestenMcKay(spec.d)
-    if law == "sc":
-        return Semicircle()
-    if law == "hyperfixed":
-        if spec.k is None:
-            raise DomainError("hyperfixed law needs a hypergraph spectrum")
-        return HyperFixed(spec.d, spec.k)
-    if alpha is None:
-        raise DomainError("--law hyperalpha requires --alpha")
-    return HyperAlpha(alpha)
-
-
 def cmd_ks(args) -> int:
+    if args.law == "hyperalpha" and args.alpha is None:
+        raise DomainError("--law hyperalpha requires --alpha")
+    law, rescale, default_threshold = KS_LAWS[args.law]
     spec = nbio.read_spectrum(args.infile)
-    model = _ks_model(args.law, spec, args.alpha)
-    m = project_real_parts(spec, rescale=KS_RESCALE[args.law], exclude_trivial=True)
+    # the hypergraph rescale rejects a graph spectrum before the law is built
+    m = project_real_parts(spec, rescale=rescale, exclude_trivial=True)
+    model = law(spec, args.alpha)
     ks = ks_distance(m, model)
-    threshold = args.threshold if args.threshold is not None else KS_DEFAULT_THRESHOLDS[args.law]
+    threshold = args.threshold if args.threshold is not None else default_threshold
     doc = {
         "model": args.law,
         "params": {"n": spec.n, "d": spec.d, "k": spec.k, "alpha": args.alpha},
@@ -312,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ks = sub.add_parser("ks", help="Kolmogorov-Smirnov distance to a limit law")
     ks.add_argument("--in", dest="infile", required=True, help="spectrum JSON")
-    ks.add_argument("--law", required=True, choices=["km", "sc", "hyperfixed", "hyperalpha"])
+    ks.add_argument("--law", required=True, choices=list(KS_LAWS))
     ks.add_argument("--alpha", type=alpha_float, help="alpha for --law hyperalpha")
     ks.add_argument("--threshold", type=threshold_float, help="failure threshold (defaults per law)")
     ks.add_argument("--out")

@@ -33,7 +33,7 @@ def _write_text(path, text: str) -> None:
 def _load_json(path) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     try:
         obj = json.loads(raw)
@@ -153,18 +153,30 @@ def write_spectrum(spec: LiftedSpectrum, path) -> None:
     _write_text(path, _dumps(doc))
 
 
+def _pair_value(rec: dict, key: str):
+    """A pair record's field: a JSON bool for degenerate, a JSON number (not
+    a bool) for every other; as in `_require_int`, nothing is converted."""
+    value, flag = rec[key], key == "degenerate"
+    if type(value) not in ((bool,) if flag else (int, float)):
+        raise TypeError(f"field {key!r} must be a JSON {'bool' if flag else 'number'}, got {value!r}")
+    return value
+
+
 def read_spectrum(path) -> LiftedSpectrum:
     """Load a spectrum file; it carries values and diagnostics but no
     eigenvectors (u/w lifts need the original graph).
 
-    ParseError unless the file is format 1, an RSBM's d1 and d2 are integers
-    and every pair record has every field; InvariantError unless the model is
-    known, k is given exactly for hypergraphs, d = d1 + d2 for an RSBM and d1
-    and d2 are null otherwise, there are n pairs, every value is finite and
-    lambda is descending.
+    ParseError unless the file is UTF-8 JSON of format 1, params is an
+    object, an RSBM's d1 and d2 are integers and every pair record has every
+    field, a JSON bool for degenerate and a JSON number for the others;
+    InvariantError unless the model is known, k is given exactly for
+    hypergraphs, d = d1 + d2 for an RSBM and d1 and d2 are null otherwise,
+    there are n pairs, every value is finite and lambda is descending.
     """
     obj = _load_json(path)
     params = _require(obj, "params", path)
+    if not isinstance(params, dict):
+        raise ParseError(f"{path}: field 'params' must be an object, got {params!r}")
     kind = _require(obj, "model", path)
     if not (isinstance(kind, str) and kind in GRAPH_KINDS):
         raise InvariantError(f"{path}: unknown spectrum model {kind!r}")
@@ -186,10 +198,10 @@ def read_spectrum(path) -> LiftedSpectrum:
     records = _require(obj, "pairs", path)
     try:
         col = {
-            key: np.asarray([(bool if key == "degenerate" else float)(rec[key]) for rec in records])
+            key: np.asarray([_pair_value(rec, key) for rec in records], bool if key == "degenerate" else np.float64)
             for key in _PAIR_FIELDS
         }
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{path}: malformed pair record ({e})") from e
     mus, mus_prime = (col[f"{name}_re"].astype(np.complex128) for name in ("mu", "mu_prime"))
     mus.imag, mus_prime.imag = col["mu_im"], col["mu_prime_im"]

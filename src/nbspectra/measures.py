@@ -38,7 +38,6 @@ class EmpiricalMeasure:
     """Uniformly weighted samples, sorted ascending."""
 
     samples: np.ndarray
-    excluded_trivial: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", np.sort(np.asarray(self.samples, dtype=np.float64)))
@@ -60,6 +59,10 @@ def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = 
     removed (exactly two samples); only that pair is ever matched, bulk
     eigenvalues that happen to be real are kept.
     """
+    if rescale not in ("none", "graph", "hypergraph"):
+        raise DomainError(f"unknown rescale mode {rescale!r}")
+    if rescale == "hypergraph" and spectrum.k is None:
+        raise DomainError("hypergraph rescale needs a hypergraph spectrum")
     if len(spectrum.lams) <= (1 if exclude_trivial else 0):
         raise DomainError(f"empty projection: no eigenvalue of the {len(spectrum.lams)} pair(s) is left to project")
     keep = np.ones(len(spectrum.lams), dtype=bool)
@@ -74,13 +77,9 @@ def project_real_parts(spectrum, rescale: str = "none", exclude_trivial: bool = 
             )
         keep[top] = False
     x = np.concatenate([spectrum.mus.real[keep], spectrum.mus_prime.real[keep]])
-    if rescale == "hypergraph" and spectrum.k is None:
-        raise DomainError("hypergraph rescale needs a hypergraph spectrum")
-    if rescale in ("graph", "hypergraph"):
+    if rescale != "none":
         x = 2.0 * x / spectrum.model.radius
-    elif rescale != "none":
-        raise DomainError(f"unknown rescale mode {rescale!r}")
-    return EmpiricalMeasure(samples=x, excluded_trivial=2 if exclude_trivial else 0)
+    return EmpiricalMeasure(samples=x)
 
 
 def _elementwise(x, fn):

@@ -521,7 +521,6 @@ class SpectrumAudit:
     k: "int | None"
     vieta_sum_err: float
     vieta_prod_err: float
-    n_bulk: int
     circle_err: float
     resid_u_max: float
     resid_w_max: float
@@ -530,8 +529,6 @@ class SpectrumAudit:
     ratio_mono_violations: int
     bound_violations: int
     perron_ratio_err: "float | None"
-    skipped_trivial: int
-    skipped_zero: int
     lams: np.ndarray
     mus: np.ndarray
     ratio_v: np.ndarray
@@ -599,16 +596,6 @@ def spectrum_audit(g, *, keep_records: bool = True) -> SpectrumAudit:
     vieta_prod_err = float(np.max(np.abs(mus * mups - q)) / q)
 
     bulk = mups == np.conj(mus)
-    n_bulk = int(np.sum(bulk))
-    circle_err = 0.0
-    if n_bulk:
-        circle_err = float(
-            max(
-                np.max(np.abs(np.abs(mus[bulk]) - model.radius)),
-                np.max(np.abs(np.abs(mups[bulk]) - model.radius)),
-            )
-        )
-
     resid_u_max = float(max(np.max(spec.residual_u), np.max(spec.residual_u_prime)))
 
     index = oriented_index(g)
@@ -642,9 +629,9 @@ def spectrum_audit(g, *, keep_records: bool = True) -> SpectrumAudit:
     ratios_u = np.concatenate([spec.ratio_u, spec.ratio_u_prime])
     wnorm, winf, resid = wstats
     trivial = _trivial_mu(mus2, k)
-    zero = ~trivial & (wnorm < ZERO_W_TOL)
-    ok = ~(trivial | zero)
-    conj = ok & np.concatenate([bulk, bulk])
+    ok = ~trivial & ~(wnorm < ZERO_W_TOL)  # a zero w-lift is skipped like a trivial one
+    bulk2 = np.concatenate([bulk, bulk])
+    conj = ok & bulk2
     general = nb_norm_sq(lams2, mus2, d, k)
     paper = (k - 1) * (d + lams2) * (d * (k - 1) - lams2)
     ratio_w = np.divide(winf, wnorm, out=np.full(2 * m, np.nan), where=ok)
@@ -670,8 +657,7 @@ def spectrum_audit(g, *, keep_records: bool = True) -> SpectrumAudit:
         k=spec.k,
         vieta_sum_err=vieta_sum_err,
         vieta_prod_err=vieta_prod_err,
-        n_bulk=n_bulk,
-        circle_err=circle_err,
+        circle_err=worst(np.abs(np.abs(mus2) - model.radius), bulk2),
         resid_u_max=resid_u_max,
         resid_w_max=worst(np.divide(resid, wnorm, out=np.zeros(2 * m), where=ok), ok),
         norm_paper_err=worst(np.abs(wnorm**2 - paper) / np.maximum(np.abs(paper), 1.0), conj),
@@ -679,8 +665,6 @@ def spectrum_audit(g, *, keep_records: bool = True) -> SpectrumAudit:
         ratio_mono_violations=int(np.count_nonzero(ratios_u > vinfs2 + 1e-12)),
         bound_violations=int(np.count_nonzero(conj & ~_bound_ok(ratio_w, bound))),
         perron_ratio_err=perron_ratio_err,
-        skipped_trivial=int(np.count_nonzero(trivial)),
-        skipped_zero=int(np.count_nonzero(zero)),
         lams=lams2,
         mus=mus2,
         ratio_v=vinfs2,

@@ -116,20 +116,35 @@ def phase_distance(a: float, b: float) -> float:
 @dataclass(frozen=True)
 class IharaBassRecord:
     """One z-point comparison; rhs_reduced uses the reduced operator
-    determinant, rhs_adjacency the quadratic polynomial in A directly."""
+    determinant, rhs_adjacency the quadratic polynomial in A directly. The
+    errors and the pass flag derive from the three log-determinants."""
 
     z: complex
     lhs: LogDet
     rhs_reduced: LogDet
     rhs_adjacency: LogDet
-    mag_err: float
-    phase_err: float
-    ok: bool
+
+    @property
+    def mag_err(self) -> float:
+        return max(abs(self.lhs.log_abs - rhs.log_abs) for rhs in (self.rhs_reduced, self.rhs_adjacency))
+
+    @property
+    def phase_err(self) -> float:
+        return max(phase_distance(self.lhs.phase, rhs.phase) for rhs in (self.rhs_reduced, self.rhs_adjacency))
+
+    @property
+    def mag_tol(self) -> float:
+        """The tolerance of mag_err, MAG_TOL (1 + |log|det(B - zI)||)."""
+        return MAG_TOL * (1.0 + abs(self.lhs.log_abs))
+
+    @property
+    def ok(self) -> bool:
+        return self.mag_err <= self.mag_tol and self.phase_err <= PHASE_TOL
 
     @property
     def mag_over_tol(self) -> float:
-        """mag_err as a share of its tolerance MAG_TOL (1 + |log|det(B - zI)||)."""
-        return self.mag_err / (MAG_TOL * (1.0 + abs(self.lhs.log_abs)))
+        """mag_err as a share of its tolerance."""
+        return self.mag_err / self.mag_tol
 
     @property
     def phase_over_tol(self) -> float:
@@ -143,26 +158,6 @@ def _guard(z: complex, mus: np.ndarray, poles) -> None:
     for p in poles:
         if abs(z - p) < GUARD_RADIUS:
             raise NearSingularError(f"z = {z} within {GUARD_RADIUS} of scalar factor zero {p}")
-
-
-def _compare(z, lhs: LogDet, rhs_reduced: LogDet, rhs_adjacency: LogDet) -> IharaBassRecord:
-    mag_err = max(
-        abs(lhs.log_abs - rhs_reduced.log_abs), abs(lhs.log_abs - rhs_adjacency.log_abs)
-    )
-    phase_err = max(
-        phase_distance(lhs.phase, rhs_reduced.phase),
-        phase_distance(lhs.phase, rhs_adjacency.phase),
-    )
-    ok = mag_err <= MAG_TOL * (1.0 + abs(lhs.log_abs)) and phase_err <= PHASE_TOL
-    return IharaBassRecord(
-        z=complex(z),
-        lhs=lhs,
-        rhs_reduced=rhs_reduced,
-        rhs_adjacency=rhs_adjacency,
-        mag_err=mag_err,
-        phase_err=phase_err,
-        ok=ok,
-    )
 
 
 @dataclass(frozen=True)
@@ -245,25 +240,19 @@ def ihara_bass_checks(system: IharaBassSystem, zs) -> list:
             right = worker.submit(_rhs, system, z) if pinned else None
             left = logdet(system.lhs_matrix(z))
             right = right.result() if pinned else _rhs(system, z)
-            records.append(_compare(z, left, *right))
+            records.append(IharaBassRecord(z, left, *right))
     return records
 
 
-def ihara_bass_check(g, z: complex, spectrum=None) -> IharaBassRecord:
-    """`ihara_bass_checks` at the one point ``z``.
-
-    ``g`` is a graph, hypergraph or RSBM, or an `IharaBassSystem` that
-    carries its operators and spectrum across many z points (``spectrum``
-    is then unused).
-    """
-    system = g if isinstance(g, IharaBassSystem) else ihara_bass_system(g, spectrum)
-    return ihara_bass_checks(system, [z])[0]
+def ihara_bass_check(g, z: complex) -> IharaBassRecord:
+    """`ihara_bass_checks` at the one point ``z`` of a graph, hypergraph or RSBM."""
+    return ihara_bass_checks(ihara_bass_system(g), [z])[0]
 
 
-def ihara_bass_check_hyper(H, z: complex, spectrum=None) -> IharaBassRecord:
-    """`ihara_bass_check` for a hypergraph ``H`` or its `IharaBassSystem`:
+def ihara_bass_check_hyper(H, z: complex) -> IharaBassRecord:
+    """`ihara_bass_check` for a hypergraph ``H``:
     det(B - zI) = (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI)."""
-    return ihara_bass_check(H, z, spectrum)
+    return ihara_bass_check(H, z)
 
 
 def sample_z_points(spectrum: LiftedSpectrum, count: int, seed: "int | Seed") -> list:

@@ -57,7 +57,7 @@ from nbspectra.operators import adjacency_matrix
 from nbspectra.rsbm import ISOLATION_TOL, MATCH_TOL, InsiderGapReport, RecoveryResult, rsbm_mu2
 from nbspectra.seeds import as_seed
 from nbspectra.spectral import full_lifted_spectrum, symmetric_eigs
-from nbspectra.verify import _compare, logdet
+from nbspectra.verify import IharaBassRecord, logdet
 
 
 def dense_logdet(M) -> "tuple[float, float]":
@@ -143,7 +143,7 @@ def serial_ihara_bass_checks(system, zs) -> list:
         reduced_z, poly = system.rhs_matrices(z)
         scalar = system.scalar(z)
         lhs = logdet(system.lhs_matrix(z))
-        records.append(_compare(z, lhs, scalar + logdet(reduced_z), scalar + logdet(poly)))
+        records.append(IharaBassRecord(z, lhs, scalar + logdet(reduced_z), scalar + logdet(poly)))
     return records
 
 

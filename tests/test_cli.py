@@ -525,6 +525,15 @@ def test_gen_retry_exhausted_exits_3(capsys, monkeypatch):
     assert "RetryExhausted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model", [["hypergraph", "--d", "3", "--k", "3"], ["rsbm", "--d1", "3", "--d2", "2"]], ids=["hypergraph", "rsbm"]
+)
+def test_gen_hypergraph_and_rsbm_retry_exhausted_exit_3(capsys, monkeypatch, model):
+    monkeypatch.setattr(nbspectra.graphs, "MAX_RESTARTS", 0)
+    assert run(["gen", "--model", *model, "--n", "12"]) == 3
+    assert "RetryExhausted" in capsys.readouterr().err
+
+
 def test_ks_integration_error_exits_3(tmp_path, capsys, monkeypatch):
     g = tmp_path / "g.json"
     s = tmp_path / "s.json"
@@ -650,13 +659,16 @@ def test_help_runs(capsys):
     capsys.readouterr()
 
 
-def _spectrum_file(tmp_path, pairs: int) -> str:
-    """A (30,3) graph's spectrum file cut to its first `pairs` pairs, n to match."""
+def _spectrum_file(tmp_path, pairs: int, **top) -> str:
+    """A (30,3) graph's spectrum file cut to its first `pairs` pairs, n to
+    match, with the fields in `top` replaced in the top pair's record."""
     g, s = tmp_path / "g.json", tmp_path / "s.json"
     run(["gen", "--model", "regular", "--n", "30", "--d", "3", "--seed", "1", "--out", str(g)])
     run(["spectrum", "--in", str(g), "--out", str(s)])
     doc = json.loads(s.read_text())
     doc["pairs"], doc["params"]["n"] = doc["pairs"][:pairs], pairs
+    if top:
+        doc["pairs"][0].update(top)
     s.write_text(json.dumps(doc))
     return str(s)
 
@@ -665,6 +677,13 @@ def _graph_file(tmp_path, doc: dict) -> str:
     p = tmp_path / "in.json"
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def _not_utf8(path: str) -> str:
+    """``path`` with a 0xff byte appended, which no UTF-8 text holds."""
+    with open(path, "ab") as f:
+        f.write(b"\xff")
+    return path
 
 
 # Each case is bad input that the CLI rejects with exit 2: the empty inputs
@@ -686,7 +705,21 @@ _K4 = {"format": 1, "model": "regular", "n": 4, "d": 3, "edges": [[0, 1], [0, 2]
         (lambda t: ["project", "--in", _spectrum_file(t, 1), "--exclude-trivial", "--out", str(t / "p.csv")], "DomainError"),
         (lambda t: ["gen", "--model", "regular", "--n", "10"], "DomainError"),
         (lambda t: ["ks", "--in", _spectrum_file(t, 30), "--law", "hyperfixed"], "DomainError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30), "--law", "hyperalpha", "--alpha", "1"], "DomainError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, mu_re=1.5), "--law", "km"], "InvariantError"),
         (lambda t: ["spectrum", "--in", _graph_file(t, [1, 2]), "--out", str(t / "o.json")], "ParseError"),
+        (lambda t: ["spectrum", "--in", _not_utf8(_graph_file(t, _K4)), "--out", str(t / "o.json")], "ParseError"),
+        (lambda t: ["ks", "--in", _not_utf8(_spectrum_file(t, 30)), "--law", "km"], "ParseError"),
+        (lambda t: ["ks", "--in", _graph_file(t, {"format": 1, "model": "regular", "params": 5}), "--law", "km"], "ParseError"),
+        # a spectrum file's numbers are JSON numbers and its degenerate flags
+        # JSON bools; nothing is converted, as a graph file's integers are not
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, ratio_v="0.25"), "--law", "km"], "ParseError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, **{"lambda": "3"}), "--law", "km"], "ParseError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, mu_re=True), "--law", "km"], "ParseError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, residual_u=None), "--law", "km"], "ParseError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, residual_u=10**400), "--law", "km"], "ParseError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, degenerate="false"), "--law", "km"], "ParseError"),
+        (lambda t: ["ks", "--in", _spectrum_file(t, 30, degenerate=0), "--law", "km"], "ParseError"),
         (lambda t: ["rsbm-recover", "--n", "40", "--d1", "0", "--d2", "2"], "DomainError"),
         (lambda t: ["verify", "--in", _graph_file(t, _K4), "--z", "-1"], "NearSingularError"),
     ],
@@ -700,7 +733,19 @@ _K4 = {"format": 1, "model": "regular", "n": 4, "d": 3, "edges": [[0, 1], [0, 2]
         "project-perron-pair-only",
         "gen-regular-without-d",
         "ks-hyperfixed-on-graph",
+        "ks-hyperalpha-on-graph",
+        "ks-top-pair-not-perron",
         "json-array-at-top-level",
+        "graph-file-not-utf8",
+        "spectrum-file-not-utf8",
+        "spectrum-params-not-an-object",
+        "pair-string-number",
+        "pair-string-lambda",
+        "pair-bool-number",
+        "pair-null-number",
+        "pair-number-past-float",
+        "pair-string-bool",
+        "pair-number-bool",
         "rsbm-recover-d1-zero",
         "verify-z-at-trivial-zero",
     ],
@@ -722,3 +767,9 @@ def test_rsbm_recover_rejects_undetectable_before_sampling(monkeypatch, capsys):
     monkeypatch.setattr(nbspectra.cli, "sample_rsbm", no_sample)
     assert run(["rsbm-recover", "--n", "2000000", "--d1", "3", "--d2", "3", "--trials", "2"]) == 2
     assert "DetectabilityError" in capsys.readouterr().err
+
+
+def test_spectrum_pair_fields_take_json_ints(tmp_path):
+    # an integer is a JSON number, and reads as the same float
+    s = _spectrum_file(tmp_path, 30, mu_re=2, mu_im=0)
+    assert nbspectra.io.read_spectrum(s).mus[0] == 2.0

@@ -171,6 +171,12 @@ def test_km_requires_d3():
         KestenMcKay(2)
 
 
+@pytest.mark.parametrize("d, k", [(1, 3), (3, 1)])
+def test_hyperfixed_requires_d_and_k_at_least_2(d, k):
+    with pytest.raises(DomainError, match="d >= 2 and k >= 2"):
+        HyperFixed(d, k)
+
+
 def test_hyperalpha_certified_at_its_bound_and_rejected_above():
     assert ALPHA_MAX == pytest.approx(2.03e7, rel=1e-3)
     # clustered samples: the closed form's rounding shows as decreases between near neighbours
@@ -223,7 +229,6 @@ def test_projection_modes_and_exclusion():
     assert len(m_all) == 2 * g.n
     m = project_real_parts(spec, rescale="none", exclude_trivial=True)
     assert len(m) == 2 * g.n - 2
-    assert m.excluded_trivial == 2
     # exactly {4, 1} removed for a 5-regular graph
     removed = sorted(np.setdiff1d(np.round(m_all.samples, 9), np.round(m.samples, 9)))
     assert any(abs(r - 1.0) < 1e-6 for r in removed)

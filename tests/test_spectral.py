@@ -77,6 +77,13 @@ def test_eigs_sorted_descending(sampled_graphs):
     assert lams == sorted(lams, reverse=True)
 
 
+def test_symmetric_eigs_rejects_non_square_and_non_symmetric():
+    with pytest.raises(ValueError, match="square"):
+        symmetric_eigs(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 @pytest.mark.parametrize(
     "name, edge, ks",
     [

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import nbspectra.blas
 import nbspectra.operators
@@ -81,6 +82,29 @@ def test_logdet_permutation_invariance():
 def test_logdet_singular():
     with pytest.raises(SingularError):
         logdet(np.zeros((3, 3)))
+
+
+def test_logdet_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        logdet(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        logdet(sp.csc_matrix((3, 2)))
+
+
+def test_logdet_pivot_underflow_is_singular():
+    # a nonzero pivot that SuperLU accepts, below the 1e-300 underflow floor
+    with pytest.raises(SingularError, match="underflow"):
+        logdet(np.diag([1.0, 1e-301]))
+
+
+def test_logdet_passes_other_superlu_errors_on(monkeypatch):
+    def broken(A):
+        raise RuntimeError("superlu internal failure")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", broken)
+    with pytest.raises(RuntimeError, match="internal failure") as info:
+        logdet(np.eye(2))
+    assert not isinstance(info.value, SingularError)
 
 
 def test_logdet_sparse_odd_permutation():
@@ -384,6 +408,14 @@ def test_sample_z_points_respect_guard(k4):
     for z in zs:
         assert 0.1 <= abs(z) <= 2 * math.sqrt(3) + 1e-12
         assert np.min(np.abs(mus - z)) >= 1e-6
+
+
+def test_sample_z_points_exhausted(k4, monkeypatch):
+    spectrum = full_lifted_spectrum(k4)
+    # a guard wider than the annulus leaves no z to sample
+    monkeypatch.setattr(nbspectra.verify, "GUARD_RADIUS", 100.0)
+    with pytest.raises(NearSingularError, match="could not sample"):
+        sample_z_points(spectrum, 2, 3)
 
 
 def test_sample_z_points_deterministic(k4):
