@@ -1,9 +1,21 @@
 """The one BLAS-thread policy: which calls may use OpenBLAS's threads.
 
 Only the dense eigensolve, `spectral._eigh` and its `dsyrk` certificate,
-runs at OpenBLAS's default thread count. There the second thread cuts the
-wall time by about 40% (1.5-2.0 s -> 0.9-1.0 s at (2000,5) on a 2-core
-Xeon VM).
+runs at OpenBLAS's default thread count, inside `threaded_blas()`. There
+the second thread cuts the wall time by about 40% (1.5-2.0 s -> 0.9-1.0 s
+at (2000,5) on a 2-core Xeon VM).
+
+After a threaded call, each OpenBLAS worker busy-waits for its thread
+timeout before it sleeps: about 0.13 s of CPU on the same machine, spent
+beside whatever the caller does next. So `threaded_blas()` parks the pools
+on exit: it calls `blas_thread_shutdown_` on every loaded OpenBLAS, whose
+workers then exit at once, and OpenBLAS starts them again, at the same
+thread count, on the next threaded call. The region holds `_BLAS_PIN`,
+as the pin does, because a shutdown that overlaps another thread's call
+on the same pool can hang: without the lock, two audits on two Python
+threads hung with one thread in a futex wait and a worker spinning. The
+lock orders regions and pins only: a threaded OpenBLAS call that another
+thread makes outside both, at the same time, is not covered.
 
 Everything else runs under `single_blas_thread()`: the sparse LU
 factorizations of `verify` (SuperLU hands its small supernodal panels to
@@ -15,7 +27,12 @@ saving, so there is no size switch. A library that is first mapped inside
 the pin keeps its threads, so the pin itself imports `scipy.linalg` and
 `scipy.sparse.linalg`, which map every OpenBLAS that LAPACK, ARPACK and
 SuperLU use, before it reads the mapped libraries; callers import nothing
-for it.
+for it. Setting the thread count of a parked pool starts its workers
+again, and they spin out their timeout once more, so once the region has
+parked the pools the pin parks them again after it sets the counts; it
+parks nothing in a process that has run no region, where the pools were
+never parked. Parking at every pin instead slowed RSBM recovery, whose
+many short pins then restarted the pools each time.
 """
 
 from __future__ import annotations
@@ -34,7 +51,9 @@ _OPENBLAS_SYMBOLS = tuple(
 
 
 def _openblas_controls() -> list:
-    """(get, set) thread-count functions of every OpenBLAS the process has loaded.
+    """(get, set, shutdown) of every OpenBLAS the process has loaded: its
+    thread-count functions and its `blas_thread_shutdown_`, or None where
+    the build does not export it.
 
     As threadpoolctl does, the libraries are found among the process's
     mapped files, and each build exports the pair under its own prefix and
@@ -61,13 +80,26 @@ def _openblas_controls() -> list:
                 get, put = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                controls.append((get, put, shutdown))
                 break
     return controls
 
 
-#: serializes `single_blas_thread` across threads, as the counts are process-wide
+#: serializes `single_blas_thread` and `threaded_blas` across threads, as
+#: the counts and the pools are process-wide
 _BLAS_PIN = threading.RLock()
+#: whether `threaded_blas` has parked the pools; read and set under _BLAS_PIN
+_parked = False
+
+
+def _park(controls: list) -> None:
+    """Shut down the worker pool of every library in ``controls`` that can be."""
+    for _, _, shutdown in controls:
+        if shutdown is not None:
+            shutdown()
 
 
 @contextmanager
@@ -77,6 +109,8 @@ def single_blas_thread():
 
     The counts are process-wide, so callers in different threads take turns:
     if two pins overlapped, the later one would restore the pinned count.
+    Setting a count starts a parked pool again, so once `threaded_blas` has
+    parked the pools, the pin parks them again after each setting.
     """
     # map scipy's OpenBLAS before the counts are read: a library first loaded
     # inside the pin would run on its threads
@@ -84,11 +118,32 @@ def single_blas_thread():
     import scipy.sparse.linalg  # noqa: F401
 
     with _BLAS_PIN:
-        saved = [(put, get()) for get, put in _openblas_controls()]
+        controls = _openblas_controls()
+        saved = [(put, get()) for get, put, _ in controls]
         try:
             for put, _ in saved:
                 put(1)
+            if _parked:
+                _park(controls)
             yield bool(saved)
         finally:
             for put, count in saved:
                 put(count)
+            if _parked:
+                _park(controls)
+
+
+@contextmanager
+def threaded_blas():
+    """The threaded region: OpenBLAS keeps its thread count, and on exit,
+    on error too, every loaded pool is shut down so that its workers exit
+    instead of spinning. Holds `_BLAS_PIN` throughout; with no OpenBLAS or
+    no shutdown symbol found, taking the lock is all it does.
+    """
+    global _parked
+    with _BLAS_PIN:
+        try:
+            yield
+        finally:
+            _park(_openblas_controls())
+            _parked = True

@@ -26,11 +26,14 @@ matrix is the solver's own buffer, filled from the CSR and factored in
 place, so the eigensolve peaks at about 3 n^2 doubles: the matrix and
 dsyevd's workspace.
 
-This eigensolve is the one place that runs on OpenBLAS's threads. The
-partial solver `outlier_eigs` (inertia count, Lanczos and certificate)
+This eigensolve is the one place that runs on OpenBLAS's threads, inside
+`blas.threaded_blas`: when the certificate is done, the region shuts the
+pools down, so their workers exit instead of spinning for their timeout
+(about 0.13 s of CPU per solve) beside the lift and the audit that follow.
+The partial solver `outlier_eigs` (inertia count, Lanczos and certificate)
 runs under `blas.single_blas_thread`, where the second thread saved at
-most about 20% of the wall time for nearly twice the CPU; blas.py states
-the policy.
+most about 20% of the wall time for nearly twice the CPU, and which keeps
+parked pools parked; blas.py states the policy.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blas import single_blas_thread
+from .blas import single_blas_thread, threaded_blas
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -133,6 +136,14 @@ def _scale(vals: np.ndarray) -> float:
     return max(float(np.max(np.abs(vals))), 1.0)
 
 
+def _certified_eigh(As: sp.csr_matrix):
+    """(vals, V, residuals, AV): `_eigh` and its `_certify`, in blas.py's
+    threaded region, which parks OpenBLAS's workers when the solve ends."""
+    with threaded_blas():
+        vals, V = _eigh(As)
+        return (vals, V, *_certify(As, vals, V, _scale(vals)))
+
+
 def symmetric_eigs(A: np.ndarray):
     """Full eigendecomposition of a symmetric matrix, certified a posteriori.
 
@@ -141,9 +152,7 @@ def symmetric_eigs(A: np.ndarray):
     certificate requires every residual <= CERT_TOL * ||A|| and the columns
     orthonormal to CERT_TOL, else ConvergenceError.
     """
-    As = _symmetric_csr(A)
-    vals, V = _eigh(As)
-    return vals, V, _certify(As, vals, V, _scale(vals))[0]
+    return _certified_eigh(_symmetric_csr(A))[:3]
 
 
 def _count_beyond(As: sp.csr_matrix, s: float, side: float) -> int:
@@ -449,8 +458,7 @@ def full_lifted_spectrum(g) -> LiftedSpectrum:
     k, d1, d2 = (getattr(g, name, None) for name in ("k", "d1", "d2"))
     model = _lift_model(d, k)
     As = adjacency_csr(g).astype(np.float64)
-    lams, V = _eigh(As)
-    AV = _certify(As, lams, V, _scale(lams))[1]
+    lams, V, _, AV = _certified_eigh(As)
     mus, mups = model.roots(lams)
 
     vnorms = np.linalg.norm(V, axis=0)

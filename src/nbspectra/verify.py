@@ -200,11 +200,11 @@ class IharaBassSystem:
         return _scaled_log(z - one, (k - 1) * m - n) + _scaled_log(z + -other, m - n)
 
 
-def ihara_bass_system(g, spectrum: "LiftedSpectrum | None" = None) -> IharaBassSystem:
-    """Build B, the reduced matrix and A (all sparse) and, unless given, the spectrum."""
+def ihara_bass_system(g) -> IharaBassSystem:
+    """Build B, the reduced matrix and A (all sparse) and the spectrum."""
     A = adjacency_csr(g).astype(np.float64)
     return IharaBassSystem(
-        spectrum=full_lifted_spectrum(g) if spectrum is None else spectrum,
+        spectrum=full_lifted_spectrum(g),
         B=nonbacktracking_matrix(g),
         reduced=reduced_nb_operator(g, A),
         A=A,

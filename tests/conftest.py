@@ -125,7 +125,7 @@ def eigsh_calls(monkeypatch):
 
 def blas_counts() -> list:
     """The thread count of every OpenBLAS the process has loaded."""
-    return [get() for get, _ in _openblas_controls()]
+    return [get() for get, _, _ in _openblas_controls()]
 
 
 @pytest.fixture
@@ -133,8 +133,8 @@ def two_blas_threads():
     """Every loaded OpenBLAS at two threads for the test, so that a count
     left pinned at one shows; the old counts come back afterwards."""
     controls = _openblas_controls()
-    saved = [(put, get()) for get, put in controls]
-    for _, put in controls:
+    saved = [(put, get()) for get, put, _ in controls]
+    for put, _ in saved:
         put(2)
     yield blas_counts()
     for put, count in saved:

@@ -314,7 +314,7 @@ pinned = []
 blas._openblas_controls = lambda: pinned.append(controls()) or pinned[-1]
 recover_communities(sample_rsbm(200, 12, 4, 1))
 def libs(found):
-    return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _ in found)
+    return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _, _ in found)
 print(len(pinned), libs(pinned[0]) == libs(controls()), "scipy.sparse.linalg" in sys.modules)
 """
     assert fresh_python(code).split() == ["1", "True", "True"]
