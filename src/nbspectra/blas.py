@@ -27,11 +27,8 @@ saving, so there is no size switch. A library that is first mapped inside
 the pin keeps its threads, so the pin itself imports `scipy.linalg` and
 `scipy.sparse.linalg`, which map every OpenBLAS that LAPACK, ARPACK and
 SuperLU use, before it reads the mapped libraries; callers import nothing
-for it. Setting the thread count of a parked pool starts its workers
-again, and they spin out their timeout once more, so once the region has
-parked the pools the pin parks them again after it sets the counts; it
-parks nothing in a process that has run no region, where the pools were
-never parked. Parking at every pin instead slowed RSBM recovery, whose
+for it. The pin parks nothing: setting a thread count starts a parked
+pool's workers again, so a park at every pin slowed RSBM recovery, whose
 many short pins then restarted the pools each time.
 """
 
@@ -91,15 +88,6 @@ def _openblas_controls() -> list:
 #: serializes `single_blas_thread` and `threaded_blas` across threads, as
 #: the counts and the pools are process-wide
 _BLAS_PIN = threading.RLock()
-#: whether `threaded_blas` has parked the pools; read and set under _BLAS_PIN
-_parked = False
-
-
-def _park(controls: list) -> None:
-    """Shut down the worker pool of every library in ``controls`` that can be."""
-    for _, _, shutdown in controls:
-        if shutdown is not None:
-            shutdown()
 
 
 @contextmanager
@@ -109,8 +97,6 @@ def single_blas_thread():
 
     The counts are process-wide, so callers in different threads take turns:
     if two pins overlapped, the later one would restore the pinned count.
-    Setting a count starts a parked pool again, so once `threaded_blas` has
-    parked the pools, the pin parks them again after each setting.
     """
     # map scipy's OpenBLAS before the counts are read: a library first loaded
     # inside the pin would run on its threads
@@ -118,19 +104,14 @@ def single_blas_thread():
     import scipy.sparse.linalg  # noqa: F401
 
     with _BLAS_PIN:
-        controls = _openblas_controls()
-        saved = [(put, get()) for get, put, _ in controls]
+        saved = [(put, get()) for get, put, _ in _openblas_controls()]
         try:
             for put, _ in saved:
                 put(1)
-            if _parked:
-                _park(controls)
             yield bool(saved)
         finally:
             for put, count in saved:
                 put(count)
-            if _parked:
-                _park(controls)
 
 
 @contextmanager
@@ -140,10 +121,10 @@ def threaded_blas():
     instead of spinning. Holds `_BLAS_PIN` throughout; with no OpenBLAS or
     no shutdown symbol found, taking the lock is all it does.
     """
-    global _parked
     with _BLAS_PIN:
         try:
             yield
         finally:
-            _park(_openblas_controls())
-            _parked = True
+            for _, _, shutdown in _openblas_controls():
+                if shutdown is not None:
+                    shutdown()

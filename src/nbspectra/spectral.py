@@ -32,8 +32,8 @@ pools down, so their workers exit instead of spinning for their timeout
 (about 0.13 s of CPU per solve) beside the lift and the audit that follow.
 The partial solver `outlier_eigs` (inertia count, Lanczos and certificate)
 runs under `blas.single_blas_thread`, where the second thread saved at
-most about 20% of the wall time for nearly twice the CPU, and which keeps
-parked pools parked; blas.py states the policy.
+most about 20% of the wall time for nearly twice the CPU, and which parks
+nothing; blas.py states the policy.
 """
 
 from __future__ import annotations

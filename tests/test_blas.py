@@ -1,5 +1,5 @@
 """blas.py's threaded region: the full eigensolve keeps OpenBLAS's threads
-and parks the pools when it ends; the pin keeps parked pools parked."""
+and parks the pools when it ends."""
 
 import os
 import threading
@@ -10,24 +10,18 @@ import pytest
 import nbspectra.blas
 import nbspectra.spectral
 from conftest import blas_counts, fresh_python
-from nbspectra.blas import _openblas_controls, single_blas_thread, threaded_blas
+from nbspectra.blas import _openblas_controls, threaded_blas
 from nbspectra.graphs import sample_regular_graph, sample_rsbm
 from nbspectra.rsbm import insider_gap_report, recover_communities
 from nbspectra.spectral import full_lifted_spectrum
 
 
-def _fake_controls(monkeypatch, parked: list) -> None:
-    """Three stand-in libraries at two threads: two record their park in
-    ``parked``, one exports no shutdown."""
+def test_region_parks_every_pool_on_exit_and_on_error(monkeypatch):
+    # three stand-in libraries: two record their park, one exports no shutdown
+    parked = []
     fake = [(lambda: 2, lambda count: None, lambda name=name: parked.append(name)) for name in ("a", "b")]
     fake.insert(1, (lambda: 2, lambda count: None, None))
     monkeypatch.setattr(nbspectra.blas, "_openblas_controls", lambda: fake)
-
-
-def test_region_parks_every_pool_on_exit_and_on_error(monkeypatch):
-    parked = []
-    _fake_controls(monkeypatch, parked)
-    monkeypatch.setattr(nbspectra.blas, "_parked", False)
     with threaded_blas():
         assert parked == []
     assert parked == ["a", "b"]
@@ -35,23 +29,6 @@ def test_region_parks_every_pool_on_exit_and_on_error(monkeypatch):
         with threaded_blas():
             raise RuntimeError("injected")
     assert parked == ["a", "b"] * 2
-
-
-def test_pin_parks_only_pools_the_region_parked(monkeypatch):
-    # setting the count of a parked pool starts its workers again, so after a
-    # region the pin parks them again on entry and on exit; before any
-    # region it parks nothing
-    parked = []
-    _fake_controls(monkeypatch, parked)
-    monkeypatch.setattr(nbspectra.blas, "_parked", False)
-    with single_blas_thread():
-        pass
-    assert parked == []
-    with threaded_blas():
-        pass
-    with single_blas_thread():
-        assert parked == ["a", "b"] * 2
-    assert parked == ["a", "b"] * 3
 
 
 def _pin_free() -> bool:
@@ -126,22 +103,18 @@ def tasks():
 
 before = counts()
 full_lifted_spectrum(sample_regular_graph(600, 4, 1))
-solved = tasks()
-with blas.single_blas_thread():
-    pinned = tasks()
-print(solved, pinned, tasks(), counts() == before, before)
+print(tasks(), counts() == before, before)
 """
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no workers on one core")
 def test_full_eigensolve_leaves_no_blas_worker():
     # the workers exit when the eigensolve ends, instead of spinning out their
-    # timeout, a pin that follows starts none, and the thread counts stay as
-    # they were
+    # timeout, and the thread counts stay as they were
     controls = _openblas_controls()
     if not controls or any(shutdown is None for _, _, shutdown in controls):
         pytest.skip("no OpenBLAS with blas_thread_shutdown_ loaded")
-    assert fresh_python(LIFETIME).split()[:4] == ["1", "1", "1", "True"]
+    assert fresh_python(LIFETIME).split()[:2] == ["1", "True"]
 
 
 CONCURRENT = """
