@@ -10,7 +10,8 @@ In exactly that regime d1-d2 is an outlier of A, beyond the bulk edge
 eigenpairs beyond that edge, from `outlier_eigs`: a Sylvester-inertia count
 fixes how many there are, and a Lanczos solve for exactly that many is
 certified by residuals, orthonormality and the count. Recovery takes the
-side of d1-d2, the insider report both sides.
+side of d1-d2 and counts on A; the insider report takes both sides in one
+call, with one count on A^2 and one Lanczos solve.
 """
 
 from __future__ import annotations
@@ -153,18 +154,19 @@ def insider_gap_report(g: RsbmGraph) -> InsiderGapReport:
 
     A bulk eigenvalue of A, in [-2 sqrt(q), 2 sqrt(q)] with q = d1+d2-1, lifts
     onto the circle |mu| = sqrt(q), so only the outliers enter, certified by
-    `outlier_eigs` on both sides of the bulk. Each special must match one
-    lifted outlier within MATCH_TOL, ISOLATION_TOL clear of the others and of
-    the circle; the deviation is over the other lifted outliers (0.0 if none).
-    n=2000, (12,4): 0.14–0.19 s, 1.1–1.3 s with `eigh` (2-core Xeon VM).
+    one call of `outlier_eigs` on both sides of the bulk (one inertia count of
+    A^2 - s^2 I, one Lanczos solve). Each special must match one lifted
+    outlier within MATCH_TOL, ISOLATION_TOL clear of the others and of the
+    circle; the deviation is over the other lifted outliers (0.0 if none).
+    n=2000, (12,4): 0.09–0.14 s of CPU on one BLAS thread, against 0.15–0.21 s
+    with one count per side and 1.1–1.3 s with `eigh` (2-core Xeon VM).
     """
     pair = detectable_mu2(g.d1, g.d2)
     if g.d1 % 2:
         raise DomainError("insider gap report requires even d1")
     model = LiftModel(g.d1 + g.d2)
     radius = model.radius
-    A = adjacency_csr(g)
-    lams = np.concatenate([outlier_eigs(A, 2.0 * radius, side)[0] for side in (1.0, -1.0)])
+    lams = outlier_eigs(adjacency_csr(g), 2.0 * radius, 0.0)[0]
     mus = np.concatenate(model.roots(lams))
     specials = (*model.perron, float(pair.mu2.real), float(pair.mu2_prime.real))
     taken = np.zeros(len(mus), dtype=bool)

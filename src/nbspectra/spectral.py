@@ -64,7 +64,12 @@ ZERO_W_TOL = 1e-12
 #: the inertia shift sits this far (relative to ||A||) inside the edge: 100
 #: residual tolerances, so an eigenvalue at the edge is counted and its Ritz
 #: value still lies beyond the shift, and far above the backward error of the
-#: LDL^T factorization
+#: LDL^T factorization. Counting both sides on A^2 - s^2 I (`outlier_eigs`,
+#: side = 0), an eigenvalue at the edge e = 2 sqrt(q) of a (q+1)-regular A has
+#: lambda^2 - s^2 ~ 2e INERTIA_GAP ||A||; relative to ||A^2|| = (q+1)^2 that is
+#: 4 INERTIA_GAP sqrt(q)/(q+1) >= 2 INERTIA_GAP/sqrt(q) > 2 INERTIA_GAP/sqrt(n)
+#: (q < n), 9.7e-8 at (d1,d2) = (12,4). That beats the backward error n eps
+#: while n^1.5 < 2 INERTIA_GAP/eps ~ 9e8, i.e. n < 9e5, an n^2 buffer of 7 TB
 INERTIA_GAP = 1e-7
 #: eigen-certificate: residuals <= CERT_TOL * ||A||, orthonormality to CERT_TOL
 CERT_TOL = 1e-9
@@ -82,7 +87,7 @@ def _symmetric_csr(A) -> sp.csr_matrix:
     return As
 
 
-#: eigenvector columns per block of the eigen-residuals R = AV - V diag(vals)
+#: columns per block of the eigen-residuals R = AV - V diag(vals), and of A^2
 R_BLOCK = 256
 
 
@@ -155,21 +160,42 @@ def symmetric_eigs(A: np.ndarray):
     return _certified_eigh(_symmetric_csr(A))[:3]
 
 
+def _dense_square(As: sp.csr_matrix) -> np.ndarray:
+    """A^2 as an F-ordered dense n x n buffer, exact for an integer A.
+
+    A^2 is symmetric, so the R_BLOCK rows of one sparse block (As[rows] @ As)
+    are the buffer's contiguous columns `rows`, written in place: no sparse
+    A^2 and no dense block live beside the buffer.
+    """
+    n = As.shape[0]
+    M = np.empty((n, n), order="F")
+    for r0 in range(0, n, R_BLOCK):
+        rows = slice(r0, r0 + R_BLOCK)
+        (As[rows] @ As).T.toarray(out=M[:, rows])
+    return M
+
+
 def _count_beyond(As: sp.csr_matrix, s: float, side: float) -> int:
-    """Number of eigenvalues of symmetric CSR As above s (side = 1) or below s (side = -1).
+    """Number of eigenvalues of symmetric CSR As above s (side = 1), below s
+    (side = -1), or of absolute value above s >= 0 (side = 0).
 
     Sylvester's law of inertia: they are the eigenvalues of sign `side` of
     A - sI = L D L^T, hence of Bunch-Kaufman's block-diagonal D. Each 2x2
     block of D has a negative determinant (the pivoting rule ensures it),
-    so it holds one eigenvalue of each sign. The one dense n x n buffer is
-    filled from the CSR, shifted in place and factored in place, with the
-    workspace LAPACK asks for: `dsytrf`'s default of n words would drop it
-    to the unblocked, BLAS-2 `dsytf2`.
+    so it holds one eigenvalue of each sign. Both sides at once are the
+    positive inertia of A^2 - s^2 I, since |lambda| > s exactly when
+    lambda^2 > s^2. The one dense n x n buffer is filled from the CSR
+    (A^2 by `_dense_square`), shifted in place and factored in place, with
+    the workspace LAPACK asks for: `dsytrf`'s default of n words would drop
+    it to the unblocked, BLAS-2 `dsytf2`.
     """
     from scipy.linalg import lapack
 
     n = As.shape[0]
-    M = As.toarray(order="F")
+    if side == 0:
+        M, s, side = _dense_square(As), s * s, 1.0
+    else:
+        M = As.toarray(order="F")
     M.ravel(order="F")[:: n + 1] -= s
     lwork = int(lapack.dsytrf_lwork(n)[0])
     ldu, ipiv, _ = lapack.dsytrf(M, lwork=lwork, overwrite_a=True)
@@ -193,12 +219,20 @@ def eigsh(A, **kwargs):
 def outlier_eigs(A, edge: float, side: float):
     """The eigenpairs of symmetric A (dense or sparse) beyond the shift
     s = edge - INERTIA_GAP * ||A|| on one side, above s (side = 1) or below -s
-    (side = -1), as (vals, V, residuals), eigenvalues descending.
+    (side = -1), or on both, |lambda| > s (side = 0), as (vals, V, residuals),
+    eigenvalues descending.
 
     A Sylvester-inertia count fixes how many eigenvalues lie beyond the
     shift, and Lanczos (ARPACK `eigsh` on sparse A, from a fixed start
-    vector, so runs are reproducible) solves for exactly that many. The
-    result is certified: Lanczos returned exactly `count` pairs, every
+    vector, so runs are reproducible) solves for exactly that many: the
+    largest (side = 1), the smallest (side = -1) or those largest in
+    absolute value (side = 0). Both sides take one count, of the positive
+    inertia of A^2 - s^2 I, and one Lanczos call, on A; for s < 0 (an edge
+    within INERTIA_GAP * ||A|| of 0) they are the pairs with |lambda| > |s|.
+    An eigenvalue at the edge e then clears the shift by lambda^2 - s^2 ~
+    2e INERTIA_GAP ||A||, relative to ||A^2|| = ||A||^2 a margin 2e/||A||
+    times that of one side; INERTIA_GAP shows it beats the factorization's
+    backward error. The result is certified: Lanczos returned exactly `count` pairs, every
     residual is <= CERT_TOL * ||A|| (||A|| the largest absolute row sum),
     the vectors are orthonormal to CERT_TOL and every Ritz value lies beyond
     the shift, else ConvergenceError. So the pairs are all the eigenpairs
@@ -211,24 +245,31 @@ def outlier_eigs(A, edge: float, side: float):
     n = As.shape[0]
     scale = _row_sum_norm(As)
     s = edge - INERTIA_GAP * scale
+    if side == 0:
+        s = abs(s)
+
+    def beyond(vals):
+        return (side * vals if side else np.abs(vals)) > s
+
     with single_blas_thread():
-        count = _count_beyond(As, side * s, side)
+        count = _count_beyond(As, side * s if side else s, side)
         if 0 < count < n - 1:
             # not the all-ones vector: that is the Perron vector of a regular
             # graph, orthogonal to every other eigenvector
             v0 = np.random.default_rng(0).standard_normal(n)
-            vals, vecs = eigsh(As, k=count, which="LA" if side > 0 else "SA", v0=v0)
+            which = "LA" if side > 0 else "SA" if side < 0 else "LM"
+            vals, vecs = eigsh(As, k=count, which=which, v0=v0)
             if len(vals) != count:
                 raise ConvergenceError(f"Lanczos returned {len(vals)} Ritz pairs for an inertia count of {count}")
             order = np.argsort(-vals, kind="stable")
             vals, V = np.ascontiguousarray(vals[order]), np.ascontiguousarray(vecs[:, order])
             residuals = _certify(As, vals, V, scale)[0]
-            if not np.min(side * vals) > s:
-                raise ConvergenceError(f"a Ritz value lies short of the inertia shift {side * s:.6g}")
+            if not np.all(beyond(vals)):
+                raise ConvergenceError(f"a Ritz value lies short of the inertia shift {s:.6g} on side {side:g}")
             return vals, V, residuals
     if count >= n - 1:
         vals, V, residuals = symmetric_eigs(As)
-        keep = side * vals > s
+        keep = beyond(vals)
         return vals[keep], V[:, keep], residuals[keep]
     return np.empty(0), np.empty((n, 0)), np.empty(0)
 

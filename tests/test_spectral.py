@@ -28,6 +28,7 @@ from nbspectra.spectral import (
     R_BLOCK,
     LiftModel,
     _count_beyond,
+    _dense_square,
     _quad_roots,
     deterministic_deloc_bound,
     full_lifted_spectrum,
@@ -124,6 +125,39 @@ def test_outlier_eigs_both_sides_match_full_solve(eigsh_calls):
     assert np.allclose(part, full, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("name, edge", [("K4", 1.0), ("cube", 0.0)])
+def test_extreme_eigs_both_sides_fall_back_to_full_solve(eigsh_calls, name, edge):
+    # every eigenvalue lies beyond the edge: the both-sides count is n, which
+    # reaches n - 1, so the full solve answers and no Lanczos call runs
+    A = adjacency_matrix(named_graph(name))
+    assert outlier_eigs(A, edge, 0.0)[0] == pytest.approx(symmetric_eigs(A)[0], abs=1e-12)
+    assert eigsh_calls == []
+
+
+def test_outlier_eigs_side_zero_is_both_sides_in_one_solve(eigsh_calls):
+    # (60, 2, 9): Perron 11 above the bulk edge 2 sqrt(10), d1-d2 = -7 below
+    A = adjacency_matrix(sample_rsbm(60, 2, 9, 0))
+    sides = [outlier_eigs(A, 2.0 * math.sqrt(10), side) for side in (1.0, -1.0)]
+    eigsh_calls.clear()
+    vals, V, residuals = outlier_eigs(A, 2.0 * math.sqrt(10), 0.0)
+    assert eigsh_calls == [len(vals)] and len(vals) >= 2
+    assert np.allclose(vals, np.concatenate([p[0] for p in sides]), rtol=0, atol=1e-9)
+    assert np.allclose(np.abs(V.T @ np.hstack([p[1] for p in sides])), np.eye(len(vals)), rtol=0, atol=1e-9)
+    assert np.max(residuals) <= nbspectra.spectral.CERT_TOL * 11
+
+
+def test_outlier_eigs_side_zero_counts_eigenvalues_at_both_edges(eigsh_calls):
+    # the 40-cycle has 2 and -2 as eigenvalues, each simple, and every other
+    # eigenvalue |2 cos(2 pi j / 40)| <= 2 cos(pi / 20) well inside the edge 2
+    A = np.roll(np.eye(40), 1, axis=1) + np.roll(np.eye(40), -1, axis=1)
+    assert _count_beyond(nbspectra.spectral._symmetric_csr(A), 2.0 - 2.0 * INERTIA_GAP, 0.0) == 2
+    vals, V, residuals = outlier_eigs(A, 2.0, 0.0)
+    assert eigsh_calls == [2]
+    assert vals == pytest.approx([2.0, -2.0], abs=1e-12)
+    assert np.max(residuals) <= nbspectra.spectral.CERT_TOL * 2.0
+    assert np.allclose(np.abs(V), 1.0 / math.sqrt(40), rtol=0, atol=1e-9)
+
+
 # Sizes above LAPACK's block size of 64, so the blocked LDL^T runs. Shifts at
 # both bulk edges; the (300,2,3) hypergraph has n - nd/k = 100 eigenvalues
 # exactly -2, with shifts 1e-7 ||A|| either side of them.
@@ -168,6 +202,39 @@ def test_count_beyond_below_matches_eigvalsh_at_gap_midpoints(g):
         assert _count_beyond(A, t, -1.0) == np.sum(lams < t)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [sample_rsbm(600, 12, 4, 2), sample_rsbm(1000, 4, 12, 3), sample_regular_hypergraph(300, 3, 3, 4)],
+    ids=["rsbm-600-12-4", "rsbm-1000-4-12", "hypergraph-300-3-3"],
+)
+def test_count_beyond_both_sides_matches_eigvalsh_at_gap_midpoints(g):
+    # |lambda| > t is the positive inertia of A^2 - t^2 I: shifts at gaps of
+    # the sorted |lambda|, from the outliers on both sides down into the bulk
+    A = adjacency_csr(g).astype(np.float64)
+    lams = np.linalg.eigvalsh(adjacency_matrix(g))
+    mags = np.sort(np.abs(lams))[::-1]
+    n = len(mags)
+    checked = 0
+    for i in (0, 1, 2, 3, 5, n // 3, n // 2, n - 3):
+        t = 0.5 * (mags[i] + mags[i + 1])
+        if mags[i] - mags[i + 1] < 1e-6:
+            continue  # a tie: no shift between the two
+        assert _count_beyond(A, t, 0.0) == np.sum(np.abs(lams) > t) == i + 1
+        checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize(
+    "g", [sample_rsbm(600, 12, 4, 2), sample_regular_hypergraph(300, 3, 3, 4)], ids=["rsbm-600", "hypergraph-300"]
+)
+def test_dense_square_is_exact(g):
+    # several blocks of R_BLOCK rows, the last one short
+    A = adjacency_csr(g).astype(np.float64)
+    assert A.shape[0] > R_BLOCK and A.shape[0] % R_BLOCK
+    M = _dense_square(A)
+    assert M.flags.f_contiguous and np.array_equal(M, (A @ A).toarray())
+
+
 def test_bunch_kaufman_of_negated_matrix_negates_pivots():
     # pivoting compares magnitudes and negation commutes with rounding, so the
     # factor of -M has the same pivot order and the negated D: counting the
@@ -191,9 +258,9 @@ def test_count_beyond_uses_blocked_workspace(monkeypatch):
 
     monkeypatch.setattr(lapack, "dsytrf", spy)
     g = sample_rsbm(400, 12, 4, 0)
-    recover_communities(g)  # one count, on the side of d1-d2
-    insider_gap_report(g)  # one count on each side
-    assert len(lworks) == 3
+    recover_communities(g)  # one count of A, on the side of d1-d2
+    insider_gap_report(g)  # one count of A^2, for both sides
+    assert len(lworks) == 2
     for n, lwork in lworks:
         assert lwork is not None and lwork >= lapack.dsytrf_lwork(n)[0] > n
 
