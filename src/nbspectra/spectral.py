@@ -27,13 +27,14 @@ place, so the eigensolve peaks at about 3 n^2 doubles: the matrix and
 dsyevd's workspace.
 
 This eigensolve is the one place that runs on OpenBLAS's threads, inside
-`blas.threaded_blas`: when the certificate is done, the region shuts the
-pools down, so their workers exit instead of spinning for their timeout
-(about 0.13 s of CPU per solve) beside the lift and the audit that follow.
-The partial solver `outlier_eigs` (inertia count, Lanczos and certificate)
-runs under `blas.single_blas_thread`, where the second thread saved at
-most about 20% of the wall time for nearly twice the CPU, and which parks
-nothing; blas.py states the policy.
+`blas.threaded_blas`: when the certificate is done, the region shuts
+scipy's pool down, so its workers exit instead of spinning for their
+timeout (about 0.13 s of CPU per solve) beside the lift and the audit that
+follow; numpy's pool, which a caller's other threads may be using, is left
+alone. The partial solver `outlier_eigs` (inertia count, Lanczos and
+certificate) runs under `blas.single_blas_thread`, where the second thread
+saved at most about 20% of the wall time for nearly twice the CPU, and
+which parks nothing; blas.py states the policy.
 """
 
 from __future__ import annotations
@@ -63,13 +64,16 @@ TRIVIAL_TOL = 1e-9
 ZERO_W_TOL = 1e-12
 #: the inertia shift sits this far (relative to ||A||) inside the edge: 100
 #: residual tolerances, so an eigenvalue at the edge is counted and its Ritz
-#: value still lies beyond the shift, and far above the backward error of the
-#: LDL^T factorization. Counting both sides on A^2 - s^2 I (`outlier_eigs`,
-#: side = 0), an eigenvalue at the edge e = 2 sqrt(q) of a (q+1)-regular A has
-#: lambda^2 - s^2 ~ 2e INERTIA_GAP ||A||; relative to ||A^2|| = (q+1)^2 that is
-#: 4 INERTIA_GAP sqrt(q)/(q+1) >= 2 INERTIA_GAP/sqrt(q) > 2 INERTIA_GAP/sqrt(n)
-#: (q < n), 9.7e-8 at (d1,d2) = (12,4). That beats the backward error n eps
-#: while n^1.5 < 2 INERTIA_GAP/eps ~ 9e8, i.e. n < 9e5, an n^2 buffer of 7 TB
+#: value still lies beyond the shift. The Bunch-Kaufman count's backward error
+#: is about n eps (||A - sI|| + || |L||D||L^T| ||) (Higham, Accuracy and
+#: Stability of Numerical Algorithms, ch. 11). On RSBM (12,4) at the recovery
+#: shift the growth term was 380, 955 and 1800 times ||A - sI|| (inf-norms) at
+#: n = 1000, 2000 and 4000, a budget of 2.0e-9, 1.0e-8 and 3.8e-8 against the
+#: margin 1.6e-6; at 4-5 times per doubling of n it reaches the margin near
+#: n ~ 2e4, and no count checks it at run time. Counting both sides on
+#: A^2 - s^2 I (side = 0), an eigenvalue at the edge e = 2 sqrt(q) of a
+#: (q+1)-regular A clears the shift by ~ 2e INERTIA_GAP ||A||: relative to
+#: ||A^2|| = (q+1)^2, 9.7e-8 at (d1,d2) = (12,4), against a growth not measured
 INERTIA_GAP = 1e-7
 #: eigen-certificate: residuals <= CERT_TOL * ||A||, orthonormality to CERT_TOL
 CERT_TOL = 1e-9
@@ -143,7 +147,7 @@ def _scale(vals: np.ndarray) -> float:
 
 def _certified_eigh(As: sp.csr_matrix):
     """(vals, V, residuals, AV): `_eigh` and its `_certify`, in blas.py's
-    threaded region, which parks OpenBLAS's workers when the solve ends."""
+    threaded region, which parks scipy's OpenBLAS workers when the solve ends."""
     with threaded_blas():
         vals, V = _eigh(As)
         return (vals, V, *_certify(As, vals, V, _scale(vals)))
@@ -231,11 +235,13 @@ def outlier_eigs(A, edge: float, side: float):
     within INERTIA_GAP * ||A|| of 0) they are the pairs with |lambda| > |s|.
     An eigenvalue at the edge e then clears the shift by lambda^2 - s^2 ~
     2e INERTIA_GAP ||A||, relative to ||A^2|| = ||A||^2 a margin 2e/||A||
-    times that of one side; INERTIA_GAP shows it beats the factorization's
-    backward error. The result is certified: Lanczos returned exactly `count` pairs, every
-    residual is <= CERT_TOL * ||A|| (||A|| the largest absolute row sum),
-    the vectors are orthonormal to CERT_TOL and every Ritz value lies beyond
-    the shift, else ConvergenceError. So the pairs are all the eigenpairs
+    times that of one side. INERTIA_GAP's comment weighs the margin against
+    the factorization's backward error: on the measured growth it holds to n
+    near 2e4, which nothing checks at run time. The result is certified:
+    Lanczos returned exactly `count` pairs, every residual is <= CERT_TOL *
+    ||A|| (||A|| the largest absolute row sum), the vectors are orthonormal
+    to CERT_TOL and every Ritz value lies beyond the shift, else
+    ConvergenceError. So the pairs are all the eigenpairs
     beyond the shift, a multiple eigenvalue with all its copies. The count,
     the solve and the certificate run under `single_blas_thread`, as blas.py
     sets out. Where the count reaches n-1, where ARPACK cannot run,

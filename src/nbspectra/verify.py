@@ -10,9 +10,10 @@ d(k-1) nonzeros per row, and a dense copy would cost 16 (nd)^2 bytes.
 
 The checks run in two lanes that meet at every z: det(B - zI) in the
 calling thread and the reduced side in one worker, under
-`blas.single_blas_thread`. SuperLU releases the GIL, and otherwise hands
-its small supernodal panels to threaded BLAS, which costs about twice the
-CPU for the same wall time; blas.py states the policy.
+`blas.single_blas_thread`, which holds scipy's OpenBLAS, the one SuperLU
+links, at one thread. SuperLU releases the GIL, and otherwise hands its
+small supernodal panels to threaded BLAS, which costs about twice the CPU
+for the same wall time; blas.py states the policy.
 """
 
 from __future__ import annotations

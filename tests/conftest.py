@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import nbspectra.spectral
-from nbspectra.blas import _openblas_controls
+from nbspectra.blas import _scipy_openblas
 from nbspectra.graphs import (
     RegularGraph,
     sample_regular_graph,
@@ -124,18 +124,17 @@ def eigsh_calls(monkeypatch):
 
 
 def blas_counts() -> list:
-    """The thread count of every OpenBLAS the process has loaded."""
-    return [get() for get, _, _ in _openblas_controls()]
+    """The thread count of scipy's OpenBLAS, in a list that is empty without it."""
+    found = _scipy_openblas()
+    return [found[0]()] if found else []
 
 
 @pytest.fixture
 def two_blas_threads():
-    """Every loaded OpenBLAS at two threads for the test, so that a count
-    left pinned at one shows; the old counts come back afterwards."""
-    controls = _openblas_controls()
-    saved = [(put, get()) for get, put, _ in controls]
-    for put, _ in saved:
-        put(2)
+    """scipy's OpenBLAS at two threads for the test, so that a count left
+    pinned at one shows; the old count comes back afterwards."""
+    get, put, _ = _scipy_openblas()
+    count = get()
+    put(2)
     yield blas_counts()
-    for put, count in saved:
-        put(count)
+    put(count)

@@ -301,24 +301,29 @@ def test_full_solve_fallback_keeps_blas_threads(monkeypatch, two_blas_threads):
     assert len(vals) == 40 and seen == [two_blas_threads]
 
 
-def test_outlier_eigs_pin_covers_every_openblas_of_a_fresh_process():
-    # scipy loads on first use; LAPACK's and ARPACK's OpenBLAS must already be
-    # mapped when `outlier_eigs` takes its pin
+def test_outlier_eigs_pins_only_arpacks_openblas_in_a_fresh_process():
+    # scipy loads on first use; the pin finds the OpenBLAS that ARPACK calls
+    # before scipy.sparse.linalg is loaded, and leaves numpy's count alone
     code = """
-import ctypes, sys
+import ctypes, os, sys
+import numpy as np
 import nbspectra.blas as blas
+import nbspectra.spectral as spectral
 from nbspectra.graphs import sample_rsbm
 from nbspectra.rsbm import recover_communities
 
-controls = blas._openblas_controls
-pinned = []
-blas._openblas_controls = lambda: pinned.append(controls()) or pinned[-1]
+get, put, _ = blas._scipy_openblas()
+print("scipy.sparse.linalg" not in sys.modules)
+numpy_get = ctypes.CDLL(np._core._multiarray_umath.__file__, os.RTLD_NOLOAD).scipy_openblas_get_num_threads64_
+numpy_count, seen, count_beyond = numpy_get(), set(), spectral._count_beyond
+spectral._count_beyond = lambda *args: seen.add((get(), numpy_get())) or count_beyond(*args)
 recover_communities(sample_rsbm(200, 12, 4, 1))
-def libs(found):
-    return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _, _ in found)
-print(len(pinned), libs(pinned[0]) == libs(controls()), "scipy.sparse.linalg" in sys.modules)
+from scipy.sparse.linalg._eigen.arpack import _arpacklib
+arpack = ctypes.CDLL(_arpacklib.__file__, os.RTLD_NOLOAD).scipy_openblas_set_num_threads
+print(*(ctypes.cast(f, ctypes.c_void_p).value for f in (put, arpack)), seen == {(1, numpy_count)})
 """
-    assert fresh_python(code).split() == ["1", "True", "True"]
+    early, put, arpack, pinned = fresh_python(code).split()
+    assert early == "True" and put == arpack and pinned == "True"
 
 
 def assert_matches_full_recovery(g):

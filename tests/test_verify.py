@@ -270,26 +270,37 @@ def test_openblas_found():
     assert counts and all(c >= 1 for c in counts)
 
 
-def test_pin_covers_every_openblas_of_a_fresh_process():
-    # scipy loads on first use; SuperLU's OpenBLAS must already be mapped when
-    # the pin is taken, however many OpenBLAS builds the process ends up with.
-    # The libraries are read twice: by the park that ends the eigensolve, then
-    # by the pin
+def test_pin_and_region_control_superlus_openblas_in_a_fresh_process():
+    # scipy loads on first use; the pin finds the OpenBLAS that SuperLU calls
+    # before scipy.sparse.linalg is loaded, and neither the eigensolve's region
+    # nor the pin moves numpy's count
     code = """
-import ctypes, sys
+import ctypes, os, sys
+import numpy as np
 import nbspectra.blas as blas
+import nbspectra.spectral as spectral
+import nbspectra.verify as verify
 from nbspectra.graphs import sample_regular_graph
-from nbspectra.verify import ihara_bass_report
 
-controls = blas._openblas_controls
-pinned = []
-blas._openblas_controls = lambda: pinned.append(controls()) or pinned[-1]
-ihara_bass_report(sample_regular_graph(12, 3, 4), trials=2, seed=1)
-def libs(found):
-    return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _, _ in found)
-print(len(pinned), libs(pinned[-1]) == libs(controls()), "scipy.sparse.linalg" in sys.modules)
+get, put, _ = blas._scipy_openblas()
+print("scipy.sparse.linalg" not in sys.modules)
+numpy_get = ctypes.CDLL(np._core._multiarray_umath.__file__, os.RTLD_NOLOAD).scipy_openblas_get_num_threads64_
+counts, seen = (get(), numpy_get()), set()
+
+def spy(module, name):
+    original = getattr(module, name)
+    setattr(module, name, lambda *args: seen.add((name, get(), numpy_get())) or original(*args))
+
+spy(spectral, "_certify")
+spy(verify, "logdet")
+verify.ihara_bass_report(sample_regular_graph(12, 3, 4), trials=2, seed=1)
+from scipy.sparse.linalg._dsolve import _superlu
+superlu = ctypes.CDLL(_superlu.__file__, os.RTLD_NOLOAD).scipy_openblas_set_num_threads
+print(*(ctypes.cast(f, ctypes.c_void_p).value for f in (put, superlu)))
+print(sorted(seen) == [("_certify", *counts), ("logdet", 1, counts[1])], (get(), numpy_get()) == counts)
 """
-    assert fresh_python(code).split() == ["2", "True", "True"]
+    early, put, superlu, controlled, restored = fresh_python(code).split()
+    assert early == "True" and put == superlu and controlled == restored == "True"
 
 
 @pytest.mark.parametrize("name", ["petersen", "hyper923"])
@@ -399,7 +410,7 @@ def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
         threads.add(threading.current_thread())
         return original(M)
 
-    monkeypatch.setattr(nbspectra.blas, "_openblas_controls", lambda: [])
+    monkeypatch.setattr(nbspectra.blas, "_scipy_openblas", lambda: None)
     monkeypatch.setattr(nbspectra.verify, "logdet", spy)
     assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "4", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
