@@ -79,7 +79,7 @@ _BLAS_PIN = threading.RLock()
 @contextmanager
 def single_blas_thread():
     """Hold scipy's OpenBLAS at one thread, and restore its previous count
-    on exit, on error too. Yields whether it was found.
+    on exit, on error too; where no such OpenBLAS is found, only take the lock.
 
     The count is process-wide, so callers in different threads take turns:
     if two pins overlapped, the later one would restore the pinned count.
@@ -87,13 +87,13 @@ def single_blas_thread():
     found = _scipy_openblas()
     with _BLAS_PIN:
         if found is None:
-            yield False
+            yield
             return
         get, put, _ = found
         count = get()
         try:
             put(1)
-            yield True
+            yield
         finally:
             put(count)
 

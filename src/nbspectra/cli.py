@@ -78,10 +78,10 @@ def threshold_float(text: str) -> float:
 
 
 def alpha_float(text: str) -> float:
-    """argparse type of the hyperalpha law's alpha: a finite number > 0."""
+    """argparse type of the hyperalpha law's alpha: a finite number >= 1."""
     value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    if not (math.isfinite(value) and value >= 1.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
     return value
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,23 +242,14 @@ class HyperAlpha(_PoleLaw):
     radius = 2.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise DomainError("alpha must be positive")
+        # below 1 the density carries only alpha of the mass, as HyperFixed's does for d < k
+        if not self.alpha >= 1:
+            raise DomainError(f"alpha = {self.alpha} is outside the stated d/k -> alpha >= 1 regime")
         if self.alpha > ALPHA_MAX:
             raise DomainError(
                 f"alpha = {self.alpha} exceeds {ALPHA_MAX:.4g}, beyond which the closed-form CDF "
                 "cannot be certified to its tolerance"
             )
-        if self.alpha < 1:
-            warnings.warn(
-                f"alpha = {self.alpha} < 1 is outside the stated d/k -> alpha >= 1 regime",
-                stacklevel=2,
-            )
-
-    @property
-    def mass(self) -> float:
-        # below the stated regime, like HyperFixed with d/k = alpha < 1
-        return min(1.0, self.alpha)
 
     @property
     def poles(self):

@@ -244,8 +244,8 @@ def outlier_eigs(A, edge: float, side: float):
     ConvergenceError. So the pairs are all the eigenpairs
     beyond the shift, a multiple eigenvalue with all its copies. The count,
     the solve and the certificate run under `single_blas_thread`, as blas.py
-    sets out. Where the count reaches n-1, where ARPACK cannot run,
-    `symmetric_eigs` solves, outside the pin.
+    sets out. Where the count reaches n-1, where ARPACK cannot run, the full
+    certified eigensolve of the validated CSR solves, outside the pin.
     """
     As = _symmetric_csr(A)
     n = As.shape[0]
@@ -274,7 +274,7 @@ def outlier_eigs(A, edge: float, side: float):
                 raise ConvergenceError(f"a Ritz value lies short of the inertia shift {s:.6g} on side {side:g}")
             return vals, V, residuals
     if count >= n - 1:
-        vals, V, residuals = symmetric_eigs(As)
+        vals, V, residuals = _certified_eigh(As)[:3]
         keep = beyond(vals)
         return vals[keep], V[:, keep], residuals[keep]
     return np.empty(0), np.empty((n, 0)), np.empty(0)
@@ -549,6 +549,7 @@ AUDIT_TOLS = {
     "resid_u_max": 1e-9,
     "resid_w_max": 1e-9,
     "norm_paper_err": 1e-8,
+    "norm_general_err": 1e-8,
     "perron_ratio_err": 1e-12,
 }
 

@@ -11,9 +11,13 @@ d(k-1) nonzeros per row, and a dense copy would cost 16 (nd)^2 bytes.
 The checks run in two lanes that meet at every z: det(B - zI) in the
 calling thread and the reduced side in one worker, under
 `blas.single_blas_thread`, which holds scipy's OpenBLAS, the one SuperLU
-links, at one thread. SuperLU releases the GIL, and otherwise hands its
-small supernodal panels to threaded BLAS, which costs about twice the CPU
-for the same wall time; blas.py states the policy.
+links, at one thread where it is found. SuperLU releases the GIL, and
+otherwise hands its small supernodal panels to threaded BLAS, which costs
+about twice the CPU for the same wall time; blas.py states the policy.
+
+Besides the three sparse operators, the checks need only the 2n lifted
+eigenvalues, which keep each z off the spectrum: one certified eigensolve
+of the same sparse A gives them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .blas import single_blas_thread
 from .errors import NearSingularError, SingularError
 from .operators import adjacency_csr, nonbacktracking_matrix, reduced_nb_operator
 from .seeds import Seed, as_seed
-from .spectral import LiftedSpectrum, full_lifted_spectrum
+from .spectral import LiftModel, _certified_eigh
 
 if TYPE_CHECKING:  # scipy loads on first use, so `gen`, `project` and `ks` start without it
     import scipy.sparse as sp
@@ -153,25 +157,30 @@ class IharaBassRecord:
         return self.phase_err / PHASE_TOL
 
 
-def _guard(z: complex, mus: np.ndarray, poles) -> None:
-    if np.min(np.abs(mus - z)) < GUARD_RADIUS:
+def _guard(z: complex, system: IharaBassSystem) -> None:
+    """NearSingularError unless z lies GUARD_RADIUS clear of every lifted
+    eigenvalue and of the scalar factor's zeros, B's trivial eigenvalues 1
+    and -(k-1)."""
+    if np.min(np.abs(system.mus - z)) < GUARD_RADIUS:
         raise NearSingularError(f"z = {z} within {GUARD_RADIUS} of a reduced-operator eigenvalue")
-    for p in poles:
+    for p in system.model.trivial:
         if abs(z - p) < GUARD_RADIUS:
             raise NearSingularError(f"z = {z} within {GUARD_RADIUS} of scalar factor zero {p}")
 
 
 @dataclass(frozen=True)
 class IharaBassSystem:
-    """Sparse operators and guard spectrum of one graph or hypergraph, built
-    once and shared by every z point checked against it.
+    """Sparse operators of one graph or hypergraph, with its lift model and
+    the 2n lifted eigenvalues `mus` (every mu, then every mu') that guard
+    each z, built once and shared by every z point checked against it.
 
     With k = 2 for graphs, the identities read
         det(B - zI) = (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI),
         det(reduced - zI) = det((z^2 + (k-2)z + (k-1)(d-1)) I - zA).
     """
 
-    spectrum: LiftedSpectrum
+    model: LiftModel
+    mus: np.ndarray
     B: sp.csr_matrix
     reduced: sp.csr_matrix
     A: sp.csr_matrix
@@ -187,13 +196,13 @@ class IharaBassSystem:
         sides of the identity (each without the scalar factor)."""
         import scipy.sparse as sp
 
-        n, model = self.spectrum.n, self.spectrum.model
+        n, model = self.A.shape[0], self.model
         poly = (z * z + model.shift * z + model.q) * sp.identity(n) - z * self.A
         return self.reduced - z * sp.identity(2 * n), poly
 
     def scalar(self, z: complex) -> LogDet:
         """log of (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n}, whose zeros are B's trivial eigenvalues."""
-        n, model = self.spectrum.n, self.spectrum.model
+        n, model = self.A.shape[0], self.model
         k, (one, other) = model.k, model.trivial
         m = self.B.shape[0] // k  # B is indexed by the k|E| (vertex, edge) incidences
         # z + (k-1), not z - (-(k-1)): at a real z given with Im z = -0.0 the
@@ -202,10 +211,13 @@ class IharaBassSystem:
 
 
 def ihara_bass_system(g) -> IharaBassSystem:
-    """Build B, the reduced matrix and A (all sparse) and the spectrum."""
+    """Build B, the reduced matrix and A (all sparse) and the lifted
+    eigenvalues, from one adjacency build."""
     A = adjacency_csr(g).astype(np.float64)
+    model = LiftModel(g.d, g.rows.shape[1])
     return IharaBassSystem(
-        spectrum=full_lifted_spectrum(g),
+        model=model,
+        mus=np.concatenate(model.roots(_certified_eigh(A)[0])),
         B=nonbacktracking_matrix(g),
         reduced=reduced_nb_operator(g, A),
         A=A,
@@ -226,22 +238,18 @@ def ihara_bass_checks(system: IharaBassSystem, zs) -> list:
 
     Every z is guarded before any factorization. At each z, det(B - zI) is
     factored in the calling thread while one worker factors the reduced
-    side, under `single_blas_thread`; with no OpenBLAS to pin, both run in
-    the caller. The two sides meet at every z, so at most one z is in
-    flight when either side raises.
+    side, under `single_blas_thread`. The two sides meet at every z, so at
+    most one z is in flight when either side raises.
     """
     zs = [complex(z) for z in zs]
-    mus = system.spectrum.eigenvalues()
     for z in zs:
-        # the zeros of the scalar factor are B's trivial eigenvalues 1 and -(k-1)
-        _guard(z, mus, system.spectrum.model.trivial)
+        _guard(z, system)
     records = []
-    with single_blas_thread() as pinned, ThreadPoolExecutor(max_workers=1) as worker:
+    with single_blas_thread(), ThreadPoolExecutor(max_workers=1) as worker:
         for z in zs:
-            right = worker.submit(_rhs, system, z) if pinned else None
+            right = worker.submit(_rhs, system, z)
             left = logdet(system.lhs_matrix(z))
-            right = right.result() if pinned else _rhs(system, z)
-            records.append(IharaBassRecord(z, left, *right))
+            records.append(IharaBassRecord(z, left, *right.result()))
     return records
 
 
@@ -250,19 +258,16 @@ def ihara_bass_check(g, z: complex) -> IharaBassRecord:
     return ihara_bass_checks(ihara_bass_system(g), [z])[0]
 
 
-def ihara_bass_check_hyper(H, z: complex) -> IharaBassRecord:
-    """`ihara_bass_check` for a hypergraph ``H``:
-    det(B - zI) = (z-1)^{(k-1)|E|-n} (z+k-1)^{|E|-n} det(reduced - zI)."""
-    return ihara_bass_check(H, z)
+#: the same check, under the name a hypergraph caller may use
+ihara_bass_check_hyper = ihara_bass_check
 
 
-def sample_z_points(spectrum: LiftedSpectrum, count: int, seed: "int | Seed") -> list:
+def sample_z_points(system: IharaBassSystem, count: int, seed: "int | Seed") -> list:
     """Pseudo-random z in the annulus 0.1 <= |z| <= 2*sqrt(q) that avoid the
-    near-singular guard around the eigenvalues of ``spectrum`` and B's
+    near-singular guard around the lifted eigenvalues of ``system`` and B's
     trivial eigenvalues (q = (d-1)(k-1), with k = 2 for graphs)."""
     rng = as_seed(seed).generator()
-    mus, model = spectrum.eigenvalues(), spectrum.model
-    rmax = 2.0 * model.radius
+    rmax = 2.0 * system.model.radius
     out: list = []
     attempts = 0
     while len(out) < count:
@@ -273,7 +278,7 @@ def sample_z_points(spectrum: LiftedSpectrum, count: int, seed: "int | Seed") ->
         theta = rng.uniform(0.0, 2.0 * math.pi)
         z = complex(r * math.cos(theta), r * math.sin(theta))
         try:
-            _guard(z, mus, model.trivial)
+            _guard(z, system)
         except NearSingularError:
             continue
         out.append(z)
@@ -283,10 +288,10 @@ def sample_z_points(spectrum: LiftedSpectrum, count: int, seed: "int | Seed") ->
 def ihara_bass_report(g, trials: int = 8, seed: "int | Seed" = 0) -> "tuple[list, bool]":
     """Run the identity check at ``trials`` sampled z points.
 
-    Returns (records, all_ok). The operators and the spectrum are built once
-    and shared by the z sampler and every check.
+    Returns (records, all_ok). The operators and the lifted eigenvalues are
+    built once and shared by the z sampler and every check.
     """
     system = ihara_bass_system(g)
-    zs = sample_z_points(system.spectrum, trials, seed)
+    zs = sample_z_points(system, trials, seed)
     records = ihara_bass_checks(system, zs)
     return records, all(r.ok for r in records)

@@ -16,6 +16,7 @@ import pytest
 import nbspectra.cli
 import nbspectra.measures
 import nbspectra.operators
+import nbspectra.spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,6 +50,19 @@ def test_tracer_installs_and_reads_nb_nnz(k4):
         tracer.uninstall()
     assert isinstance(B.nnz, (int, np.integer)) and B.nnz == 24
     assert {s.name: s.info for s in tracer.spans}["nonbacktracking_matrix"] == {"nnz": 24}
+
+
+def test_outlier_eigs_full_solve_fallback_runs_traced():
+    # a count of n - 1 or more falls back to the full eigensolve of the CSR
+    # that `outlier_eigs` has validated; the tracer fingerprints every matrix
+    # handed to `symmetric_eigs`, and a CSR made it raise IndexError
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        vals = nbspectra.spectral.outlier_eigs(np.diag(np.arange(1.0, 5.0)), 0.5, 1.0)[0]
+    finally:
+        tracer.uninstall()
+    assert vals == pytest.approx([4.0, 3.0, 2.0, 1.0], abs=1e-12)
 
 
 WORKLOADS = _perfbench_module("workloads")

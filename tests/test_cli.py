@@ -160,7 +160,7 @@ def test_ks_threshold_must_be_finite_and_nonnegative(tmp_path, capsys, value):
     assert not (tmp_path / "k.json").exists()
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "0.67"])
 def test_ks_alpha_must_be_finite_and_positive(tmp_path, capsys, value):
     g = tmp_path / "g.json"
     s = tmp_path / "s.json"
@@ -169,7 +169,7 @@ def test_ks_alpha_must_be_finite_and_positive(tmp_path, capsys, value):
     capsys.readouterr()
     k = tmp_path / "k.json"
     assert run(["ks", "--in", str(s), "--law", "hyperalpha", f"--alpha={value}", "--out", str(k)]) == 2
-    assert "must be a finite number > 0" in capsys.readouterr().err
+    assert "must be a finite number >= 1" in capsys.readouterr().err
     assert not k.exists()
 
 
@@ -201,8 +201,6 @@ def test_ks_hyperalpha_requires_alpha(tmp_path):
     run(["gen", "--model", "hypergraph", "--n", "30", "--d", "2", "--k", "3", "--seed", "1", "--out", str(g)])
     run(["spectrum", "--in", str(g), "--out", str(s)])
     assert run(["ks", "--in", str(s), "--law", "hyperalpha"]) == 2
-    with pytest.warns(UserWarning, match="outside the stated"):
-        assert run(["ks", "--in", str(s), "--law", "hyperalpha", "--alpha", "0.67", "--threshold", "0.9"]) == 0
 
 
 def test_ks_alpha_at_and_above_its_bound(tmp_path, capsys):
@@ -312,8 +310,10 @@ def _acceptance_literals() -> dict:
 
 
 def test_audit_tolerances_no_looser_than_acceptance():
-    literals = _acceptance_literals()
-    assert len(literals) == 7 and set(literals) == set(nbspectra.spectral.AUDIT_TOLS)
+    # the acceptance suite states seven of them; the general norm identity is
+    # held to the 1e-8 that test_spectrum_audit_clean_on_samples asserts
+    literals = {**_acceptance_literals(), "norm_general_err": 1e-8}
+    assert len(literals) == 8 and set(literals) == set(nbspectra.spectral.AUDIT_TOLS)
     for name, tol in nbspectra.spectral.AUDIT_TOLS.items():
         assert tol <= literals[name], name
 
@@ -408,21 +408,24 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_verify_computes_spectrum_once(tmp_path, monkeypatch):
+    # one certified eigensolve a run, for the guard's eigenvalues, and no lifted spectrum
     g = tmp_path / "g.json"
     run(["gen", "--model", "regular", "--n", "12", "--d", "3", "--seed", "4", "--out", str(g)])
     calls = []
-    original = nbspectra.verify.full_lifted_spectrum
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
 
-    monkeypatch.setattr(nbspectra.verify, "full_lifted_spectrum", counted)
+    for module in (nbspectra.spectral, nbspectra.verify):
+        counted(module, "_certified_eigh")
+    for module in (nbspectra.spectral, nbspectra.cli):
+        counted(module, "full_lifted_spectrum")
     assert run(["verify", "--in", str(g), "--trials", "4", "--seed", "1"]) == 0
-    assert len(calls) == 1
+    assert calls == ["_certified_eigh"]
     calls.clear()
     assert run(["verify", "--in", str(g), "--z", "0.3+0.4i", "--z=-1.1+0.2i"]) == 0
-    assert len(calls) == 1
+    assert calls == ["_certified_eigh"]
 
 
 def test_verify_stderr_headroom(tmp_path, capsys):

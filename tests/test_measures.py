@@ -150,10 +150,8 @@ def test_cdf_certificate_failures(monkeypatch, fault, message):
 
 
 def test_cdf_mass_below_stated_regime():
-    # for d < k the fixed-(d,k) density carries d/k of the mass, the alpha-law alpha
+    # for d < k the fixed-(d,k) density carries d/k of the mass
     assert certified_cdf(HyperFixed(2, 3), 2.0) == pytest.approx(2 / 3, abs=1e-12)
-    with pytest.warns(UserWarning):
-        assert certified_cdf(HyperAlpha(0.5), 2.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_hypergraph_demo_runs():
@@ -192,11 +190,10 @@ def test_hyperalpha_certified_at_its_bound_and_rejected_above():
             HyperAlpha(alpha)
 
 
-def test_hyperalpha_warns_below_one():
-    with pytest.warns(UserWarning):
-        HyperAlpha(0.5)
-    with pytest.raises(DomainError):
-        HyperAlpha(0.0)
+def test_hyperalpha_rejects_alpha_below_one():
+    for alpha in (0.5, np.nextafter(1.0, 0.0), 0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="alpha >= 1 regime"):
+            HyperAlpha(alpha)
 
 
 def test_ks_of_plugin_quantiles():

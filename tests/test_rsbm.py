@@ -295,8 +295,8 @@ def test_outlier_eigs_error_restores_blas_threads(monkeypatch, two_blas_threads)
 
 def test_full_solve_fallback_keeps_blas_threads(monkeypatch, two_blas_threads):
     # a count of n - 1 or more goes to the full eigensolve, which keeps its threads
-    seen, original = [], nbspectra.spectral.symmetric_eigs
-    monkeypatch.setattr(nbspectra.spectral, "symmetric_eigs", lambda A: seen.append(blas_counts()) or original(A))
+    seen, original = [], nbspectra.spectral._certified_eigh
+    monkeypatch.setattr(nbspectra.spectral, "_certified_eigh", lambda A: seen.append(blas_counts()) or original(A))
     vals = nbspectra.spectral.outlier_eigs(np.diag(np.arange(1.0, 41.0)), 0.5, 1.0)[0]
     assert len(vals) == 40 and seen == [two_blas_threads]
 

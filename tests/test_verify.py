@@ -13,7 +13,7 @@ import nbspectra.verify
 from nbspectra.blas import single_blas_thread
 from nbspectra.cli import main as cli_main
 from nbspectra.errors import NearSingularError, SingularError, ZeroVectorError
-from nbspectra.graphs import RegularGraph, sample_regular_hypergraph
+from nbspectra.graphs import RegularGraph, sample_regular_hypergraph, sample_rsbm
 from nbspectra.operators import nonbacktracking_matrix, oriented_index, reduced_nb_operator
 from nbspectra.spectral import full_lifted_spectrum, lift_eigenvector_nb, symmetric_eigs
 from nbspectra.verify import (
@@ -160,7 +160,7 @@ def test_logdet_matches_slogdet():
 
 @pytest.mark.parametrize("name", ["petersen", "hyper923"])
 def test_system_builds_adjacency_once(monkeypatch, name, hyper923):
-    # every build but the eigensolve's own, which `full_lifted_spectrum` makes for itself
+    # one build serves the eigensolve, the reduced matrix and the polynomial in A
     g = hyper923 if name == "hyper923" else named_graph(name)
     ref = reduced_nb_operator(g)
     calls = []
@@ -176,10 +176,20 @@ def test_system_builds_adjacency_once(monkeypatch, name, hyper923):
     for module in (nbspectra.verify, nbspectra.operators, nbspectra.spectral):
         monkeypatch.setattr(module, "adjacency_csr", counted(module.__name__))
     system = ihara_bass_system(g)
-    assert sorted(calls) == ["nbspectra.spectral", "nbspectra.verify"]
+    assert calls == ["nbspectra.verify"]
     # the shared A gives the reduced matrix that its own build gives, array for array
     for a, b in ((system.reduced.indptr, ref.indptr), (system.reduced.indices, ref.indices), (system.reduced.data, ref.data)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["petersen", "hyper923", "rsbm"])
+def test_system_eigenvalues_match_the_lifted_spectrum(name, hyper923):
+    # the guard's eigenvalues are the spectrum's, bit for bit: the same CSR,
+    # the same certified eigensolve, the same roots
+    g = {"petersen": named_graph("petersen"), "hyper923": hyper923, "rsbm": sample_rsbm(40, 3, 1, 2)}[name]
+    expected = full_lifted_spectrum(g).eigenvalues()
+    mus = ihara_bass_system(g).mus
+    assert mus.dtype == expected.dtype and mus.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", IHARA_CORPUS)
@@ -307,7 +317,7 @@ print(sorted(seen) == [("_certify", *counts), ("logdet", 1, counts[1])], (get(),
 def test_checks_match_serial_bit_for_bit(name, hyper923):
     g = hyper923 if name == "hyper923" else named_graph(name)
     system = ihara_bass_system(g)
-    zs = sample_z_points(system.spectrum, 6, 3)
+    zs = sample_z_points(system, 6, 3)
     with single_blas_thread():
         serial = serial_ihara_bass_checks(system, zs)
     assert ihara_bass_checks(system, zs) == serial
@@ -387,7 +397,7 @@ def test_pins_from_two_threads_take_turns(two_blas_threads):
 
 def test_concurrent_checks_restore_blas_threads(two_blas_threads):
     system = ihara_bass_system(named_graph("petersen"))
-    zs = sample_z_points(system.spectrum, 4, 3)
+    zs = sample_z_points(system, 4, 3)
     results = [None, None]
 
     def run(i):
@@ -402,12 +412,13 @@ def test_concurrent_checks_restore_blas_threads(two_blas_threads):
     assert blas_counts() == two_blas_threads
 
 
-def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
-    threads = set()
+def test_verify_without_openblas_runs_in_the_worker(tmp_path, capsys, monkeypatch):
+    # with no OpenBLAS to pin, the lanes are the same: the reduced side still runs in the worker
+    seen = []
     original = nbspectra.verify.logdet
 
     def spy(M):
-        threads.add(threading.current_thread())
+        seen.append(threading.current_thread() is threading.main_thread())
         return original(M)
 
     monkeypatch.setattr(nbspectra.blas, "_scipy_openblas", lambda: None)
@@ -415,29 +426,29 @@ def test_verify_without_openblas_runs_in_caller(tmp_path, capsys, monkeypatch):
     assert cli_main(["verify", "--in", _graph_file(tmp_path), "--trials", "4", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_ok"] and doc["trials"] == 4
-    assert threads == {threading.main_thread()}
+    assert len(seen) == 12 and sum(seen) == 4  # det(B - zI) in the caller, the rest in the worker
 
 
 def test_sample_z_points_respect_guard(k4):
-    spectrum = full_lifted_spectrum(k4)
-    zs = sample_z_points(spectrum, 16, 3)
-    mus = spectrum.eigenvalues()
+    system = ihara_bass_system(k4)
+    zs = sample_z_points(system, 16, 3)
+    mus = full_lifted_spectrum(k4).eigenvalues()
     for z in zs:
         assert 0.1 <= abs(z) <= 2 * math.sqrt(3) + 1e-12
         assert np.min(np.abs(mus - z)) >= 1e-6
 
 
 def test_sample_z_points_exhausted(k4, monkeypatch):
-    spectrum = full_lifted_spectrum(k4)
+    system = ihara_bass_system(k4)
     # a guard wider than the annulus leaves no z to sample
     monkeypatch.setattr(nbspectra.verify, "GUARD_RADIUS", 100.0)
     with pytest.raises(NearSingularError, match="could not sample"):
-        sample_z_points(spectrum, 2, 3)
+        sample_z_points(system, 2, 3)
 
 
 def test_sample_z_points_deterministic(k4):
-    spectrum = full_lifted_spectrum(k4)
-    assert sample_z_points(spectrum, 5, 9) == sample_z_points(spectrum, 5, 9)
+    system = ihara_bass_system(k4)
+    assert sample_z_points(system, 5, 9) == sample_z_points(system, 5, 9)
 
 
 # --------------------------------------------------------- eigen_residual
